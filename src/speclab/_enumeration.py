@@ -1,11 +1,23 @@
-"""Vectorized exhaustive bipartition sweep shared by the exact cut operations.
+"""Streamed exhaustive bipartition sweep shared by the exact cut operations.
 
-Bipartitions are canonicalized so that side A always contains vertex 0.
-Enumeration index ``m`` encodes membership of vertices 1..n-1 in its bits,
-so the full bitmask of A is ``1 | (m << 1)`` and the final index (all bits
-set) is the improper full set, which callers must skip. All arrays are
-int64; exact cross-multiplied comparisons stay within int64 because the
-engine caps the graph volume at 2**15.
+Bipartitions are canonicalized so that side A contains vertex 0. Index ``m``
+holds the membership of vertices 1..n-1 in its bits, so A's full bitmask is
+``1 | (m << 1)``; the last index is the improper full set, never a minimum.
+
+Memory does not grow with the 2**(n-1) indices: a chunk holds at most
+2**CHUNK_BITS of them. The side indicator x = y + z splits into a low part y
+(vertices 0..lo) and a high part z (the rest); a chunk is rows r0..r1-1 of
+the table whose entry (r, c) is index ``(r << lo) | c``. Each value is a sum
+of high-factor times low-factor products, hence one matrix product per
+chunk: the cut weight is x'Lx = y'Ly + z'Lz + 2 z'Ly for the Laplacian L,
+volumes and sizes are outer sums, and the boundary volume sums deg(v)
+[v in B] (1 - [no neighbour of v in A]) over v, each indicator a low one
+times a high one. The factors are integers and every partial sum stays below
+a few times the volume cap of 2**15, far below 2**53, so the float64 products
+are exact in any summation order. In each chunk a float prefilter keeps the
+indices within a relative 1e-9 of the running minimum, and integer cross
+multiplication over them gives the chunk's exact minimum, which replaces
+the running one only when smaller: the lowest index wins a tie.
 """
 
 from __future__ import annotations
@@ -18,6 +30,7 @@ from .errors import SizeError
 from .graph import EXHAUSTIVE_CAP, Graph
 
 VOLUME_CAP = 1 << 15
+CHUNK_BITS = 16
 
 
 def _check_size(g: Graph) -> None:
@@ -29,88 +42,126 @@ def _check_size(g: Graph) -> None:
         raise SizeError(f"exhaustive sweep caps the total volume at {VOLUME_CAP}")
 
 
-def bipartition_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Cut weight and volume of side A for every canonical bipartition."""
-    _check_size(g)
-    deg = g.degrees
-    vol = np.array([deg[0]], dtype=np.int64)
-    for i in range(1, g.n):
-        vol = np.concatenate([vol, vol + deg[i]])
-    masks = np.arange(1 << (g.n - 1), dtype=np.int64)
-    cut = np.zeros(masks.shape, dtype=np.int64)
+def _factors(g: Graph, lo: int) -> dict:
+    """(high, low) factors with value[r, c] = high[r] @ low[:, c]."""
+    n, k = g.n, lo + 1
+    ya, za = np.zeros((1 << lo, n)), np.zeros((1 << (n - k), n))
+    ya[:, :k] = (np.arange(1 << lo)[:, None] << 1 | 1) >> np.arange(k) & 1
+    za[:, k:] = np.arange(len(za))[:, None] >> np.arange(n - k) & 1
+    yb, zb = (np.arange(n) < k) - ya, (np.arange(n) >= k) - za  # side B
+    adj = np.zeros((n, n))
     for u, v, w in g.edges:
-        if u == 0:
-            crossing = 1 - ((masks >> (v - 1)) & 1)
-        else:
-            crossing = ((masks >> (u - 1)) ^ (masks >> (v - 1))) & 1
-        cut += crossing if w == 1 else w * crossing
-    return cut, vol
+        adj[u, v] = adj[v, u] = w
+    lap, deg = np.diag(adj.sum(1)) - adj, np.array(g.degrees, dtype=float)
+    h1, l1 = np.ones((len(za), 1)), np.ones((1, len(ya)))
+
+    def outer(high, low):
+        return np.column_stack([high, h1]), np.vstack([l1, low])
+
+    def boundary(y, z):  # volume off the side (y, z) less that with no neighbour on it
+        off_y, off_z = deg * (1 - y), 1 - z
+        return (np.hstack([off_z, -off_z * (z @ adj == 0)]),
+                np.vstack([off_y.T, (off_y * (y @ adj == 0)).T]))
+
+    quad_y, quad_z = ((ya @ lap) * ya).sum(1), ((za @ lap) * za).sum(1)
+    return {"cut": (np.column_stack([2 * za @ lap, quad_z, h1]),
+                    np.vstack([ya.T, l1, quad_y])),
+            "vol": outer(za @ deg, ya @ deg),
+            "size": outer(za.sum(1), ya.sum(1)),
+            "bound_a": boundary(ya, za),
+            "bound_b": boundary(yb, zb)}
+
+
+class Chunk(dict):
+    """Bipartitions from index ``start`` on, as (rows, 2**lo) float64 arrays
+    computed on first use: cut, vol and size of side A, bound_a (volume of
+    the vertices of B with a neighbour in A) and bound_b (A and B swapped)."""
+
+    def __init__(self, g: Graph, factors: dict, rows: slice, start: int, last: bool):
+        super().__init__()
+        self.g, self.factors, self.rows, self.start, self.last = g, factors, rows, start, last
+
+    def __missing__(self, key: str) -> np.ndarray:
+        high, low = self.factors[key]
+        self[key] = value = high[self.rows] @ low
+        return value
+
+
+def bipartition_arrays(g: Graph):
+    """Check g, build its factors, and stream its bipartitions as Chunks."""
+    _check_size(g)
+    lo = min(g.n // 2, CHUNK_BITS)
+    factors, high, step = _factors(g, lo), 1 << (g.n - 1 - lo), 1 << (CHUNK_BITS - lo)
+    return (Chunk(g, factors, slice(r0, r0 + step), r0 << lo, r0 + step >= high)
+            for r0 in range(0, high, step))
 
 
 def side_sizes(g: Graph) -> np.ndarray:
-    """|A| for every canonical bipartition (vertex 0 included)."""
-    _check_size(g)
-    size = np.array([1], dtype=np.int64)
-    for _ in range(1, g.n):
-        size = np.concatenate([size, size + 1])
-    return size
+    """|A| per canonical bipartition (vertex 0 included), as one whole array."""
+    return np.concatenate([c["size"].ravel() for c in bipartition_arrays(g)]).astype(np.int64)
 
 
 def boundary_volumes(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """vol(externally adjacent vertices) of side A and of side B, per mask.
-
-    The boundary of a side S is the set of vertices outside S with at least
-    one neighbor inside S.
-    """
-    _check_size(g)
-    nmask = 1 << (g.n - 1)
-    masks = np.arange(nmask, dtype=np.int64)
-    rows = g.adjacency_rows()
-    vol_da = np.zeros(nmask, dtype=np.int64)
-    vol_db = np.zeros(nmask, dtype=np.int64)
-
-    def member(v):
-        if v == 0:
-            return np.ones(nmask, dtype=bool)
-        return ((masks >> (v - 1)) & 1).astype(bool)
-
-    for v in range(g.n):
-        nbrs = [u for u in rows[v] if u != v]
-        if not nbrs:
-            continue
-        in_a = member(v)
-        nbr_in_a = np.zeros(nmask, dtype=bool)
-        nbr_in_b = np.zeros(nmask, dtype=bool)
-        for u in nbrs:
-            mu = member(u)
-            nbr_in_a |= mu
-            nbr_in_b |= ~mu
-        vol_da[~in_a & nbr_in_a] += g.degrees[v]
-        vol_db[in_a & nbr_in_b] += g.degrees[v]
-    return vol_da, vol_db
+    """bound_a and bound_b (see Chunk) per canonical bipartition, as whole arrays."""
+    chunks = list(bipartition_arrays(g))
+    return tuple(np.concatenate([c[key].ravel() for c in chunks]).astype(np.int64)
+                 for key in ("bound_a", "bound_b"))
 
 
-def exact_min_fraction(num: np.ndarray, den: np.ndarray,
-                       valid: np.ndarray) -> tuple[Fraction, int]:
-    """Exact argmin of num/den over valid indices; ties break on lowest index.
+def exact_min_fraction(num: np.ndarray, den: np.ndarray) -> tuple[Fraction, int]:
+    """Exact argmin of num/den (den > 0); ties break on the lowest position.
 
     A float pass locates near-minimal candidates, then integer cross
     multiplication resolves them exactly (products fit int64 under the
     engine's volume cap).
     """
-    if not np.any(valid):
-        raise SizeError("no valid bipartition to minimize over")
-    ratio = np.full(num.shape, np.inf)
-    np.divide(num, den, out=ratio, where=valid & (den > 0))
-    fmin = ratio.min()
-    cand = np.flatnonzero(ratio <= fmin * (1 + 1e-9) + 1e-300)
+    ratio = num / den
+    cand = np.flatnonzero(ratio <= ratio.min() * (1 + 1e-9) + 1e-300)
     idx = int(cand[0])
-    while True:
-        better = cand[num[cand] * den[idx] < num[idx] * den[cand]]
-        if better.size == 0:
-            break
+    while (better := cand[num[cand] * den[idx] < num[idx] * den[cand]]).size:
         idx = int(better[0])
     return Fraction(int(num[idx]), int(den[idx])), idx
+
+
+class RunningMin:
+    """Exact minimum of num/den and its lowest index over a stream of chunks."""
+
+    def __init__(self):
+        self.limit, self.best = np.inf, None
+
+    def add(self, chunk: Chunk, num, den) -> None:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = num / den
+        if chunk.last:
+            ratio.flat[-1] = np.inf  # the improper full set
+        low = ratio.min()
+        if low == np.inf or low > self.limit:
+            return
+        self.limit = min(self.limit, low * (1 + 1e-9) + 1e-300)
+        hit = np.flatnonzero(ratio <= self.limit)
+        exact = (np.broadcast_to(x, ratio.shape).flat[hit].astype(np.int64) for x in (num, den))
+        value, i = exact_min_fraction(*exact)
+        if self.best is None or value < self.best[0]:  # an earlier index keeps a tie
+            self.best = value, chunk.start + int(hit[i])
+
+    def result(self) -> tuple[Fraction, int]:
+        if self.best is None:
+            raise SizeError("no valid bipartition to minimize over")
+        return self.best
+
+
+def minimize(g: Graph, *objectives) -> list[tuple[Fraction, int]]:
+    """Exact minimum and its lowest index for each objective, in one pass.
+
+    An objective maps a Chunk to ``(num, den)``, with num = inf where a
+    bipartition is excluded and den > 0 elsewhere; the improper full set
+    never counts.
+    """
+    mins = [RunningMin() for _ in objectives]
+    for chunk in bipartition_arrays(g):
+        for running, objective in zip(mins, objectives):
+            running.add(chunk, *objective(chunk))
+    return [running.result() for running in mins]
 
 
 def full_mask_from_index(index: int) -> int:

@@ -201,10 +201,7 @@ def counterexample_check(k: int) -> CounterexampleReport:
     pos = set(report.positive_side.vertices())
     top_row_cut = (pos in (set(range(s)), set(range(s, 2 * s)))
                    and report.value == normalized_cut(g, top))
-    if 6 * k <= 24:
-        mcut = min_ncut_brute(g)
-    else:
-        mcut = min_ncut_formula(spec)
+    mcut = min_ncut_brute(g) if 6 * k <= 24 else min_ncut_formula(spec)
     return CounterexampleReport(
         k=k,
         mcut=mcut.value,

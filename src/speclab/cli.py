@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import bisection, charpoly, cuts, graph, matrices
@@ -47,13 +45,6 @@ def _rat(value: Fraction) -> dict:
 
 def _vertices_1based(subset) -> list[int]:
     return [v + 1 for v in subset.vertices()] if subset is not None else []
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("SPECLAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _family_spec(args) -> graph.FamilySpec:
@@ -217,7 +208,10 @@ def _cmd_mcut(args, stdout):
     elif args.method == "pruned":
         if not args.seed:
             raise _UsageError("--method pruned needs --seed")
-        verts = [int(tok) - 1 for tok in args.seed.split(",")]
+        try:
+            verts = [int(tok) - 1 for tok in args.seed.split(",")]
+        except ValueError:
+            raise _UsageError(f"--seed takes comma-separated vertex numbers, got {args.seed!r}")
         report = cuts.min_ncut_pruned(g, graph.vertex_subset(g, verts))
     else:
         report = cuts.min_ncut_brute(g)
@@ -244,13 +238,7 @@ def _cmd_lcut(args, stdout):
 
 def _cmd_compare(args, stdout):
     g, spec = _load_input(args)
-    if spec is not None:
-        try:
-            mcut = cuts.min_ncut_formula(spec)
-        except DomainError:
-            mcut = cuts.min_ncut_brute(g)
-    else:
-        mcut = cuts.min_ncut_brute(g)
+    mcut = cuts.closed_form(spec) or cuts.min_ncut_brute(g)
     lcut = bisection.spectral_cut(g)
     doc = {"mcut": _rat(mcut.value), "lcut": _rat(lcut.value),
            "lambda2": _fmt(lcut.lambda2),
@@ -268,6 +256,8 @@ def _cmd_charpoly(args, stdout):
     if args.roots == (args.lam is not None):
         raise _UsageError("give exactly one of --lam X or --roots")
     if args.lam is not None:
+        if not math.isfinite(args.lam):
+            raise _UsageError(f"--lam must be finite, got {args.lam}")
         value = fn(n, k, args.lam)
         if not math.isfinite(value):
             raise NumericError(f"polynomial evaluation overflowed at lambda={args.lam}")
@@ -287,31 +277,18 @@ def _cmd_charpoly(args, stdout):
 def _cmd_sweep(args, stdout):
     fam = args.family.replace("-", "_")
     n_range, k_range = _parse_range(args.n_range), _parse_range(args.k_range)
-    workers = _threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = pool.map(lambda n: cuts.formula_sweep(fam, [n], k_range), n_range)
-            rows = [row for chunk in chunks for row in chunk]
-    else:
-        rows = cuts.formula_sweep(fam, n_range, k_range)
+    rows = cuts.formula_sweep(fam, n_range, k_range)
     dump = cuts.sweep_to_gnuplot if args.format == "gnuplot" else cuts.sweep_to_csv
     _emit(dump(rows), args.out, stdout)
 
 
 def _cmd_bounds(args, stdout):
     g, spec = _load_input(args)
-    if spec is not None:
-        try:
-            mcut = cuts.min_ncut_formula(spec)
-        except DomainError:
-            mcut = cuts.min_ncut_brute(g)
-    else:
-        mcut = cuts.min_ncut_brute(g)
+    mcut = cuts.closed_form(spec)
+    iso, h, gv, brute = cuts.expansion_constants(g, with_ncut=mcut is None)
+    mcut = mcut or brute
     lam2_norm = matrices.eig_sym(matrices.build_matrix(g, matrices.MatrixKind.NORMALIZED)).lambda2
     lam2_diff = matrices.eig_sym(matrices.build_matrix(g, matrices.MatrixKind.DIFFERENCE)).lambda2
-    iso = cuts.isoperimetric_number(g)
-    h = cuts.cheeger_edge(g)
-    gv = cuts.cheeger_vertex(g)
     max_deg = max(g.degrees)
     iso_upper_sq = (2 * max_deg - lam2_diff) * lam2_diff
     doc = {
@@ -336,12 +313,7 @@ def _cmd_bounds(args, stdout):
 
 def _cmd_counterexample(args, stdout):
     krange = _parse_range(args.k_range)
-    workers = _threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(bisection.counterexample_check, krange))
-    else:
-        reports = [bisection.counterexample_check(k) for k in krange]
+    reports = [bisection.counterexample_check(k) for k in krange]
     doc = {"results": [{
         "k": r.k, "mcut": _rat(r.mcut), "mcut_method": r.mcut_method,
         "lcut": _rat(r.lcut), "lambda2": _fmt(r.lambda2), "parity": r.parity,
@@ -363,35 +335,26 @@ _COMMANDS = {
 }
 
 
+_PARSER = None  # built on the first run, not at import
+_EXIT_CODES = ((_UsageError, EXIT_USAGE), (SchemaError, EXIT_SCHEMA),
+               (NumericError, EXIT_NUMERIC), (SpecLabError, EXIT_DOMAIN))
+
+
 def _error_doc(exc: Exception) -> str:
     return json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
 
 
 def run(argv, stdout=None, stderr=None) -> int:
-    stdout = stdout if stdout is not None else sys.stdout
-    stderr = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
+    global _PARSER
+    _PARSER = _PARSER or build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        stderr.write(_error_doc(exc))
-        return EXIT_USAGE
+        args = _PARSER.parse_args(argv)
+        _COMMANDS[args.command](args, stdout if stdout is not None else sys.stdout)
     except SystemExit as exc:  # --help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    try:
-        _COMMANDS[args.command](args, stdout)
-    except _UsageError as exc:
-        stderr.write(_error_doc(exc))
-        return EXIT_USAGE
-    except SchemaError as exc:
-        stderr.write(_error_doc(exc))
-        return EXIT_SCHEMA
-    except NumericError as exc:
-        stderr.write(_error_doc(exc))
-        return EXIT_NUMERIC
-    except (DomainError, SpecLabError) as exc:
-        stderr.write(_error_doc(exc))
-        return EXIT_DOMAIN
+    except (_UsageError, SpecLabError) as exc:
+        (stderr if stderr is not None else sys.stderr).write(_error_doc(exc))
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
     return EXIT_OK
 
 

@@ -49,12 +49,16 @@ def _require_connected(g: Graph) -> None:
         raise ConnectivityError(f"{g.name or 'graph'} is disconnected")
 
 
-def _min_report(g: Graph, valid: np.ndarray, cut: np.ndarray, vol: np.ndarray,
-                method: str, branch: str = "") -> CutReport:
-    s = g.volume
-    num = cut * s
-    den = vol * (s - vol)
-    value, idx = en.exact_min_fraction(num, den, valid)
+def _ncut(c: en.Chunk, keep=None):
+    """Ncut objective; bipartitions outside the mask ``keep`` are excluded."""
+    s = c.g.volume
+    num = c["cut"] * s if keep is None else np.where(keep, c["cut"] * s, np.inf)
+    return num, c["vol"] * (s - c["vol"])
+
+
+def _cut_report(g: Graph, found: tuple[Fraction, int], method: str,
+                branch: str = "") -> CutReport:
+    value, idx = found
     witness = subset_from_mask(g, en.full_mask_from_index(idx))
     return CutReport(value, witness, witness.cut_weight, method, branch)
 
@@ -62,10 +66,7 @@ def _min_report(g: Graph, valid: np.ndarray, cut: np.ndarray, vol: np.ndarray,
 def min_ncut_brute(g: Graph) -> CutReport:
     """Global minimum of the normalized cut by exhaustive enumeration."""
     _require_connected(g)
-    cut, vol = en.bipartition_arrays(g)
-    valid = np.ones(cut.shape, dtype=bool)
-    valid[-1] = False
-    return _min_report(g, valid, cut, vol, BRUTE_FORCE)
+    return _cut_report(g, *en.minimize(g, _ncut), BRUTE_FORCE)
 
 
 def min_ncut_pruned(g: Graph, seed: VertexSubset) -> CutReport:
@@ -87,87 +88,80 @@ def min_ncut_pruned(g: Graph, seed: VertexSubset) -> CutReport:
     if imbalance * imbalance * (j0 + 1) > s * s:
         raise DomainError(
             f"seed violates the balance hypothesis: |{imbalance}| > {s}/sqrt({j0 + 1})")
-    cut, vol = en.bipartition_arrays(g)
-    valid = cut <= j0
-    valid[-1] = False
-    return _min_report(g, valid, cut, vol, PRUNED, branch=f"cut<={j0}")
+    found, = en.minimize(g, lambda c: _ncut(c, c["cut"] <= j0))
+    return _cut_report(g, found, PRUNED, branch=f"cut<={j0}")
 
 
 def min_ncut_by_cut_weight(g: Graph) -> dict[int, Fraction]:
     """Minimum normalized cut per realized cut weight (exhaustive)."""
     _require_connected(g)
-    cut, vol = en.bipartition_arrays(g)
-    s = g.volume
-    num = cut * s
-    den = vol * (s - vol)
-    proper = np.ones(cut.shape, dtype=bool)
-    proper[-1] = False
-    out = {}
-    for j in sorted(int(v) for v in np.unique(cut[proper])):
-        value, _idx = en.exact_min_fraction(num, den, proper & (cut == j))
-        out[j] = value
-    return out
+    mins = {}
+    for c in en.bipartition_arrays(g):
+        for j in np.unique(c["cut"]):
+            if j:  # cut 0 is only the improper full set
+                mins.setdefault(int(j), en.RunningMin()).add(c, *_ncut(c, c["cut"] == j))
+    return {j: mins[j].result()[0] for j in sorted(mins)}
 
 
 # ---------------------------------------------------------------------------
 # expansion constants
 # ---------------------------------------------------------------------------
 
+def _isoperimetric(c: en.Chunk):
+    return c["cut"], np.minimum(c["size"], c.g.n - c["size"])
+
+
+def _cheeger_edge(c: en.Chunk):
+    return c["cut"], np.minimum(c["vol"], c.g.volume - c["vol"])
+
+
+def _cheeger_vertex(c: en.Chunk):
+    return np.minimum(c["bound_a"], c["bound_b"]), np.minimum(c["vol"], c.g.volume - c["vol"])
+
+
+def _expansion(g: Graph, objective) -> Fraction:
+    _require_connected(g)
+    (value, _idx), = en.minimize(g, objective)
+    return value
+
+
 def isoperimetric_number(g: Graph) -> Fraction:
     """min cut(S, V\\S) / |S| over nonempty S with |S| <= n/2."""
-    _require_connected(g)
-    cut, _vol = en.bipartition_arrays(g)
-    size = en.side_sizes(g)
-    small = np.minimum(size, g.n - size)
-    valid = small > 0
-    value, _ = en.exact_min_fraction(cut, small, valid)
-    return value
+    return _expansion(g, _isoperimetric)
 
 
 def cheeger_edge(g: Graph) -> Fraction:
     """Edge expansion: min cut(S, V\\S) / min(vol S, vol V\\S)."""
-    _require_connected(g)
-    cut, vol = en.bipartition_arrays(g)
-    s = g.volume
-    small = np.minimum(vol, s - vol)
-    valid = small > 0
-    value, _ = en.exact_min_fraction(cut, small, valid)
-    return value
+    return _expansion(g, _cheeger_edge)
 
 
 def cheeger_vertex(g: Graph) -> Fraction:
     """Vertex expansion: min vol(boundary of S) / min(vol S, vol V\\S)."""
+    return _expansion(g, _cheeger_vertex)
+
+
+def expansion_constants(g: Graph, with_ncut: bool = False):
+    """Isoperimetric number, both Cheeger constants and, if asked, the
+    brute-force minimum normalized cut (else None), from one pass."""
     _require_connected(g)
-    _cut, vol = en.bipartition_arrays(g)
-    vol_da, vol_db = en.boundary_volumes(g)
-    s = g.volume
-    small = np.minimum(vol, s - vol)
-    num = np.minimum(vol_da, vol_db)
-    valid = small > 0
-    value, _ = en.exact_min_fraction(num, small, valid)
-    return value
+    found = en.minimize(g, _isoperimetric, _cheeger_edge, _cheeger_vertex,
+                        *([_ncut] if with_ncut else []))
+    mcut = _cut_report(g, found.pop(), BRUTE_FORCE) if with_ncut else None
+    return (*(value for value, _idx in found), mcut)
 
 
 # ---------------------------------------------------------------------------
 # closed-form minima
 # ---------------------------------------------------------------------------
 
-def _witness(g: Graph | None, vertices) -> VertexSubset | None:
-    if g is None:
-        return None
-    return vertex_subset(g, vertices)
-
-
 def _formula_report(spec: FamilySpec, value: Fraction, branch: str,
                     witness_vertices, cut_weight: int) -> CutReport:
     # Witness construction is skipped above the subset capacity; when built,
     # the witness must achieve the closed-form value exactly.
-    g = None
-    size = _family_order(spec)
-    if size <= 64:
+    w = None
+    if _family_order(spec) <= 64:
         g = generate(spec)
-    w = _witness(g, witness_vertices)
-    if w is not None:
+        w = vertex_subset(g, witness_vertices)
         achieved = normalized_cut(g, w)
         if achieved != value:
             raise AssertionError(
@@ -194,6 +188,14 @@ def _family_order(spec: FamilySpec) -> int:
     raise DomainError(f"no closed-form minimum for family {spec.family!r}")
 
 
+def closed_form(spec: FamilySpec | None) -> CutReport | None:
+    """min_ncut_formula(spec), or None without a spec or outside its domain."""
+    try:
+        return min_ncut_formula(spec) if spec is not None else None
+    except DomainError:
+        return None
+
+
 def min_ncut_formula(spec: FamilySpec) -> CutReport:
     """Closed-form minimum normalized cut for a family instance.
 
@@ -201,24 +203,9 @@ def min_ncut_formula(spec: FamilySpec) -> CutReport:
     closed form applies; callers should then use min_ncut_brute.
     """
     spec.validate()
-    f = spec.family
-    if f == PATH:
-        return _path_formula(spec)
-    if f == CYCLE:
-        return _cycle_formula(spec)
-    if f == COMPLETE:
-        return _complete_formula(spec)
-    if f == DOUBLE_TREE:
-        return _double_tree_formula(spec)
-    if f == CYCLE_CROSS_PATH:
-        return _cycle_cross_path_formula(spec)
-    if f == ROACH:
-        return _roach_formula(spec)
-    if f == WEIGHTED_PATH:
-        return _weighted_path_formula(spec)
-    if f == LOLLIPOP:
-        return _lollipop_formula(spec)
-    raise DomainError(f"no closed-form minimum for family {f!r}")
+    if spec.family not in _FORMULAS:
+        raise DomainError(f"no closed-form minimum for family {spec.family!r}")
+    return _FORMULAS[spec.family](spec)
 
 
 def _path_formula(spec: FamilySpec) -> CutReport:
@@ -380,6 +367,12 @@ def _lollipop_formula(spec: FamilySpec) -> CutReport:
     alpha = min(x // 4 for x in (w - 2, w + 2) if x % 4 == 0)
     value = Fraction(4 * (q + 2 * m), (q + 2 * m - 2) * (q + 2 * m + 2))
     return _formula_report(spec, value, "o2&m>(n^2-n+4)/2", range(alpha), 1)
+
+
+_FORMULAS = {PATH: _path_formula, CYCLE: _cycle_formula, COMPLETE: _complete_formula,
+             DOUBLE_TREE: _double_tree_formula, CYCLE_CROSS_PATH: _cycle_cross_path_formula,
+             ROACH: _roach_formula, WEIGHTED_PATH: _weighted_path_formula,
+             LOLLIPOP: _lollipop_formula}
 
 
 # ---------------------------------------------------------------------------

@@ -410,15 +410,11 @@ def diameter(g: Graph) -> int:
 
 def edge_connectivity(g: Graph) -> int:
     """Minimum cut weight over all bipartitions (exhaustive, |V| <= 24)."""
-    if g.n < 2:
-        raise DomainError("edge connectivity needs at least two vertices")
-    if g.n > EXHAUSTIVE_CAP:
-        raise SizeError(f"edge connectivity is exhaustive, capped at {EXHAUSTIVE_CAP} vertices")
     if not is_connected(g):
         return 0
-    from ._enumeration import bipartition_arrays
-    cut, _vol = bipartition_arrays(g)
-    return int(cut[:-1].min())
+    from ._enumeration import minimize
+    (value, _idx), = minimize(g, lambda c: (c["cut"], 1))
+    return int(value)
 
 
 def is_automorphism(g: Graph, perm: Sequence[int]) -> bool:

@@ -22,22 +22,46 @@ def lu_det(m: np.ndarray) -> float:
     return float(np.linalg.det(np.asarray(m, dtype=float)))
 
 
-def slow_min_ncut(g: Graph) -> tuple[Fraction, int, int]:
+def slow_sides(g: Graph):
+    """(full bitmask, |A|, vol A, cut) of every canonical proper bipartition
+    (vertex 0 on side A), in increasing bitmask order."""
+    for m in range(2 ** (g.n - 1) - 1):
+        mask = 1 | (m << 1)
+        size = bin(mask).count("1")
+        vol_a = sum(g.degrees[i] for i in range(g.n) if mask >> i & 1)
+        cut = sum(w for u, v, w in g.edges if (mask >> u & 1) != (mask >> v & 1))
+        yield mask, size, vol_a, cut
+
+
+def slow_min_ncut(g: Graph, max_cut: int | None = None) -> tuple[Fraction, int, int]:
     """Reference exhaustive minimum: (value, full bitmask, cut weight).
 
     Pure-Python sweep over canonical bipartitions (vertex 0 on side A),
-    smallest-bitmask tie break.
+    optionally only those with cut weight <= max_cut, smallest-bitmask tie
+    break.
     """
     s = g.volume
     best = None
-    for m in range(2 ** (g.n - 1) - 1):
-        mask = 1 | (m << 1)
-        vol_a = sum(g.degrees[i] for i in range(g.n) if mask >> i & 1)
-        cut = sum(w for u, v, w in g.edges if (mask >> u & 1) != (mask >> v & 1))
+    for mask, _size, vol_a, cut in slow_sides(g):
+        if max_cut is not None and cut > max_cut:
+            continue
         value = Fraction(cut * s, vol_a * (s - vol_a))
         if best is None or value < best[0]:
             best = (value, mask, cut)
     return best
+
+
+def slow_isoperimetric(g: Graph) -> Fraction:
+    return min(Fraction(cut, min(size, g.n - size)) for _m, size, _v, cut in slow_sides(g))
+
+
+def slow_cheeger_edge(g: Graph) -> Fraction:
+    s = g.volume
+    return min(Fraction(cut, min(vol, s - vol)) for _m, _size, vol, cut in slow_sides(g))
+
+
+def slow_edge_connectivity(g: Graph) -> int:
+    return min(cut for _m, _size, _vol, cut in slow_sides(g))
 
 
 def slow_cheeger_vertex(g: Graph) -> Fraction:

@@ -2,10 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 import speclab as sl
+from speclab import cli
 from speclab.cli import run
 
 
@@ -161,6 +165,42 @@ def test_usage_errors_exit_64():
     assert code == 64
     code, _, _ = invoke(["unknown-command"])
     assert code == 64
+
+
+def _one_json_line(err: str) -> dict:
+    assert err.endswith("\n") and err.count("\n") == 1
+    return json.loads(err)
+
+
+def test_non_numeric_pruned_seed_exits_64():
+    code, out, err = invoke(["mcut", "--family", "path", "--n", "8",
+                             "--method", "pruned", "--seed", "a,b"])
+    assert code == 64 and out == ""
+    assert _one_json_line(err)["error"] == "_UsageError"
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
+def test_non_finite_lambda_exits_64(lam):
+    code, out, err = invoke(["charpoly", "--which", "pnk", "--n", "4", "--k", "3",
+                             "--lam", lam])
+    assert code == 64 and out == ""
+    assert _one_json_line(err)["error"] == "_UsageError"
+
+
+def test_parser_is_not_built_at_import():
+    src = os.path.dirname(os.path.dirname(sl.__file__))
+    probe = "import speclab.cli as c; raise SystemExit(c._PARSER is not None)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+
+
+def test_parser_is_built_once_and_reused():
+    first = invoke(["mcut", "--family", "path", "--n", "6"])
+    parser = cli._PARSER
+    assert parser is not None
+    assert invoke(["mcut", "--family", "path", "--n", "6"]) == first
+    assert invoke(["mcut"])[0] == 64 and cli._PARSER is parser
+    assert invoke(["mcut", "--family", "path", "--n", "6"]) == first
 
 
 def test_numeric_overflow_exits_70():

@@ -1,0 +1,134 @@
+"""The streamed bipartition engine across many chunks, against loop oracles.
+
+The chunk size is shrunk so that graphs of 8-12 vertices cross many chunks;
+every exhaustive functional must still equal the pure-Python sweeps in
+conftest, with the lowest index winning a tie and the improper full set
+never chosen.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import speclab as sl
+from speclab import FamilySpec, Graph
+from speclab import _enumeration as en, cuts
+from conftest import (slow_cheeger_edge, slow_cheeger_vertex, slow_edge_connectivity,
+                      slow_isoperimetric, slow_min_ncut, slow_sides)
+
+
+def _random_graph(seed: int, n: int) -> Graph:
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v): rng.randint(1, 3) for v in range(1, n)}
+    while len(edges) < n + n // 2:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges[(u, v)] = rng.randint(1, 3)
+    loops = tuple((v, rng.randint(1, 2)) for v in range(n) if rng.random() < 0.2)
+    return Graph(n, tuple((u, v, w) for (u, v), w in edges.items()), loops, name=f"r{seed}")
+
+
+GRAPHS = [sl.generate(FamilySpec.cycle(8)), sl.generate(FamilySpec.path(9)),
+          sl.generate(FamilySpec.roach(2, 3)), sl.generate(FamilySpec.weighted_path(6, 4)),
+          sl.generate(FamilySpec.lollipop(4, 5)), sl.generate(FamilySpec.complete(8)),
+          _random_graph(1, 8), _random_graph(2, 11), _random_graph(3, 12)]
+
+
+@pytest.fixture(params=[1, 3])
+def chunk_bits(request, monkeypatch):
+    monkeypatch.setattr(en, "CHUNK_BITS", request.param)
+    return request.param
+
+
+def _balanced_seeds(g: Graph):
+    s = g.volume
+    for t in range(1, g.n):
+        seed = sl.vertex_subset(g, range(t))
+        imbalance = 2 * seed.volume - s
+        if imbalance * imbalance * (seed.cut_weight + 1) <= s * s:
+            yield seed
+
+
+@pytest.mark.parametrize("g", GRAPHS, ids=lambda g: g.name)
+def test_every_functional_matches_oracles_across_chunks(g, chunk_bits):
+    assert len(list(en.bipartition_arrays(g))) >= 2 ** (g.n - 1 - chunk_bits)
+
+    value, mask, cut = slow_min_ncut(g)
+    brute = sl.min_ncut_brute(g)
+    assert (brute.value, brute.witness.mask, brute.cut_weight) == (value, mask, cut)
+
+    seeds = list(_balanced_seeds(g))
+    assert seeds
+    for seed in seeds:
+        report = sl.min_ncut_pruned(g, seed)
+        value, mask, cut = slow_min_ncut(g, max_cut=seed.cut_weight)
+        assert (report.value, report.witness.mask, report.cut_weight) == (value, mask, cut)
+        assert report.branch == f"cut<={seed.cut_weight}"
+
+    s = g.volume
+    per_weight = {}
+    for _mask, _size, vol, cut in slow_sides(g):
+        value = Fraction(cut * s, vol * (s - vol))
+        per_weight[cut] = min(per_weight.get(cut, value), value)
+    assert sl.min_ncut_by_cut_weight(g) == dict(sorted(per_weight.items()))
+
+    iso, h, gv = slow_isoperimetric(g), slow_cheeger_edge(g), slow_cheeger_vertex(g)
+    assert sl.isoperimetric_number(g) == iso
+    assert sl.cheeger_edge(g) == h
+    assert sl.cheeger_vertex(g) == gv
+    assert sl.edge_connectivity(g) == slow_edge_connectivity(g)
+    assert cuts.expansion_constants(g, with_ncut=True) == (iso, h, gv, brute)
+    assert cuts.expansion_constants(g) == (iso, h, gv, None)
+
+
+def test_tied_minima_in_different_chunks_keep_the_lowest_index(monkeypatch):
+    monkeypatch.setattr(en, "CHUNK_BITS", 2)
+    g = sl.generate(FamilySpec.cycle(8))
+    s = g.volume
+    values = {mask: Fraction(cut * s, vol * (s - vol)) for mask, _, vol, cut in slow_sides(g)}
+    best = min(values.values())
+    tied = sorted(mask >> 1 for mask, value in values.items() if value == best)
+    assert len({index >> 2 for index in tied}) == len(tied) == 4  # one per chunk
+    report = sl.min_ncut_brute(g)
+    assert report.value == best == Fraction(1, 2)
+    assert report.witness.mask == en.full_mask_from_index(tied[0]) == 0b1111
+
+
+@pytest.mark.parametrize("bits", [0, 1, 2])
+def test_improper_full_set_in_last_chunk_is_never_chosen(monkeypatch, bits):
+    monkeypatch.setattr(en, "CHUNK_BITS", bits)
+    for g in (sl.generate(FamilySpec.path(2)), sl.generate(FamilySpec.cycle(5)),
+              Graph(2, ((0, 1, 3),), ((1, 2),))):
+        chunks = list(en.bipartition_arrays(g))
+        assert chunks[-1].last and not any(c.last for c in chunks[:-1])
+        full = (1 << g.n) - 1
+        pruned = [sl.min_ncut_pruned(g, seed) for seed in _balanced_seeds(g)]
+        for report in [sl.min_ncut_brute(g), *pruned]:
+            assert report.witness.mask != full and report.value > 0
+        assert sl.edge_connectivity(g) == slow_edge_connectivity(g) > 0
+        assert sl.isoperimetric_number(g) == slow_isoperimetric(g) > 0
+        assert sl.cheeger_edge(g) == slow_cheeger_edge(g) > 0
+        assert sl.cheeger_vertex(g) == slow_cheeger_vertex(g) > 0
+
+
+@pytest.mark.parametrize("bits", [0, 2, 16])
+def test_chunk_layout_matches_index_order(monkeypatch, bits):
+    monkeypatch.setattr(en, "CHUNK_BITS", bits)
+    g = _random_graph(4, 9)
+    rows = g.adjacency_rows()
+    chunks = list(en.bipartition_arrays(g))
+    sizes = [c["cut"].size for c in chunks]
+    assert max(sizes) <= 2 ** bits and sum(sizes) == 2 ** (g.n - 1)
+    assert [c.start for c in chunks] == [sum(sizes[:i]) for i in range(len(chunks))]
+    cut = [int(x) for c in chunks for x in c["cut"].ravel()]
+    vol = [int(x) for c in chunks for x in c["vol"].ravel()]
+    size, (bound_a, bound_b) = en.side_sizes(g), en.boundary_volumes(g)
+    for m in range(2 ** (g.n - 1)):
+        mask = en.full_mask_from_index(m)
+        a = {v for v in range(g.n) if mask >> v & 1}
+        b = set(range(g.n)) - a
+        assert cut[m] == sl.cut_weight(g, a)
+        assert vol[m] == sum(g.degrees[v] for v in a)
+        assert size[m] == len(a)
+        assert bound_a[m] == sum(g.degrees[v] for v in b if a & set(rows[v]) - {v})
+        assert bound_b[m] == sum(g.degrees[v] for v in a if b & set(rows[v]) - {v})
