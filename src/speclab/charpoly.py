@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+import numpy as np
+
+from .errors import DomainError, NumericError
 
 BISECTION_WIDTH = 1e-10
+MAX_STEPS = 1 << 20
 
 
 def chebyshev_pair(n: int, x: float) -> tuple[float, float]:
@@ -73,9 +76,21 @@ def tail_poly_odd(k: int, c: float) -> float:
     return 2.0 * chebyshev_u(k + 1, c) - chebyshev_u(k, c) - chebyshev_u(k - 1, c)
 
 
-def _check_nk(n: int, k: int) -> None:
+def normalization(n: int, k: int) -> float:
+    """The divisor 2**n * 3**k of the (n, k) sector polynomials, checked.
+
+    Raises NumericError when it is not a finite float64, so that an (n, k)
+    out of range is refused before any recurrence of n + k steps runs.
+    """
     if n < 3 or k < 3:
         raise DomainError(f"characteristic polynomial needs n >= 3 and k >= 3, got ({n},{k})")
+    try:
+        scale = 2.0 ** n * 3.0 ** k
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise NumericError(f"2**n * 3**k overflows float64 at (n, k) = ({n},{k})")
+    return scale
 
 
 def weighted_path_charpoly(n: int, k: int, lam: float) -> float:
@@ -85,12 +100,12 @@ def weighted_path_charpoly(n: int, k: int, lam: float) -> float:
     Substitutions: c_alpha = lam - 1 for the plain segment and
     c_beta = 3 lam / 2 - 1 for the loop segment.
     """
-    _check_nk(n, k)
+    scale = normalization(n, k)
     ca = lam - 1.0
     cb = 1.5 * lam - 1.0
     value = (tail_poly_even(k, cb) * chebyshev_t(n, ca)
              - tail_poly_even(k - 1, cb) * chebyshev_t(n - 1, ca))
-    return value / (2.0 ** n * 3.0 ** k)
+    return value / scale
 
 
 def roach_odd_charpoly(n: int, k: int, lam: float) -> float:
@@ -98,12 +113,12 @@ def roach_odd_charpoly(n: int, k: int, lam: float) -> float:
 
     Same shape as the even factor with the odd tail and c_gamma = 3 lam/2 - 2.
     """
-    _check_nk(n, k)
+    scale = normalization(n, k)
     ca = lam - 1.0
     cg = 1.5 * lam - 2.0
     value = (tail_poly_odd(k, cg) * chebyshev_t(n, ca)
              - tail_poly_odd(k - 1, cg) * chebyshev_t(n - 1, ca))
-    return value / (2.0 ** n * 3.0 ** k)
+    return value / scale
 
 
 def roach_charpoly(n: int, k: int, lam: float) -> float:
@@ -134,21 +149,37 @@ def bracket_roots(fn, steps: int, lo: float = 0.0, hi: float = 2.0,
                   width: float = BISECTION_WIDTH) -> list[tuple[float, float]]:
     """Sign-change brackets of fn on [lo, hi], each refined by bisection.
 
-    Tangential roots produce no sign change and are missed, so the returned
-    count is a lower bound on the number of roots.
+    fn must evaluate elementwise on a float64 array: it is called once on
+    the whole grid of steps + 1 points, then on Python floats while
+    bisecting. A grid point where fn is 0 gives the bracket (x, x). steps is
+    capped at MAX_STEPS (DomainError) before anything is allocated, and a
+    non-finite grid value raises NumericError.
+
+    Tangential roots produce no sign change and are missed, and so are
+    pairs of roots inside one grid cell, so the returned count is a lower
+    bound on the number of roots. Values that underflow to 0 can add
+    spurious brackets: a caller that knows the degree d can reject more
+    than d brackets (``charpoly --roots`` does), but underflow that leaves
+    at most d brackets goes undetected.
     """
     if steps < 1:
         raise DomainError("grid needs at least one step")
+    if steps > MAX_STEPS:
+        raise DomainError(f"grid capped at {MAX_STEPS} steps, got {steps}")
     if not hi > lo:
         raise DomainError("empty interval")
-    xs = [lo + (hi - lo) * i / steps for i in range(steps + 1)]
-    vals = [fn(x) for x in xs]
+    grid = lo + (hi - lo) * np.arange(steps + 1) / steps
+    with np.errstate(all="ignore"):
+        values = fn(grid)
+        cells = np.flatnonzero((values[:-1] == 0.0) | (values[:-1] * values[1:] < 0.0))
+    if not np.isfinite(values).all():
+        raise NumericError("polynomial evaluation is not finite on the grid")
+    xs, vals = grid.tolist(), values.tolist()
     out = []
-    for (a, fa), (b, fb) in zip(zip(xs, vals), zip(xs[1:], vals[1:])):
+    for i in cells.tolist():
+        a, fa, b = xs[i], vals[i], xs[i + 1]
         if fa == 0.0:
             out.append((a, a))
-            continue
-        if fa * fb >= 0.0:
             continue
         while b - a > width:
             mid = 0.5 * (a + b)
@@ -157,7 +188,7 @@ def bracket_roots(fn, steps: int, lo: float = 0.0, hi: float = 2.0,
                 a = b = mid
                 break
             if fa * fm < 0.0:
-                b, fb = mid, fm
+                b = mid
             else:
                 a, fa = mid, fm
         out.append((a, b))

@@ -65,7 +65,7 @@ def _load_input(args) -> tuple[graph.Graph, graph.FamilySpec | None]:
         try:
             with open(args.graph, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise SchemaError(f"cannot read graph file: {exc}") from exc
         return graph.from_json(text), None
     spec = _family_spec(args)
@@ -255,9 +255,10 @@ def _cmd_charpoly(args, stdout):
     n, k = args.n, args.k
     if args.roots == (args.lam is not None):
         raise _UsageError("give exactly one of --lam X or --roots")
+    if args.lam is not None and not math.isfinite(args.lam):
+        raise _UsageError(f"--lam must be finite, got {args.lam}")
+    charpoly.normalization(n, k)
     if args.lam is not None:
-        if not math.isfinite(args.lam):
-            raise _UsageError(f"--lam must be finite, got {args.lam}")
         value = fn(n, k, args.lam)
         if not math.isfinite(value):
             raise NumericError(f"polynomial evaluation overflowed at lambda={args.lam}")
@@ -267,6 +268,10 @@ def _cmd_charpoly(args, stdout):
         return
     steps = args.steps or max(2000, 4 * (n + k))
     brackets = charpoly.bracket_roots(lambda x: fn(n, k, x), steps)
+    degree = (n + k) * (2 if args.which == "product" else 1)
+    if len(brackets) > degree:
+        raise NumericError(f"{len(brackets)} brackets for a degree-{degree} polynomial: "
+                           "the evaluation underflowed")
     doc = {"which": args.which, "n": n, "k": k, "interval": [0, 2],
            "steps": steps,
            "roots": [_fmt(0.5 * (a + b)) for a, b in brackets],

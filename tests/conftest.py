@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from speclab import Graph
+from speclab import DomainError, Graph
 
 
 def lu_det(m: np.ndarray) -> float:
@@ -78,6 +78,39 @@ def slow_cheeger_vertex(g: Graph) -> Fraction:
         if best is None or value < best:
             best = value
     return best
+
+
+def slow_bracket_roots(fn, steps: int, lo: float = 0.0, hi: float = 2.0,
+                       width: float = 1e-10) -> list[tuple[float, float]]:
+    """Reference root bracketing: the scalar grid scan and bisection, one
+    Python float evaluation of fn per grid point."""
+    if steps < 1:
+        raise DomainError("grid needs at least one step")
+    if not hi > lo:
+        raise DomainError("empty interval")
+    xs = [lo + (hi - lo) * i / steps for i in range(steps + 1)]
+    vals = [fn(x) for x in xs]
+    out = []
+    for (a, fa), (b, fb) in zip(zip(xs, vals), zip(xs[1:], vals[1:])):
+        if fa == 0.0:
+            out.append((a, a))
+            continue
+        if fa * fb >= 0.0:
+            continue
+        while b - a > width:
+            mid = 0.5 * (a + b)
+            fm = fn(mid)
+            if fm == 0.0:
+                a = b = mid
+                break
+            if fa * fm < 0.0:
+                b, fb = mid, fm
+            else:
+                a, fa = mid, fm
+        out.append((a, b))
+    if vals[-1] == 0.0:
+        out.append((xs[-1], xs[-1]))
+    return out
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ import pytest
 import speclab as sl
 from speclab import DomainError, FamilySpec, MatrixKind
 
-from conftest import lu_det
+from conftest import lu_det, slow_bracket_roots
 
 
 def norm_lap(spec):
@@ -255,6 +255,50 @@ def test_bracket_p43_roots():
 
 def test_bracket_constant_sign():
     assert sl.bracket_roots(lambda x: x * x + 1.0, 100) == []
+
+
+SECTORS = {"pnk": sl.weighted_path_charpoly, "qnk": sl.roach_odd_charpoly,
+           "product": sl.roach_charpoly}
+
+
+@pytest.mark.parametrize("which", sorted(SECTORS))
+def test_bracket_grid_matches_scalar_scan(which):
+    # the fault pairs (3,9), (4,8), (9,3), (8,8) among them
+    fn = SECTORS[which]
+    for n, k in [(3, 3), (3, 9), (4, 8), (9, 3), (8, 8), (5, 7), (6, 3),
+                 (7, 12), (10, 4), (12, 11), (11, 5), (4, 10)]:
+        steps = max(2000, 4 * (n + k))
+        def poly(x):
+            return fn(n, k, x)
+        assert sl.bracket_roots(poly, steps) == slow_bracket_roots(poly, steps)
+
+
+@pytest.mark.parametrize("fn, steps, expected", [
+    (lambda x: x - 1.0, 1000, [(1.0, 1.0)]),   # root on an interior grid point
+    (lambda x: x - 2.0, 7, [(2.0, 2.0)]),      # root at hi
+])
+def test_bracket_root_on_grid_point(fn, steps, expected):
+    assert sl.bracket_roots(fn, steps) == slow_bracket_roots(fn, steps) == expected
+
+
+def test_bracket_steps_capped_before_allocating():
+    calls = []
+    with pytest.raises(DomainError, match="capped"):
+        sl.bracket_roots(calls.append, sl.charpoly.MAX_STEPS + 1)
+    assert calls == []
+    assert len(sl.bracket_roots(lambda x: x - 1.0, sl.charpoly.MAX_STEPS)) == 1
+
+
+def test_bracket_non_finite_grid_raises():
+    with pytest.raises(sl.NumericError):
+        sl.bracket_roots(lambda x: 1.0 / (x - 1.0), 10)
+
+
+def test_normalization_out_of_range_raises_numeric_error():
+    for n, k in [(2000, 3), (600, 600), (10 ** 9, 3), (3, 10 ** 9)]:
+        with pytest.raises(sl.NumericError):
+            sl.weighted_path_charpoly(n, k, 0.5)
+    assert sl.charpoly.normalization(5, 4) == 2.0 ** 5 * 3.0 ** 4
 
 
 def test_bracket_ladder_product_roots():

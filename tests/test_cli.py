@@ -209,6 +209,44 @@ def test_numeric_overflow_exits_70():
     assert code == 70 and json.loads(err)["error"] == "NumericError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--which", "pnk", "--n", "2000", "--k", "3", "--roots"],
+    ["--which", "pnk", "--n", "2000", "--k", "3", "--lam", "1"],
+    ["--which", "pnk", "--n", "1000000000", "--k", "3", "--lam", "0.5"],
+    ["--which", "qnk", "--n", "3", "--k", "1000000000", "--roots"],
+    ["--which", "pnk", "--n", "600", "--k", "600", "--roots"],
+])
+def test_charpoly_out_of_range_exits_70(argv):
+    code, out, err = invoke(["charpoly", *argv])
+    assert code == 70 and out == ""
+    assert _one_json_line(err)["error"] == "NumericError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--which", "pnk", "--n", "3", "--k", "600"],        # grid overflows
+    ["--which", "product", "--n", "20", "--k", "500"],   # 1121 brackets, degree 1040
+])
+def test_charpoly_roots_degree_check_exits_70(argv):
+    code, out, err = invoke(["charpoly", *argv, "--roots"])
+    assert code == 70 and out == ""
+    assert _one_json_line(err)["error"] == "NumericError"
+
+
+def test_charpoly_steps_cap_exits_2():
+    code, out, err = invoke(["charpoly", "--which", "pnk", "--n", "4", "--k", "3",
+                             "--roots", "--steps", str(2 ** 20 + 1)])
+    assert code == 2 and out == ""
+    assert "capped" in _one_json_line(err)["message"]
+
+
+def test_non_utf8_graph_file_exits_65(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b'\xff\xfe{\x00}\x00')
+    code, out, err = invoke(["mcut", "--graph", str(path)])
+    assert code == 65 and out == ""
+    assert _one_json_line(err)["error"] == "SchemaError"
+
+
 def test_closed_form_needs_family_exits_64(tmp_path):
     path = tmp_path / "g.json"
     _, out, _ = invoke(["gen", "--family", "path", "--n", "4"])
