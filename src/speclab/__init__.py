@@ -27,7 +27,6 @@ from .graph import (FAMILIES, FamilySpec, Graph, VertexSubset,
                     to_json_dict, vertex_subset)
 from .matrices import (ClosedFormSpectrum, MatrixKind, Spectrum,
                        SymmetricMatrix, build_matrix, circulant_eigenpairs,
-                       circulant_matrix, closed_form_spectrum, eig_sym,
-                       matrix_to_csv)
+                       circulant_matrix, closed_form_spectrum, eig_sym)
 
 __version__ = "0.1.0"

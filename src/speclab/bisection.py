@@ -15,10 +15,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cuts import min_ncut_brute, min_ncut_formula
+from .cuts import ladder_split_wins, min_ncut_brute, min_ncut_formula
 from .errors import ConnectivityError, DomainError, MultiplicityError, NumericError
-from .graph import (FamilySpec, Graph, VertexSubset, generate, is_automorphism,
-                    is_connected, normalized_cut, vertex_subset)
+from .graph import (EXHAUSTIVE_CAP, SUBSET_CAPACITY, FamilySpec, Graph,
+                    VertexSubset, generate, is_automorphism, is_connected,
+                    normalized_cut, vertex_subset)
 from .matrices import MatrixKind, Spectrum, SymmetricMatrix, build_matrix, eig_sym
 
 ZERO_TOL = 1e-9
@@ -189,7 +190,7 @@ def counterexample_check(k: int) -> CounterexampleReport:
     For the family with antenna length 2k and k rungs, the second eigenvector
     must be odd, the spectral cut must be the one separating the two rows,
     and the exact minimum cut must be strictly smaller. The minimum cut is
-    exhaustive for 6k <= 24 and closed-form above that.
+    exhaustive up to EXHAUSTIVE_CAP vertices and closed-form above that.
     """
     if k < 3:
         raise DomainError("counterexample family needs k >= 3")
@@ -201,7 +202,7 @@ def counterexample_check(k: int) -> CounterexampleReport:
     pos = set(report.positive_side.vertices())
     top_row_cut = (pos in (set(range(s)), set(range(s, 2 * s)))
                    and report.value == normalized_cut(g, top))
-    mcut = min_ncut_brute(g) if 6 * k <= 24 else min_ncut_formula(spec)
+    mcut = min_ncut_brute(g) if 6 * k <= EXHAUSTIVE_CAP else min_ncut_formula(spec)
     return CounterexampleReport(
         k=k,
         mcut=mcut.value,
@@ -231,16 +232,14 @@ def in_disagreement_region(n: int, k: int) -> bool:
         return n >= 2
     if k == 3:
         return n >= 3
-    if k % 2 == 0 and n % 3 == 0 and k >= 4:
-        # K1 <= n  <=>  (3k+2n-2)^2 >= 2 (3k-1)^2, exactly
-        return (3 * k + 2 * n - 2) ** 2 >= 2 * (3 * k - 1) ** 2
-    return False
+    # K1 <= n: the balanced ladder split no longer beats the antenna cut
+    return k % 2 == 0 and n % 3 == 0 and k >= 4 and not ladder_split_wins(n, k, 0)
 
 
 def disagreement_region_check(n: int, k: int) -> RegionReport:
     """Check region membership and, where feasible, the strict inequality."""
     member = in_disagreement_region(n, k)
-    if not member or 2 * (n + k) > 64:
+    if not member or 2 * (n + k) > SUBSET_CAPACITY:
         return RegionReport(member, False, None)
     spec = FamilySpec.roach(n, k)
     mcut = min_ncut_formula(spec).value

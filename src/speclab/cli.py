@@ -56,7 +56,10 @@ def _family_spec(args) -> graph.FamilySpec:
     return spec
 
 
-def _load_input(args) -> tuple[graph.Graph, graph.FamilySpec | None]:
+def _load_input(args, build: bool = True) -> tuple[graph.Graph | None,
+                                                  graph.FamilySpec | None]:
+    """The input graph and its family spec; a family graph is generated only
+    when ``build`` is set, so closed forms never build one."""
     has_file = getattr(args, "graph", None) is not None
     has_family = getattr(args, "family", None) is not None
     if has_file == has_family:
@@ -69,7 +72,7 @@ def _load_input(args) -> tuple[graph.Graph, graph.FamilySpec | None]:
             raise SchemaError(f"cannot read graph file: {exc}") from exc
         return graph.from_json(text), None
     spec = _family_spec(args)
-    return graph.generate(spec), spec
+    return (graph.generate(spec) if build else None), spec
 
 
 def _add_input_flags(p: argparse.ArgumentParser, family_only: bool = False):
@@ -170,7 +173,7 @@ def _cmd_gen(args, stdout):
 
 def _cmd_spectrum(args, stdout):
     kind = matrices.MatrixKind.parse(args.kind)
-    g, spec = _load_input(args)
+    g, spec = _load_input(args, build=not args.closed_form)
     if args.closed_form:
         if spec is None:
             raise _UsageError("--closed-form needs a --family input")
@@ -200,7 +203,7 @@ def _cut_report_doc(report: cuts.CutReport) -> dict:
 
 
 def _cmd_mcut(args, stdout):
-    g, spec = _load_input(args)
+    g, spec = _load_input(args, build=args.method != "formula")
     if args.method == "formula":
         if spec is None:
             raise _UsageError("--method formula needs a --family input")

@@ -3,9 +3,13 @@
 The exhaustive operations canonicalize bipartitions so that side A contains
 vertex 1 and break value ties on the smallest bitmask, which makes witnesses
 deterministic. The closed-form evaluator implements the published piecewise
-minima for the supported families; every threshold comparison is done in
-integer arithmetic (square-root thresholds are compared via squared integer
-inequalities), so branch classification is exact on the boundary.
+minima for the supported families. Each one is a split of cut weight c whose
+side volumes differ by d out of vol(V), and every such value is the one
+identity Ncut = c vol(V) / (vol A vol B) = 4 c vol(V) / (vol(V)^2 - d^2);
+the families differ only in c, d and which split wins. Every threshold
+comparison is done in integer arithmetic (square-root thresholds are
+compared via squared integer inequalities), so branch classification is
+exact on the boundary.
 """
 
 from __future__ import annotations
@@ -18,11 +22,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import _enumeration as en
-from .errors import ConnectivityError, DomainError
+from .errors import ConnectivityError, DomainError, SizeError
 from .graph import (CYCLE, CYCLE_CROSS_PATH, COMPLETE, DOUBLE_TREE, LOLLIPOP,
-                    PATH, ROACH, WEIGHTED_PATH, FamilySpec, Graph,
-                    VertexSubset, generate, is_connected, normalized_cut,
-                    subset_from_mask, vertex_subset)
+                    PATH, ROACH, SUBSET_CAPACITY, WEIGHTED_PATH, FamilySpec,
+                    Graph, VertexSubset, generate, is_connected,
+                    normalized_cut, subset_from_mask, vertex_subset)
 
 BRUTE_FORCE = "brute_force"
 PRUNED = "pruned"
@@ -39,9 +43,6 @@ class CutReport:
     method: str
     branch: str = ""
     family: FamilySpec | None = None
-
-    def witness_vertices(self) -> tuple[int, ...]:
-        return self.witness.vertices() if self.witness is not None else ()
 
 
 def _require_connected(g: Graph) -> None:
@@ -154,12 +155,50 @@ def expansion_constants(g: Graph, with_ncut: bool = False):
 # closed-form minima
 # ---------------------------------------------------------------------------
 
+def _split_value(cut: int, volume: int, d: int) -> Fraction:
+    """Ncut of a split of weight ``cut`` whose side volumes differ by ``d``.
+
+    With vol A + vol B = volume and vol A - vol B = d, vol A * vol B equals
+    (volume^2 - d^2) / 4, so cut * volume / (vol A * vol B) is the value below.
+    """
+    return Fraction(4 * cut * volume, volume * volume - d * d)
+
+
+def _nearest_split(base: int, step: int) -> tuple[int, int]:
+    """(d, alpha): base lies d from its nearest multiple of ``step``, and
+    step * alpha is the smaller multiple at that distance.
+
+    The families' splits move in volume steps of ``step``, so alpha indexes
+    the most balanced split and d measures what imbalance is left.
+    """
+    r = base % step
+    d = min(r, step - r)
+    return d, (base - d if r == d else base + d) // step
+
+
+# Splits among the rungs of roach(n, k) or the loops of weighted_path(n, k)
+# step by 6 in volume; their d (3k - 2n and 4n + 3k agree mod 6) names the
+# residue class of (n mod 3, k mod 2), and K_{d+1} is the roach threshold.
+_RESIDUES = ("3|n&2|k", "3!|n&2!|k", "3!|n&2|k", "3|n&2!|k")
+
+
+def ladder_split_wins(n: int, k: int, d: int) -> bool:
+    """True iff on roach(n, k) the ladder split of imbalance 2d cuts below the
+    antenna cut, i.e. c4 < c2; the thresholds K_i are the n where this flips.
+
+    Both share the volume 2(t-2), t = 3k+2n: c4 cuts 2 at imbalance 2d and c2
+    cuts 1 at imbalance 2(3k-1), so c4 < c2 cross-multiplies to
+    (t-2)^2 + d^2 < 2(3k-1)^2, decided exactly in integers.
+    """
+    return (3 * k + 2 * n - 2) ** 2 + d * d < 2 * (3 * k - 1) ** 2
+
+
 def _formula_report(spec: FamilySpec, value: Fraction, branch: str,
                     witness_vertices, cut_weight: int) -> CutReport:
     # Witness construction is skipped above the subset capacity; when built,
     # the witness must achieve the closed-form value exactly.
     w = None
-    if _family_order(spec) <= 64:
+    if spec.order() <= SUBSET_CAPACITY:
         g = generate(spec)
         w = vertex_subset(g, witness_vertices)
         achieved = normalized_cut(g, w)
@@ -169,23 +208,6 @@ def _formula_report(spec: FamilySpec, value: Fraction, branch: str,
                 f"but its witness achieves {achieved}")
         cut_weight = w.cut_weight
     return CutReport(value, w, cut_weight, FORMULA, branch, spec)
-
-
-def _family_order(spec: FamilySpec) -> int:
-    f = spec.family
-    if f in (PATH, CYCLE, COMPLETE):
-        return spec.n
-    if f == DOUBLE_TREE:
-        return 2 ** (spec.depth + 1) - 2
-    if f == CYCLE_CROSS_PATH:
-        return spec.m * spec.n
-    if f == LOLLIPOP:
-        return spec.n + spec.m
-    if f == WEIGHTED_PATH:
-        return spec.n + spec.k
-    if f == ROACH:
-        return 2 * (spec.n + spec.k)
-    raise DomainError(f"no closed-form minimum for family {spec.family!r}")
 
 
 def closed_form(spec: FamilySpec | None) -> CutReport | None:
@@ -212,161 +234,103 @@ def _path_formula(spec: FamilySpec) -> CutReport:
     n = spec.n
     if n < 2:
         raise DomainError("path minimum cut needs n >= 2")
-    if n % 2 == 0:
-        value, branch, half = Fraction(2, n - 1), "2|n", n // 2
-    else:
-        value, branch, half = Fraction(2 * (n - 1), n * (n - 2)), "2!|n", (n - 1) // 2
-    return _formula_report(spec, value, branch, range(half), 1)
+    value = _split_value(1, 2 * (n - 1), 2 * (n % 2))
+    return _formula_report(spec, value, "2!|n" if n % 2 else "2|n", range(n // 2), 1)
 
 
 def _cycle_formula(spec: FamilySpec) -> CutReport:
     n = spec.n
-    if n % 2 == 0:
-        value, branch, half = Fraction(4, n), "2|n", n // 2
-    else:
-        value, branch, half = Fraction(4 * n, n * n - 1), "2!|n", (n - 1) // 2
-    return _formula_report(spec, value, branch, range(half), 2)
+    value = _split_value(2, 2 * n, 2 * (n % 2))
+    return _formula_report(spec, value, "2!|n" if n % 2 else "2|n", range(n // 2), 2)
 
 
 def _complete_formula(spec: FamilySpec) -> CutReport:
     n = spec.n
     if n < 2:
         raise DomainError("complete-graph minimum cut needs n >= 2")
-    return _formula_report(spec, Fraction(n, n - 1), "any subset", [0], n - 1)
+    value = _split_value(n - 1, n * (n - 1), (n - 1) * (n - 2))
+    return _formula_report(spec, value, "any subset", [0], n - 1)
+
+
+# The exact value 2 / (2^(depth+1) - 3) must still print as a JSON integer,
+# and CPython converts at most 4300 digits by default.
+MAX_CLOSED_FORM_DEPTH = 10_000
 
 
 def _double_tree_formula(spec: FamilySpec) -> CutReport:
-    t = 2 ** spec.depth - 1
-    value = Fraction(2, 2 ** (spec.depth + 1) - 3)
-    return _formula_report(spec, value, "root bridge", range(t), 1)
+    if spec.depth > MAX_CLOSED_FORM_DEPTH:
+        raise SizeError(f"double-tree closed form is capped at depth {MAX_CLOSED_FORM_DEPTH}")
+    value = _split_value(1, 2 ** (spec.depth + 2) - 6, 0)
+    return _formula_report(spec, value, "root bridge", range(2 ** spec.depth - 1), 1)
 
 
 def _cycle_cross_path_formula(spec: FamilySpec) -> CutReport:
     m, n = spec.m, spec.n
     if n < 2:
         raise DomainError("cycle-cross-path minimum cut needs n >= 2 (and m >= 3)")
-    if 2 * n > m:
-        value = Fraction(2 * (2 * n - 1), 16 * (n // 2) * ((n + 1) // 2) - 4 * n + 1)
+    volume = 2 * m * (2 * n - 1)
+    if 2 * n > m:  # cut every copy of the path once
         verts = [u * n + v for u in range(m) for v in range(n // 2)]
+        value = _split_value(m, volume, 4 * m * (n % 2))
         return _formula_report(spec, value, "2n>m", verts, m)
-    value = Fraction(n * m, (2 * n - 1) * (m // 2) * ((m + 1) // 2))
+    # cut every copy of the cycle twice
     verts = [u * n + v for u in range(m // 2) for v in range(n)]
+    value = _split_value(2 * n, volume, 2 * (2 * n - 1) * (m % 2))
     return _formula_report(spec, value, "2n<=m", verts, 2 * n)
 
 
 def _roach_formula(spec: FamilySpec) -> CutReport:
     n, k = spec.n, spec.k
-    s = n + k
-    t = 3 * k + 2 * n
-    sq = (t - 2) * (t - 2)
-    top_row = range(s)
-    antenna = range(n)
-
-    def ladder_prefix(alpha):
-        return [*range(n + alpha), *range(s, s + n + alpha)]
-
-    def c4_report(value, offsets_times_6, branch):
-        base6 = 3 * k - 2 * n
-        alphas = sorted((base6 + off) // 6 for off in offsets_times_6
-                        if (base6 + off) % 6 == 0 and 1 <= (base6 + off) // 6 <= k - 1)
-        if not alphas:
-            raise AssertionError(f"no integer ladder split for branch {branch} of {spec.label()}")
-        return _formula_report(spec, value, branch, ladder_prefix(alphas[0]), 2)
-
-    c2 = Fraction(6 * k + 4 * n - 4, (2 * n - 1) * (6 * k + 2 * n - 3))
-    div3, div2 = n % 3 == 0, k % 2 == 0
-    if n == 1 and k == 2:
-        return _formula_report(spec, Fraction(2, 3), "c1:(n,k)=(1,2)", top_row, k)
-    if (n, k) in ((1, 3), (2, 3)):
-        value = Fraction(4 * (t - 2), (t - 3) * (t - 1))
-        return c4_report(value, (-1, 1), f"c4:(n,k)=({n},3)")
-    if k >= 4:
-        # n < K_i  <=>  (3k+2n-2)^2 < threshold(k); thresholds are integers.
-        if div3 and div2:
-            if sq < 18 * k * k - 12 * k + 2:
-                return c4_report(Fraction(4, t - 2), (0,), "c4:3|n&2|k&n<K1")
-            return _formula_report(spec, c2, "c2:3|n&2|k&K1<=n", antenna, 1)
-        if div3 and not div2:
-            if sq < 18 * k * k - 12 * k - 7:
-                value = Fraction(4 * (t - 2), (t - 5) * (t + 1))
-                return c4_report(value, (-3, 3), "c4:3|n&2!|k&n<K4")
-            return _formula_report(spec, c2, "c2:3|n&2!|k&K4<=n", antenna, 1)
-        if not div3 and div2:
-            if sq < 18 * k * k - 12 * k - 2:
-                value = Fraction(4 * (t - 2), (t - 4) * t)
-                return c4_report(value, (-2, 2), "c4:3!|n&2|k&n<K3")
-            return _formula_report(spec, c2, "c2:3!|n&2|k&K3<=n", antenna, 1)
-        if sq < 18 * k * k - 12 * k + 1:
-            value = Fraction(4 * (t - 2), (t - 3) * (t - 1))
-            return c4_report(value, (-1, 1), "c4:3!|n&2!|k&n<K2")
-        return _formula_report(spec, c2, "c2:3!|n&2!|k&K2<=n", antenna, 1)
-    if k == 2:  # n >= 2 here; (1,2) handled above
-        return _formula_report(spec, c2, "c2:k=2&n>=2", antenna, 1)
-    return _formula_report(spec, c2, "c2:k=3&n>=3", antenna, 1)
+    s, volume = n + k, 2 * (3 * k + 2 * n - 2)
+    if (n, k) == (1, 2):  # split the two rows apart
+        return _formula_report(spec, _split_value(k, volume, 0), "c1:(n,k)=(1,2)", range(s), k)
+    # Below k = 4 the same test picks the split; the paper labels it by (n, k).
+    d, alpha = _nearest_split(3 * k - 2 * n, 6)
+    if ladder_split_wins(n, k, d):  # c4: cut both rows between two rungs
+        branch = f"c4:{_RESIDUES[d]}&n<K{d + 1}" if k >= 4 else f"c4:(n,k)=({n},{k})"
+        return _formula_report(spec, _split_value(2, volume, 2 * d), branch,
+                               [*range(n + alpha), *range(s, s + n + alpha)], 2)
+    # c2: cut one antenna off
+    branch = f"c2:{_RESIDUES[d]}&K{d + 1}<=n" if k >= 4 else f"c2:k={k}&n>={k}"
+    return _formula_report(spec, _split_value(1, volume, 2 * (3 * k - 1)), branch, range(n), 1)
 
 
 def _weighted_path_formula(spec: FamilySpec) -> CutReport:
     n, k = spec.n, spec.k
-    if 3 * k + 2 * n < 11:
+    t = 3 * k + 2 * n
+    if t < 11:
         raise DomainError(
             f"weighted-path closed form needs 3k+2n >= 11, got {spec.label()}; "
             "use the exhaustive search")
-    t = 3 * k + 2 * n
-
-    def prefix_report(value, alpha, branch):
-        if not 1 <= alpha <= n + k - 1:
-            raise AssertionError(f"prefix split {alpha} out of range for {spec.label()}")
-        return _formula_report(spec, value, branch, range(alpha), 1)
-
-    def nearest_integral(base, deltas, limit_6=6):
-        hits = [(base + d) // limit_6 for d in deltas if (base + d) % limit_6 == 0]
-        if not hits:
-            raise AssertionError(f"no integral split in {spec.label()}")
-        return min(hits)
-
+    # Every branch cuts one edge after a prefix of alpha vertices.
     if 3 * k <= 2 * n:  # k <= R1: split inside the plain segment
-        if t % 4 == 0:
-            return prefix_report(Fraction(4, t - 2), t // 4, "o1&k<=R1")
-        if k % 2 == 0:
-            alpha = nearest_integral(t, (-2, 2), 4)
-            return prefix_report(Fraction(4 * (t - 2), (t - 4) * t), alpha, "o2&2|k&k<=R1")
-        alpha = nearest_integral(t, (-1, 1), 4)
-        return prefix_report(Fraction(4 * (t - 2), (t - 3) * (t - 1)), alpha, "2!|k&k<=R1")
-    if 3 * k <= 2 * n + 3:  # R1 < k <= R2
-        value = Fraction(t - 2, (3 * k - 1) * (2 * n - 1))
-        return prefix_report(value, n, "R1<k<=R2")
-    if 3 * k <= 2 * n + 6:  # R2 < k <= R3
-        value = Fraction(t - 2, 2 * (n + 1) * (3 * k - 4))
-        return prefix_report(value, n + 1, "R2<k<=R3")
-    base = 4 * n + 3 * k  # k > R3: split inside the loop segment
-    if n % 3 == 0 and k % 2 == 0:
-        return prefix_report(Fraction(4, t - 2), base // 6, "3|n&2|k&R3<k")
-    if n % 3 == 0:
-        value = Fraction(4 * (t - 2), (t - 5) * (t + 1))
-        return prefix_report(value, nearest_integral(base, (-3, 3)), "3|n&2!|k&R3<k")
-    if k % 2 == 0:
-        value = Fraction(4 * (t - 2), (t - 4) * t)
-        return prefix_report(value, nearest_integral(base, (-2, 2)), "3!|n&2|k&R3<k")
-    value = Fraction(4 * (t - 2), (t - 3) * (t - 1))
-    return prefix_report(value, nearest_integral(base, (-1, 1)), "3!|n&2!|k&R3<k")
+        d, alpha = _nearest_split(t, 4)
+        branch = ("o1&k<=R1", "2!|k&k<=R1", "o2&2|k&k<=R1")[d]
+    elif 3 * k <= 2 * n + 3:  # R1 < k <= R2: split where the loops start
+        d, branch, alpha = 3 * k - 2 * n, "R1<k<=R2", n
+    elif 3 * k <= 2 * n + 6:  # R2 < k <= R3
+        d, branch, alpha = 3 * k - 2 * n - 6, "R2<k<=R3", n + 1
+    else:  # k > R3: split inside the loop segment
+        d, alpha = _nearest_split(4 * n + 3 * k, 6)
+        branch = f"{_RESIDUES[d]}&R3<k"
+    if not 1 <= alpha <= n + k - 1:
+        raise AssertionError(f"prefix split {alpha} out of range for {spec.label()}")
+    return _formula_report(spec, _split_value(1, t - 2, d), branch, range(alpha), 1)
 
 
 def _lollipop_formula(spec: FamilySpec) -> CutReport:
     n, m = spec.n, spec.m
     q = n * n - n
-    if m == 1:
-        value = Fraction(q + 2, (n + 1) * (n - 1))
-        return _formula_report(spec, value, "m=1", [0, m], n - 1)
-    if 2 * m <= q + 4:
-        value = Fraction(q + 2 * m, (2 * m - 1) * (q + 1))
-        return _formula_report(spec, value, "2<=m<=(n^2-n+4)/2", range(m), 1)
-    w = q + 2 * m + 2
-    if w % 4 == 0:
-        return _formula_report(spec, Fraction(4, q + 2 * m), "o1&m>(n^2-n+4)/2",
-                               range(w // 4), 1)
-    alpha = min(x // 4 for x in (w - 2, w + 2) if x % 4 == 0)
-    value = Fraction(4 * (q + 2 * m), (q + 2 * m - 2) * (q + 2 * m + 2))
-    return _formula_report(spec, value, "o2&m>(n^2-n+4)/2", range(alpha), 1)
+    volume = q + 2 * m
+    if m == 1:  # the path vertex with its clique neighbour
+        return _formula_report(spec, _split_value(n - 1, volume, n * (3 - n)), "m=1",
+                               [0, m], n - 1)
+    if 2 * m <= q + 4:  # cut the bridge
+        return _formula_report(spec, _split_value(1, volume, 2 * m - 2 - q),
+                               "2<=m<=(n^2-n+4)/2", range(m), 1)
+    d, alpha = _nearest_split(volume + 2, 4)  # cut the path nearest to balance
+    return _formula_report(spec, _split_value(1, volume, d), f"o{1 + d // 2}&m>(n^2-n+4)/2",
+                           range(alpha), 1)
 
 
 _FORMULAS = {PATH: _path_formula, CYCLE: _cycle_formula, COMPLETE: _complete_formula,

@@ -19,6 +19,8 @@ from .errors import (ConnectivityError, DomainError, SchemaError, SizeError,
 
 SUBSET_CAPACITY = 64
 EXHAUSTIVE_CAP = 24
+MAX_ORDER = 1 << 17   # generate() builds at most this many vertices
+MAX_EDGES = 1 << 19   # and this many edges
 
 
 @dataclass(frozen=True)
@@ -91,10 +93,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.degrees[v]
 
-    def neighbors(self, v: int) -> list[int]:
-        out = [b if a == v else a for a, b, _w in self.edges if v in (a, b)]
-        return sorted(out)
-
     def adjacency_rows(self) -> list[dict[int, int]]:
         """Weighted adjacency as one dict per vertex (loops on the diagonal)."""
         rows = [dict() for _ in range(self.n)]
@@ -120,9 +118,6 @@ class VertexSubset:
 
     def size(self) -> int:
         return self.mask.bit_count()
-
-    def complement_mask(self) -> int:
-        return ((1 << self.graph.n) - 1) ^ self.mask
 
 
 def vertex_subset(g: Graph, vertices: Iterable[int]) -> VertexSubset:
@@ -190,8 +185,23 @@ ROACH = "roach"
 WEIGHTED_PATH = "weighted_path"
 LOLLIPOP = "lollipop"
 
-FAMILIES = (PATH, CYCLE, COMPLETE, TREE, DOUBLE_TREE, CYCLE_CROSS_PATH,
-            ROACH, WEIGHTED_PATH, LOLLIPOP)
+# family -> ((parameter, minimum) in label order, vertex count, edge count)
+_FAMILY_TABLE = {
+    PATH: ((("n", 1),), lambda s: s.n, lambda s: s.n - 1),
+    CYCLE: ((("n", 3),), lambda s: s.n, lambda s: s.n),
+    COMPLETE: ((("n", 1),), lambda s: s.n, lambda s: s.n * (s.n - 1) // 2),
+    TREE: ((("depth", 1),), lambda s: 2 ** s.depth - 1, lambda s: 2 ** s.depth - 2),
+    DOUBLE_TREE: ((("depth", 1),), lambda s: 2 ** (s.depth + 1) - 2,
+                  lambda s: 2 ** (s.depth + 1) - 3),
+    CYCLE_CROSS_PATH: ((("m", 3), ("n", 1)), lambda s: s.m * s.n,
+                       lambda s: s.m * (2 * s.n - 1)),
+    ROACH: ((("n", 1), ("k", 2)), lambda s: 2 * (s.n + s.k),
+            lambda s: 2 * (s.n + s.k) + s.k - 2),
+    WEIGHTED_PATH: ((("n", 1), ("k", 1)), lambda s: s.n + s.k, lambda s: s.n + s.k - 1),
+    LOLLIPOP: ((("n", 3), ("m", 1)), lambda s: s.n + s.m,
+               lambda s: s.m + s.n * (s.n - 1) // 2),
+}
+FAMILIES = tuple(_FAMILY_TABLE)
 
 
 @dataclass(frozen=True)
@@ -241,50 +251,27 @@ class FamilySpec:
         return cls(LOLLIPOP, n=n, m=m)
 
     def validate(self) -> None:
-        f = self.family
-        if f == PATH:
-            self._need(self.n is not None and self.n >= 1, "path needs n >= 1")
-        elif f == CYCLE:
-            self._need(self.n is not None and self.n >= 3, "cycle needs n >= 3")
-        elif f == COMPLETE:
-            self._need(self.n is not None and self.n >= 1, "complete needs n >= 1")
-        elif f in (TREE, DOUBLE_TREE):
-            self._need(self.depth is not None and self.depth >= 1,
-                       f"{f} needs depth >= 1")
-        elif f == CYCLE_CROSS_PATH:
-            self._need(self.m is not None and self.m >= 3
-                       and self.n is not None and self.n >= 1,
-                       "cycle_cross_path needs m >= 3 and n >= 1")
-        elif f == ROACH:
-            self._need(self.n is not None and self.n >= 1
-                       and self.k is not None and self.k >= 2,
-                       "roach needs n >= 1 and k >= 2")
-        elif f == WEIGHTED_PATH:
-            self._need(self.n is not None and self.n >= 1
-                       and self.k is not None and self.k >= 1,
-                       "weighted_path needs n >= 1 and k >= 1")
-        elif f == LOLLIPOP:
-            self._need(self.n is not None and self.n >= 3
-                       and self.m is not None and self.m >= 1,
-                       "lollipop needs n >= 3 and m >= 1")
-        else:
-            raise DomainError(f"unknown family {f!r}")
-
-    def _need(self, ok: bool, msg: str) -> None:
-        if not ok:
-            raise DomainError(f"{msg} (got {self})")
+        entry = _FAMILY_TABLE.get(self.family)
+        if entry is None:
+            raise DomainError(f"unknown family {self.family!r}")
+        for name, low in entry[0]:
+            value = getattr(self, name)
+            if value is None or value < low:
+                needs = " and ".join(f"{p} >= {lo}" for p, lo in entry[0])
+                raise DomainError(f"{self.family} needs {needs} (got {self})")
 
     def label(self) -> str:
-        f = self.family
-        if f in (PATH, CYCLE, COMPLETE):
-            return f"{f}({self.n})"
-        if f in (TREE, DOUBLE_TREE):
-            return f"{f}({self.depth})"
-        if f == CYCLE_CROSS_PATH:
-            return f"{f}({self.m},{self.n})"
-        if f == LOLLIPOP:
-            return f"{f}({self.n},{self.m})"
-        return f"{f}({self.n},{self.k})"
+        # an unknown family shows n and k, as roach does
+        params = _FAMILY_TABLE.get(self.family, _FAMILY_TABLE[ROACH])[0]
+        return f"{self.family}({','.join(str(getattr(self, p)) for p, _lo in params)})"
+
+    def order(self) -> int:
+        """Vertex count of generate(self); the spec must be valid."""
+        return _FAMILY_TABLE[self.family][1](self)
+
+    def edge_count(self) -> int:
+        """Edge count of generate(self), self-loops excluded; the spec must be valid."""
+        return _FAMILY_TABLE[self.family][2](self)
 
 
 def _heap_tree_edges(depth: int) -> tuple[int, list[tuple[int, int, int]]]:
@@ -298,8 +285,17 @@ def _heap_tree_edges(depth: int) -> tuple[int, list[tuple[int, int, int]]]:
 
 
 def generate(spec: FamilySpec) -> Graph:
-    """Build the exact vertex and edge sets of the named family."""
+    """Build the exact vertex and edge sets of the named family.
+
+    Raises SizeError above MAX_ORDER vertices or MAX_EDGES edges, before
+    anything is built.
+    """
     spec.validate()
+    # A tree's order is 2**depth: compare the depth before building that integer.
+    if ((spec.depth or 0) > MAX_ORDER.bit_length() or spec.order() > MAX_ORDER
+            or spec.edge_count() > MAX_EDGES):
+        raise SizeError(f"{spec.label()} is above the generation budget of "
+                        f"{MAX_ORDER} vertices and {MAX_EDGES} edges")
     f, name = spec.family, spec.label()
     if f == PATH:
         n = spec.n

@@ -105,10 +105,6 @@ class Spectrum:
         return self.eigenvalues.shape[0]
 
     @property
-    def gaps(self) -> np.ndarray:
-        return np.diff(self.eigenvalues)
-
-    @property
     def lambda2(self) -> float:
         if self.order < 2:
             raise DomainError("lambda2 needs at least two eigenvalues")
@@ -229,8 +225,3 @@ def circulant_matrix(first_row) -> np.ndarray:
     j = np.arange(n)
     return row[(j[None, :] - j[:, None]) % n]
 
-
-def matrix_to_csv(m: SymmetricMatrix) -> str:
-    """Plain CSV dump of the entries, for debugging sessions."""
-    lines = [",".join(format(x, ".17g") for x in row) for row in m.values]
-    return "\n".join(lines) + "\n"

@@ -222,6 +222,13 @@ GOLDEN_ROACH_BRANCHES = [
     (10, 5, "c2:3!|n&2!|k&K2<=n", "66/893"),
     (12, 2, "c2:k=2&n>=2", "56/759"),
     (12, 12, "c2:3|n&2|k&K1<=n", "116/2139"),
+    (1, 3, "c4:(n,k)=(1,3)", "9/20"),
+    (3, 5, "c4:3|n&2!|k&n<K4", "19/88"),
+    (30, 61, "c4:3|n&2!|k&n<K4", "241/14518"),
+    (4, 4, "c2:3!|n&2|k&K3<=n", "36/203"),
+    (40, 30, "c2:3!|n&2|k&K3<=n", "336/20303"),
+    (3, 3, "c2:k=3&n>=3", "26/105"),
+    (50, 3, "c2:k=3&n>=3", "214/11385"),
 ]
 
 GOLDEN_WEIGHTED_PATH_BRANCHES = [
@@ -235,6 +242,27 @@ GOLDEN_WEIGHTED_PATH_BRANCHES = [
     (10, 8, "R2<k<=R3", "21/220"),
     (12, 3, "2!|k&k<=R1", "31/240"),
     (12, 12, "3|n&2|k&R3<k", "2/29"),
+    (4, 2, "o2&2|k&k<=R1", "12/35"),
+    (40, 22, "o2&2|k&k<=R1", "144/5183"),
+    (3, 5, "3|n&2!|k&R3<k", "19/88"),
+    (1, 4, "3!|n&2|k&R3<k", "12/35"),
+    (41, 60, "3!|n&2|k&R3<k", "260/16899"),
+    (1, 3, "3!|n&2!|k&R3<k", "9/20"),
+    (40, 61, "3!|n&2!|k&R3<k", "261/17030"),
+]
+
+GOLDEN_OTHER_BRANCHES = [
+    (FamilySpec.lollipop(3, 1), "m=1", "1"),
+    (FamilySpec.lollipop(9, 1), "m=1", "37/40"),
+    (FamilySpec.lollipop(3, 2), "2<=m<=(n^2-n+4)/2", "10/21"),
+    (FamilySpec.lollipop(3, 6), "o1&m>(n^2-n+4)/2", "2/9"),
+    (FamilySpec.lollipop(8, 41), "o1&m>(n^2-n+4)/2", "2/69"),
+    (FamilySpec.lollipop(3, 7), "o2&m>(n^2-n+4)/2", "20/99"),
+    (FamilySpec.lollipop(8, 40), "o2&m>(n^2-n+4)/2", "136/4623"),
+    (FamilySpec.cycle_cross_path(3, 2), "2n>m", "2/3"),
+    (FamilySpec.cycle_cross_path(5, 9), "2n>m", "34/285"),
+    (FamilySpec.cycle_cross_path(4, 2), "2n<=m", "2/3"),
+    (FamilySpec.cycle_cross_path(20, 3), "2n<=m", "3/25"),
 ]
 
 
@@ -246,6 +274,9 @@ def test_branch_labels_stable():
     for n, k, branch, value in GOLDEN_WEIGHTED_PATH_BRANCHES:
         report = sl.min_ncut_formula(FamilySpec.weighted_path(n, k))
         assert (report.branch, str(report.value)) == (branch, value), (n, k)
+    for spec, branch, value in GOLDEN_OTHER_BRANCHES:
+        report = sl.min_ncut_formula(spec)
+        assert (report.branch, str(report.value)) == (branch, value), spec.label()
     rows = sl.formula_sweep("roach", range(1, 13), range(2, 13))
     assert len(rows) == 132
     print("PASS region sweep: branch labels and values stable against the "

@@ -306,6 +306,14 @@ def test_region_membership():
     assert not sl.in_disagreement_region(4, 4)  # 3 does not divide 4
 
 
+def test_region_is_the_antenna_cut_branches():
+    region = {"c2:k=2&n>=2", "c2:k=3&n>=3", "c2:3|n&2|k&K1<=n"}
+    for n in range(1, 60):
+        for k in range(2, 60):
+            branch = sl.min_ncut_formula(FamilySpec.roach(n, k)).branch
+            assert sl.in_disagreement_region(n, k) == (branch in region), (n, k)
+
+
 def test_region_check_holds():
     for (n, k) in ((2, 2), (6, 4), (3, 3), (9, 2)):
         report = sl.disagreement_region_check(n, k)

@@ -270,6 +270,36 @@ def test_size_error_exits_2():
     assert code == 2 and json.loads(err)["error"] == "SizeError"
 
 
+def test_over_budget_generation_exits_2():
+    for argv in (["gen", "--family", "tree", "--depth", "40"],
+                 ["gen", "--family", "complete", "--n", "2000"],
+                 ["mcut", "--family", "complete", "--n", "2000"]):
+        code, out, err = invoke(argv)
+        assert code == 2 and out == ""
+        assert _one_json_line(err)["error"] == "SizeError"
+
+
+def test_closed_forms_do_not_generate(monkeypatch):
+    # a closed form builds its graph only to check a witness of <= 64 vertices
+    def refuse(spec):
+        raise AssertionError(f"generated {spec.label()}")
+    monkeypatch.setattr(sl.graph, "generate", refuse)
+    monkeypatch.setattr(sl.cuts, "generate", refuse)
+    doc = invoke_json(["mcut", "--family", "complete", "--n", "100000", "--method", "formula"])
+    assert (doc["value"]["num"], doc["value"]["den"]) == (100000, 99999)
+    assert doc["witness"] == [] and doc["cut_weight"] == 99999
+    doc = invoke_json(["spectrum", "--family", "cycle", "--n", "100000", "--closed-form"])
+    assert len(doc["eigenvalues"]) == 100000
+    code, out, err = invoke(["mcut", "--family", "tree", "--depth", "40", "--method", "formula"])
+    assert code == 2 and "no closed-form minimum" in _one_json_line(err)["message"]
+    doc = invoke_json(["mcut", "--family", "double_tree", "--depth", "10000",
+                       "--method", "formula"])
+    assert doc["value"]["den"] == 2 ** 10001 - 3
+    _, out, _ = invoke(["sweep", "--family", "roach", "--n-range", "100000:100000",
+                        "--k-range", "2:3"])
+    assert out.splitlines()[1].startswith("100000,2,c2:k=2&n>=2,")
+
+
 def test_multiplicity_error_exits_2():
     code, _, err = invoke(["lcut", "--family", "cycle", "--n", "4"])
     assert code == 2 and json.loads(err)["error"] == "MultiplicityError"

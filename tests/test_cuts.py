@@ -152,6 +152,26 @@ def test_formula_double_tree():
     assert sl.min_ncut_formula(FamilySpec.double_tree(3)).value == Fraction(2, 13)
 
 
+def test_formula_double_tree_depth_cap():
+    cap = sl.cuts.MAX_CLOSED_FORM_DEPTH
+    report = sl.min_ncut_formula(FamilySpec.double_tree(cap))
+    assert report.value == Fraction(2, 2 ** (cap + 1) - 3) and report.witness is None
+    with pytest.raises(SizeError):
+        sl.min_ncut_formula(FamilySpec.double_tree(cap + 1))
+
+
+def test_ladder_split_wins_is_c4_below_c2():
+    # the integer test against the published expanded forms of c4 and c2
+    for n in range(1, 40):
+        for k in range(2, 40):
+            t = 3 * k + 2 * n
+            c2 = Fraction(6 * k + 4 * n - 4, (2 * n - 1) * (6 * k + 2 * n - 3))
+            c4 = [Fraction(4, t - 2), Fraction(4 * (t - 2), (t - 3) * (t - 1)),
+                  Fraction(4 * (t - 2), (t - 4) * t), Fraction(4 * (t - 2), (t - 5) * (t + 1))]
+            for d in range(4):
+                assert sl.cuts.ladder_split_wins(n, k, d) == (c4[d] < c2), (n, k, d)
+
+
 def test_formula_lollipop_10_2():
     report = sl.min_ncut_formula(FamilySpec.lollipop(10, 2))
     assert report.value == Fraction(94, 273)

@@ -105,6 +105,58 @@ def test_generator_domain_errors():
             sl.generate(spec)
 
 
+ORDER_SPECS = ([FamilySpec.path(n) for n in range(1, 9)]
+               + [FamilySpec.cycle(n) for n in range(3, 9)]
+               + [FamilySpec.complete(n) for n in range(1, 9)]
+               + [FamilySpec.tree(d) for d in range(1, 7)]
+               + [FamilySpec.double_tree(d) for d in range(1, 7)]
+               + [FamilySpec.cycle_cross_path(m, n) for m in range(3, 7) for n in range(1, 6)]
+               + [FamilySpec.roach(n, k) for n in range(1, 7) for k in range(2, 7)]
+               + [FamilySpec.weighted_path(n, k) for n in range(1, 7) for k in range(1, 7)]
+               + [FamilySpec.lollipop(n, m) for n in range(3, 8) for m in range(1, 7)])
+
+
+def test_order_and_edge_count_match_generate():
+    assert {spec.family for spec in ORDER_SPECS} == set(sl.FAMILIES)
+    for spec in ORDER_SPECS:
+        g = sl.generate(spec)
+        assert (spec.order(), spec.edge_count()) == (g.n, len(g.edges)), spec.label()
+
+
+@pytest.mark.parametrize("spec, message", [
+    (FamilySpec.path(0), "path needs n >= 1"),
+    (FamilySpec.cycle(2), "cycle needs n >= 3"),
+    (FamilySpec.complete(None), "complete needs n >= 1"),
+    (FamilySpec.tree(0), "tree needs depth >= 1"),
+    (FamilySpec.double_tree(None), "double_tree needs depth >= 1"),
+    (FamilySpec.cycle_cross_path(3, 0), "cycle_cross_path needs m >= 3 and n >= 1"),
+    (FamilySpec("roach", n=1), "roach needs n >= 1 and k >= 2"),
+    (FamilySpec.weighted_path(0, 1), "weighted_path needs n >= 1 and k >= 1"),
+    (FamilySpec.lollipop(3, 0), "lollipop needs n >= 3 and m >= 1"),
+])
+def test_validate_messages(spec, message):
+    with pytest.raises(DomainError) as info:
+        spec.validate()
+    assert str(info.value) == f"{message} (got {spec})"
+
+
+def test_labels():
+    assert [s.label() for s in ALL_SPECS] == [
+        "path(5)", "cycle(6)", "complete(4)", "tree(3)", "double_tree(3)",
+        "cycle_cross_path(3,2)", "roach(2,3)", "weighted_path(3,2)", "lollipop(4,2)"]
+    assert FamilySpec("nonsense", n=1).label() == "nonsense(1,None)"
+
+
+def test_generation_budget():
+    for spec in (FamilySpec.tree(40), FamilySpec.double_tree(10 ** 12),
+                 FamilySpec.path(sl.graph.MAX_ORDER + 1),
+                 FamilySpec.complete(1025), FamilySpec.roach(10 ** 9, 10 ** 9)):
+        with pytest.raises(SizeError, match="generation budget"):
+            sl.generate(spec)
+    assert FamilySpec.tree(17).order() <= sl.graph.MAX_ORDER
+    assert FamilySpec.complete(1024).edge_count() <= sl.graph.MAX_EDGES
+
+
 # ---------------------------------------------------------------------------
 # cartesian product
 # ---------------------------------------------------------------------------

@@ -237,8 +237,3 @@ def test_random_walk_form_shares_spectrum():
         norm_vals = spectrum_of(spec, MatrixKind.NORMALIZED).eigenvalues
         assert np.max(np.abs(walk_vals - norm_vals)) <= 1e-10
 
-
-def test_matrix_csv_dump():
-    m = sl.build_matrix(sl.generate(FamilySpec.path(3)), MatrixKind.DIFFERENCE)
-    text = sl.matrix_to_csv(m)
-    assert text.splitlines() == ["1,-1,0", "-1,2,-1", "0,-1,1"]
