@@ -14,17 +14,16 @@ from .charpoly import (bracket_roots, chebyshev_pair, chebyshev_t, chebyshev_u,
                        weighted_path_lambda2_bound)
 from .cuts import (CutReport, SweepRow, cheeger_edge, cheeger_vertex,
                    formula_sweep, isoperimetric_number, min_ncut_brute,
-                   min_ncut_by_cut_weight, min_ncut_formula, min_ncut_pruned,
-                   sweep_to_csv, sweep_to_gnuplot)
+                   min_ncut_formula, min_ncut_pruned, sweep_to_csv,
+                   sweep_to_gnuplot)
 from .errors import (ConnectivityError, DomainError, MultiplicityError,
                      NumericError, SchemaError, SizeError, SpecLabError,
                      UnsupportedError)
 from .graph import (FAMILIES, FamilySpec, Graph, VertexSubset,
-                    cartesian_product, cut_weight, diameter, distance,
-                    edge_connectivity, from_json, from_json_dict, generate,
+                    cartesian_product, from_json, from_json_dict, generate,
                     is_automorphism, is_connected, normalized_cut,
-                    subset_from_mask, subset_volume, to_dot, to_json,
-                    to_json_dict, vertex_subset)
+                    subset_from_mask, to_dot, to_json, to_json_dict,
+                    vertex_subset)
 from .matrices import (ClosedFormSpectrum, MatrixKind, Spectrum,
                        SymmetricMatrix, build_matrix, circulant_eigenpairs,
                        circulant_matrix, closed_form_spectrum, eig_sym)

@@ -69,25 +69,25 @@ def spectral_cut(g: Graph, automorphism=None) -> BisectionReport:
     if g.n < 2:
         raise DomainError("spectral cut needs at least two vertices")
     spectrum = eig_sym(build_matrix(g, MatrixKind.NORMALIZED))
+    gap = float(spectrum.eigenvalues[2] - spectrum.eigenvalues[1]) \
+        if spectrum.order > 2 else math.inf
     if not spectrum.lambda2_is_simple():
-        gap = float(spectrum.eigenvalues[2] - spectrum.eigenvalues[1])
         raise MultiplicityError(
             f"second eigenvalue is not simple (gap {gap:.3e}); spectral cut undefined")
     u = _canonical_fiedler(spectrum)
     zero = np.abs(u) <= ZERO_TOL
+    zeros = int(zero.sum())
     pos = (u > ZERO_TOL) | zero
     side = vertex_subset(g, [int(i) for i in np.flatnonzero(pos)])
     value = normalized_cut(g, side)
     alt = None
-    if int(zero.sum()):
+    if zeros:
         other = vertex_subset(g, [int(i) for i in np.flatnonzero(~pos | zero)])
         alt = normalized_cut(g, other)
     perm = automorphism if automorphism is not None else g.mirror
     parity = NO_AUTOMORPHISM if perm is None else classify_parity(g, perm, u)
-    gap = float(spectrum.eigenvalues[2] - spectrum.eigenvalues[1]) \
-        if spectrum.order > 2 else math.inf
     return BisectionReport(spectrum.lambda2, True, gap, u, side, value,
-                           parity, alt, int(zero.sum()))
+                           parity, alt, zeros)
 
 
 def classify_parity(g: Graph, perm, u) -> str:

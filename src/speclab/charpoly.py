@@ -5,6 +5,10 @@ T_n(cos t) = cos(n t) and U_n(cos t) * sin(t) = sin(n t). All trigonometric
 closed forms are evaluated through these polynomials in c = cos(t) rather
 than through arccos, so every expression stays defined when |c| > 1 (the
 sin denominators of the printed formulas cancel symbolically).
+
+A ladder sector factor is tail(k) T_n - tail(k-1) T_{n-1} with the loop tail
+tail(j) = 2 U_{j+1} + s U_j - U_{j-1} (s = +1 even, -1 odd): both tails read
+U_{k-2} .. U_{k+1}, so one evaluation is one pass of each recurrence.
 """
 
 from __future__ import annotations
@@ -19,18 +23,20 @@ BISECTION_WIDTH = 1e-10
 MAX_STEPS = 1 << 20
 
 
+def _advance(x2, a, b, steps: int):
+    """Run y_{j+1} = x2 * y_j - y_{j-1} ``steps`` times from the pair (a, b)."""
+    for _ in range(steps):
+        a, b = b, x2 * b - a
+    return a, b
+
+
 def chebyshev_pair(n: int, x: float) -> tuple[float, float]:
-    """(T_n(x), U_n(x)) by the coupled two-term recurrence."""
+    """(T_n(x), U_n(x)) by the two-term recurrence."""
     if n < 0:
         raise DomainError("chebyshev degree must be nonnegative")
-    t_prev, u_prev = 1.0, 0.0
     if n == 0:
-        return t_prev, u_prev
-    t, u = x, 1.0
-    for _ in range(n - 1):
-        t_prev, t = t, 2.0 * x * t - t_prev
-        u_prev, u = u, 2.0 * x * u - u_prev
-    return t, u
+        return 1.0, 0.0
+    return _advance(2.0 * x, 1.0, x, n - 1)[1], _advance(2.0 * x, 0.0, 1.0, n - 1)[1]
 
 
 def chebyshev_t(n: int, x: float) -> float:
@@ -58,6 +64,14 @@ def tridiag_det(n: int, a: float, b: float) -> float:
     return cur
 
 
+def _tails(k: int, c, s: int):
+    """(tail(k), tail(k-1)) at c for k >= 2, from one pass of the U recurrence."""
+    x2 = 2.0 * c
+    u0, u1 = _advance(x2, 0.0, 1.0, k - 2)
+    u2, u3 = _advance(x2, u0, u1, 2)
+    return 2.0 * u3 + s * u2 - u1, 2.0 * u2 + s * u1 - u0
+
+
 def tail_poly_even(k: int, c: float) -> float:
     """sin-normalized determinant factor of the even loop-tail block.
 
@@ -66,14 +80,14 @@ def tail_poly_even(k: int, c: float) -> float:
     """
     if k < 1:
         raise DomainError("tail factor needs k >= 1")
-    return 2.0 * chebyshev_u(k + 1, c) + chebyshev_u(k, c) - chebyshev_u(k - 1, c)
+    return _tails(k + 1, c, 1)[1]
 
 
 def tail_poly_odd(k: int, c: float) -> float:
     """sin-normalized determinant factor of the odd loop-tail block."""
     if k < 1:
         raise DomainError("tail factor needs k >= 1")
-    return 2.0 * chebyshev_u(k + 1, c) - chebyshev_u(k, c) - chebyshev_u(k - 1, c)
+    return _tails(k + 1, c, -1)[1]
 
 
 def normalization(n: int, k: int) -> float:
@@ -93,6 +107,15 @@ def normalization(n: int, k: int) -> float:
     return scale
 
 
+def _sector_factor(n: int, k: int, lam, shift: float, s: int):
+    """Sector factor over 2**n 3**k: c_alpha = lam - 1, tail at 3 lam / 2 - shift."""
+    scale = normalization(n, k)
+    ca = lam - 1.0
+    tail_k, tail_k1 = _tails(k, 1.5 * lam - shift, s)
+    t_n1, t_n = _advance(2.0 * ca, 1.0, ca, n - 1)
+    return (tail_k * t_n - tail_k1 * t_n1) / scale
+
+
 def weighted_path_charpoly(n: int, k: int, lam: float) -> float:
     """det(lam I - normalized Laplacian of the n+k weighted path).
 
@@ -100,12 +123,7 @@ def weighted_path_charpoly(n: int, k: int, lam: float) -> float:
     Substitutions: c_alpha = lam - 1 for the plain segment and
     c_beta = 3 lam / 2 - 1 for the loop segment.
     """
-    scale = normalization(n, k)
-    ca = lam - 1.0
-    cb = 1.5 * lam - 1.0
-    value = (tail_poly_even(k, cb) * chebyshev_t(n, ca)
-             - tail_poly_even(k - 1, cb) * chebyshev_t(n - 1, ca))
-    return value / scale
+    return _sector_factor(n, k, lam, 1.0, 1)
 
 
 def roach_odd_charpoly(n: int, k: int, lam: float) -> float:
@@ -113,12 +131,7 @@ def roach_odd_charpoly(n: int, k: int, lam: float) -> float:
 
     Same shape as the even factor with the odd tail and c_gamma = 3 lam/2 - 2.
     """
-    scale = normalization(n, k)
-    ca = lam - 1.0
-    cg = 1.5 * lam - 2.0
-    value = (tail_poly_odd(k, cg) * chebyshev_t(n, ca)
-             - tail_poly_odd(k - 1, cg) * chebyshev_t(n - 1, ca))
-    return value / scale
+    return _sector_factor(n, k, lam, 2.0, -1)
 
 
 def roach_charpoly(n: int, k: int, lam: float) -> float:

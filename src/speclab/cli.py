@@ -39,8 +39,8 @@ def _fmt(x: float) -> float:
 
 
 def _rat(value: Fraction) -> dict:
-    return {"num": value.numerator, "den": value.denominator,
-            "float": _fmt(float(value))}
+    num, den = cuts.fraction_parts(value)
+    return {"num": num, "den": den, "float": _fmt(float(value))}
 
 
 def _vertices_1based(subset) -> list[int]:
@@ -177,21 +177,16 @@ def _cmd_spectrum(args, stdout):
     if args.closed_form:
         if spec is None:
             raise _UsageError("--closed-form needs a --family input")
-        cf = matrices.closed_form_spectrum(spec, kind)
-        doc = {"kind": kind.value, "source": cf.source, "closed_form": True,
-               "eigenvalues": [_fmt(v) for v in cf.eigenvalues]}
-        if args.vectors and cf.eigenvectors is not None:
-            doc["vectors"] = [[_fmt(x) for x in cf.eigenvectors[:, j]]
-                              for j in range(cf.eigenvalues.shape[0])]
-        _emit(doc, args.out, stdout)
-        return
-    sp = matrices.eig_sym(matrices.build_matrix(g, kind))
-    doc = {"kind": kind.value, "source": sp.source, "closed_form": False,
-           "eigenvalues": [_fmt(v) for v in sp.eigenvalues],
-           "residual": _fmt(sp.residual)}
-    if args.vectors:
+        sp = matrices.closed_form_spectrum(spec, kind)
+    else:
+        sp = matrices.eig_sym(matrices.build_matrix(g, kind))
+    doc = {"kind": kind.value, "source": sp.source, "closed_form": args.closed_form,
+           "eigenvalues": [_fmt(v) for v in sp.eigenvalues]}
+    if not args.closed_form:
+        doc["residual"] = _fmt(sp.residual)
+    if args.vectors and sp.eigenvectors is not None:
         doc["vectors"] = [[_fmt(x) for x in sp.eigenvectors[:, j]]
-                          for j in range(sp.order)]
+                          for j in range(sp.eigenvalues.shape[0])]
     _emit(doc, args.out, stdout)
 
 

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -91,17 +93,6 @@ def min_ncut_pruned(g: Graph, seed: VertexSubset) -> CutReport:
             f"seed violates the balance hypothesis: |{imbalance}| > {s}/sqrt({j0 + 1})")
     found, = en.minimize(g, lambda c: _ncut(c, c["cut"] <= j0))
     return _cut_report(g, found, PRUNED, branch=f"cut<={j0}")
-
-
-def min_ncut_by_cut_weight(g: Graph) -> dict[int, Fraction]:
-    """Minimum normalized cut per realized cut weight (exhaustive)."""
-    _require_connected(g)
-    mins = {}
-    for c in en.bipartition_arrays(g):
-        for j in np.unique(c["cut"]):
-            if j:  # cut 0 is only the improper full set
-                mins.setdefault(int(j), en.RunningMin()).add(c, *_ncut(c, c["cut"] == j))
-    return {j: mins[j].result()[0] for j in sorted(mins)}
 
 
 # ---------------------------------------------------------------------------
@@ -193,21 +184,20 @@ def ladder_split_wins(n: int, k: int, d: int) -> bool:
     return (3 * k + 2 * n - 2) ** 2 + d * d < 2 * (3 * k - 1) ** 2
 
 
-def _formula_report(spec: FamilySpec, value: Fraction, branch: str,
-                    witness_vertices, cut_weight: int) -> CutReport:
-    # Witness construction is skipped above the subset capacity; when built,
-    # the witness must achieve the closed-form value exactly.
-    w = None
+def _formula_report(spec: FamilySpec, branch: str, witness_vertices,
+                    cut: int, volume: int, d: int) -> CutReport:
+    # witness_vertices is lazy and read only up to the subset capacity; the
+    # witness must then cut ``cut`` and achieve the split value exactly.
+    value, w = _split_value(cut, volume, d), None
     if spec.order() <= SUBSET_CAPACITY:
         g = generate(spec)
         w = vertex_subset(g, witness_vertices)
         achieved = normalized_cut(g, w)
-        if achieved != value:
+        if achieved != value or w.cut_weight != cut:
             raise AssertionError(
                 f"closed-form branch {branch} of {spec.label()} yields {value} "
-                f"but its witness achieves {achieved}")
-        cut_weight = w.cut_weight
-    return CutReport(value, w, cut_weight, FORMULA, branch, spec)
+                f"cutting {cut} but its witness achieves {achieved} cutting {w.cut_weight}")
+    return CutReport(value, w, cut, FORMULA, branch, spec)
 
 
 def closed_form(spec: FamilySpec | None) -> CutReport | None:
@@ -234,34 +224,32 @@ def _path_formula(spec: FamilySpec) -> CutReport:
     n = spec.n
     if n < 2:
         raise DomainError("path minimum cut needs n >= 2")
-    value = _split_value(1, 2 * (n - 1), 2 * (n % 2))
-    return _formula_report(spec, value, "2!|n" if n % 2 else "2|n", range(n // 2), 1)
+    return _formula_report(spec, "2!|n" if n % 2 else "2|n", range(n // 2),
+                           1, 2 * (n - 1), 2 * (n % 2))
 
 
 def _cycle_formula(spec: FamilySpec) -> CutReport:
     n = spec.n
-    value = _split_value(2, 2 * n, 2 * (n % 2))
-    return _formula_report(spec, value, "2!|n" if n % 2 else "2|n", range(n // 2), 2)
+    return _formula_report(spec, "2!|n" if n % 2 else "2|n", range(n // 2),
+                           2, 2 * n, 2 * (n % 2))
 
 
 def _complete_formula(spec: FamilySpec) -> CutReport:
     n = spec.n
     if n < 2:
         raise DomainError("complete-graph minimum cut needs n >= 2")
-    value = _split_value(n - 1, n * (n - 1), (n - 1) * (n - 2))
-    return _formula_report(spec, value, "any subset", [0], n - 1)
+    return _formula_report(spec, "any subset", [0], n - 1, n * (n - 1), (n - 1) * (n - 2))
 
 
-# The exact value 2 / (2^(depth+1) - 3) must still print as a JSON integer,
-# and CPython converts at most 4300 digits by default.
+# The value 2 / (2^(depth+1) - 3) is built exactly: the cap keeps 2^depth small.
 MAX_CLOSED_FORM_DEPTH = 10_000
 
 
 def _double_tree_formula(spec: FamilySpec) -> CutReport:
     if spec.depth > MAX_CLOSED_FORM_DEPTH:
         raise SizeError(f"double-tree closed form is capped at depth {MAX_CLOSED_FORM_DEPTH}")
-    value = _split_value(1, 2 ** (spec.depth + 2) - 6, 0)
-    return _formula_report(spec, value, "root bridge", range(2 ** spec.depth - 1), 1)
+    return _formula_report(spec, "root bridge", range(2 ** spec.depth - 1),
+                           1, 2 ** (spec.depth + 2) - 6, 0)
 
 
 def _cycle_cross_path_formula(spec: FamilySpec) -> CutReport:
@@ -270,29 +258,27 @@ def _cycle_cross_path_formula(spec: FamilySpec) -> CutReport:
         raise DomainError("cycle-cross-path minimum cut needs n >= 2 (and m >= 3)")
     volume = 2 * m * (2 * n - 1)
     if 2 * n > m:  # cut every copy of the path once
-        verts = [u * n + v for u in range(m) for v in range(n // 2)]
-        value = _split_value(m, volume, 4 * m * (n % 2))
-        return _formula_report(spec, value, "2n>m", verts, m)
+        verts = (u * n + v for u in range(m) for v in range(n // 2))
+        return _formula_report(spec, "2n>m", verts, m, volume, 4 * m * (n % 2))
     # cut every copy of the cycle twice
-    verts = [u * n + v for u in range(m // 2) for v in range(n)]
-    value = _split_value(2 * n, volume, 2 * (2 * n - 1) * (m % 2))
-    return _formula_report(spec, value, "2n<=m", verts, 2 * n)
+    verts = (u * n + v for u in range(m // 2) for v in range(n))
+    return _formula_report(spec, "2n<=m", verts, 2 * n, volume, 2 * (2 * n - 1) * (m % 2))
 
 
 def _roach_formula(spec: FamilySpec) -> CutReport:
     n, k = spec.n, spec.k
     s, volume = n + k, 2 * (3 * k + 2 * n - 2)
     if (n, k) == (1, 2):  # split the two rows apart
-        return _formula_report(spec, _split_value(k, volume, 0), "c1:(n,k)=(1,2)", range(s), k)
+        return _formula_report(spec, "c1:(n,k)=(1,2)", range(s), k, volume, 0)
     # Below k = 4 the same test picks the split; the paper labels it by (n, k).
     d, alpha = _nearest_split(3 * k - 2 * n, 6)
     if ladder_split_wins(n, k, d):  # c4: cut both rows between two rungs
         branch = f"c4:{_RESIDUES[d]}&n<K{d + 1}" if k >= 4 else f"c4:(n,k)=({n},{k})"
-        return _formula_report(spec, _split_value(2, volume, 2 * d), branch,
-                               [*range(n + alpha), *range(s, s + n + alpha)], 2)
+        return _formula_report(spec, branch, chain(range(n + alpha), range(s, s + n + alpha)),
+                               2, volume, 2 * d)
     # c2: cut one antenna off
     branch = f"c2:{_RESIDUES[d]}&K{d + 1}<=n" if k >= 4 else f"c2:k={k}&n>={k}"
-    return _formula_report(spec, _split_value(1, volume, 2 * (3 * k - 1)), branch, range(n), 1)
+    return _formula_report(spec, branch, range(n), 1, volume, 2 * (3 * k - 1))
 
 
 def _weighted_path_formula(spec: FamilySpec) -> CutReport:
@@ -315,7 +301,7 @@ def _weighted_path_formula(spec: FamilySpec) -> CutReport:
         branch = f"{_RESIDUES[d]}&R3<k"
     if not 1 <= alpha <= n + k - 1:
         raise AssertionError(f"prefix split {alpha} out of range for {spec.label()}")
-    return _formula_report(spec, _split_value(1, t - 2, d), branch, range(alpha), 1)
+    return _formula_report(spec, branch, range(alpha), 1, t - 2, d)
 
 
 def _lollipop_formula(spec: FamilySpec) -> CutReport:
@@ -323,14 +309,11 @@ def _lollipop_formula(spec: FamilySpec) -> CutReport:
     q = n * n - n
     volume = q + 2 * m
     if m == 1:  # the path vertex with its clique neighbour
-        return _formula_report(spec, _split_value(n - 1, volume, n * (3 - n)), "m=1",
-                               [0, m], n - 1)
+        return _formula_report(spec, "m=1", [0, m], n - 1, volume, n * (3 - n))
     if 2 * m <= q + 4:  # cut the bridge
-        return _formula_report(spec, _split_value(1, volume, 2 * m - 2 - q),
-                               "2<=m<=(n^2-n+4)/2", range(m), 1)
+        return _formula_report(spec, "2<=m<=(n^2-n+4)/2", range(m), 1, volume, 2 * m - 2 - q)
     d, alpha = _nearest_split(volume + 2, 4)  # cut the path nearest to balance
-    return _formula_report(spec, _split_value(1, volume, d), f"o{1 + d // 2}&m>(n^2-n+4)/2",
-                           range(alpha), 1)
+    return _formula_report(spec, f"o{1 + d // 2}&m>(n^2-n+4)/2", range(alpha), 1, volume, d)
 
 
 _FORMULAS = {PATH: _path_formula, CYCLE: _cycle_formula, COMPLETE: _complete_formula,
@@ -364,13 +347,24 @@ def formula_sweep(family: str, n_range, k_range) -> list[SweepRow]:
     return rows
 
 
+def fraction_parts(value: Fraction) -> tuple[int, int]:
+    """(numerator, denominator) for JSON or CSV output; SizeError when either
+    has more digits than the interpreter turns into text."""
+    try:
+        str(value.numerator), str(value.denominator)
+    except ValueError:
+        raise SizeError(f"exact value has more than {sys.get_int_max_str_digits()} digits "
+                        "in its numerator or denominator") from None
+    return value.numerator, value.denominator
+
+
 def sweep_to_csv(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "k", "branch", "value_num", "value_den", "value_float"])
     for row in rows:
-        writer.writerow([row.n, row.k, row.branch, row.value.numerator,
-                         row.value.denominator, format(float(row.value), ".15g")])
+        writer.writerow([row.n, row.k, row.branch, *fraction_parts(row.value),
+                         format(float(row.value), ".15g")])
     return buf.getvalue()
 
 

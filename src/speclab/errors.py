@@ -14,7 +14,7 @@ class SizeError(DomainError):
 
 
 class ConnectivityError(DomainError):
-    """The operation requires a connected graph (or a reachable pair)."""
+    """The operation requires a connected graph."""
 
 
 class UnsupportedError(DomainError):

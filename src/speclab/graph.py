@@ -9,13 +9,11 @@ that degree(i) equals the i-th row sum of the weighted adjacency matrix.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import (ConnectivityError, DomainError, SchemaError, SizeError,
-                     UnsupportedError)
+from .errors import DomainError, SchemaError, SizeError, UnsupportedError
 
 SUBSET_CAPACITY = 64
 EXHAUSTIVE_CAP = 24
@@ -140,35 +138,21 @@ def subset_from_mask(g: Graph, mask: int) -> VertexSubset:
     return VertexSubset(g, mask, vol, cutw)
 
 
-def _coerce_subset(g: Graph, a) -> VertexSubset:
-    if isinstance(a, VertexSubset):
-        if a.graph is not g:
-            raise DomainError("subset was built for a different graph")
-        return a
-    return vertex_subset(g, a)
-
-
-def cut_weight(g: Graph, a) -> int:
-    """Total weight of edges between ``a`` and its complement."""
-    return _coerce_subset(g, a).cut_weight
-
-
-def subset_volume(g: Graph, a) -> int:
-    return _coerce_subset(g, a).volume
-
-
 def normalized_cut(g: Graph, a) -> Fraction:
     """cut(A, V\\A) * (1/vol(A) + 1/vol(V\\A)) as an exact rational.
 
     Requires a nonempty proper subset. A disconnected graph may yield 0.
     """
-    s = _coerce_subset(g, a)
-    if s.mask == 0 or s.mask == (1 << g.n) - 1:
+    if not isinstance(a, VertexSubset):
+        a = vertex_subset(g, a)
+    elif a.graph is not g:
+        raise DomainError("subset was built for a different graph")
+    if a.mask == 0 or a.mask == (1 << g.n) - 1:
         raise DomainError("normalized cut needs a nonempty proper subset")
-    vol_b = g.volume - s.volume
-    if s.volume == 0 or vol_b == 0:
+    vol_b = g.volume - a.volume
+    if a.volume == 0 or vol_b == 0:
         raise DomainError("both sides must have positive volume")
-    return Fraction(s.cut_weight, s.volume) + Fraction(s.cut_weight, vol_b)
+    return Fraction(a.cut_weight, a.volume) + Fraction(a.cut_weight, vol_b)
 
 
 # ---------------------------------------------------------------------------
@@ -365,52 +349,15 @@ def cartesian_product(g: Graph, h: Graph, name: str = "") -> Graph:
 # traversal
 # ---------------------------------------------------------------------------
 
-def _bfs_dist(g: Graph, src: int) -> list[int]:
-    dist = [-1] * g.n
-    dist[src] = 0
-    rows = g.adjacency_rows()
-    q = deque([src])
-    while q:
-        u = q.popleft()
-        for v in rows[u]:
-            if v != u and dist[v] < 0:
-                dist[v] = dist[u] + 1
-                q.append(v)
-    return dist
-
-
 def is_connected(g: Graph) -> bool:
-    return g.n == 1 or min(_bfs_dist(g, 0)) >= 0
-
-
-def distance(g: Graph, u: int, v: int) -> int:
-    """Unweighted shortest-path distance (edge weights count as unit hops)."""
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise DomainError(f"vertex pair ({u},{v}) out of range")
-    d = _bfs_dist(g, u)[v]
-    if d < 0:
-        raise ConnectivityError(f"vertices {u} and {v} are not connected")
-    return d
-
-
-def diameter(g: Graph) -> int:
-    best = 0
-    for src in range(g.n):
-        d = _bfs_dist(g, src)
-        m = max(d)
-        if min(d) < 0:
-            raise ConnectivityError("diameter of a disconnected graph")
-        best = max(best, m)
-    return best
-
-
-def edge_connectivity(g: Graph) -> int:
-    """Minimum cut weight over all bipartitions (exhaustive, |V| <= 24)."""
-    if not is_connected(g):
-        return 0
-    from ._enumeration import minimize
-    (value, _idx), = minimize(g, lambda c: (c["cut"], 1))
-    return int(value)
+    rows = g.adjacency_rows()
+    seen, stack = {0}, [0]
+    while stack:
+        for v in rows[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == g.n
 
 
 def is_automorphism(g: Graph, perm: Sequence[int]) -> bool:

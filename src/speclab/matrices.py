@@ -11,6 +11,7 @@ tested against.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -145,59 +146,59 @@ def eig_sym(m: SymmetricMatrix) -> Spectrum:
 # closed forms
 # ---------------------------------------------------------------------------
 
+# kind -> (eigenvalue j, entry i of eigenvector j) of the n-path, indices from 0
+_PATH_FORMS = {
+    MatrixKind.ADJACENCY: (lambda j, n: 2.0 * np.cos((j + 1) * np.pi / (n + 1)),
+                           lambda i, j, n: np.sin((i + 1) * (j + 1) * np.pi / (n + 1))),
+    MatrixKind.DIFFERENCE: (lambda j, n: 2.0 - 2.0 * np.cos(j * np.pi / n),
+                            lambda i, j, n: np.cos((2 * i + 1) * j * np.pi / (2 * n))),
+    MatrixKind.NORMALIZED: (lambda j, n: 1.0 - np.cos(j * np.pi / (n - 1)),
+                            # interior entries carry sqrt(2)
+                            lambda i, j, n: np.cos(i * j * np.pi / (n - 1))
+                            * np.where((i > 0) & (i < n - 1), math.sqrt(2.0), 1.0)),
+    MatrixKind.SIGNLESS: (lambda j, n: 2.0 + 2.0 * np.cos((j + 1) * np.pi / n),
+                          lambda i, j, n: np.sin((2 * i + 1) * (j + 1) * np.pi / (2 * n))),
+}
+
+
 @dataclass(frozen=True)
 class ClosedFormSpectrum:
+    """Ascending closed-form eigenvalues of a path or cycle. A path's unit
+    eigenvector columns, in the same order, are built on first read."""
+
     kind: MatrixKind
-    source: str
+    spec: FamilySpec
     eigenvalues: np.ndarray = field(repr=False)
-    eigenvectors: np.ndarray | None = field(repr=False, default=None)
 
+    @property
+    def source(self) -> str:
+        return self.spec.label()
 
-def _path_closed_form(kind: MatrixKind, n: int):
-    i = np.arange(n)[:, None]
-    k = np.arange(n)[None, :]
-    if kind is MatrixKind.ADJACENCY:
-        vals = 2.0 * np.cos((np.arange(n) + 1) * np.pi / (n + 1))
-        vecs = np.sin((i + 1) * (k + 1) * np.pi / (n + 1))
-    elif kind is MatrixKind.DIFFERENCE:
-        vals = 2.0 - 2.0 * np.cos(np.arange(n) * np.pi / n)
-        vecs = np.cos((2 * i + 1) * k * np.pi / (2 * n))
-    elif kind is MatrixKind.NORMALIZED:
-        vals = 1.0 - np.cos(np.arange(n) * np.pi / (n - 1))
-        vecs = np.cos(i * k * np.pi / (n - 1))
-        if n > 2:
-            vecs[1:-1, :] *= math.sqrt(2.0)  # interior entries carry sqrt(2)
-    else:
-        vals = 2.0 + 2.0 * np.cos((np.arange(n) + 1) * np.pi / n)
-        vecs = np.sin((2 * i + 1) * (k + 1) * np.pi / (2 * n))
-    return vals, vecs
+    @functools.cached_property
+    def eigenvectors(self) -> np.ndarray | None:
+        if self.spec.family != PATH:
+            return None
+        (value, entry), j = _PATH_FORMS[self.kind], np.arange(self.spec.n)
+        order = np.argsort(value(j, j.size), kind="stable")
+        vecs = entry(j[:, None], j[None, :], j.size)[:, order]
+        return vecs / np.linalg.norm(vecs, axis=0)
 
 
 def closed_form_spectrum(spec: FamilySpec, kind: MatrixKind) -> ClosedFormSpectrum:
-    """Closed-form eigenvalues (paths and cycles) and path eigenvectors.
-
-    Values are returned ascending; path eigenvector columns follow their
-    eigenvalues and are normalized to unit length.
-    """
+    """Closed-form eigenvalues (paths and cycles) and path eigenvectors."""
     spec.validate()
+    n = spec.n
     if spec.family == PATH:
-        n = spec.n
         if n < 2:
             raise DomainError("closed-form path spectrum needs n >= 2")
-        vals, vecs = _path_closed_form(kind, n)
-        order = np.argsort(vals, kind="stable")
-        vals = vals[order]
-        vecs = vecs[:, order]
-        vecs = vecs / np.linalg.norm(vecs, axis=0)
-        return ClosedFormSpectrum(kind, spec.label(), vals, vecs)
+        return ClosedFormSpectrum(kind, spec, np.sort(_PATH_FORMS[kind][0](np.arange(n), n)))
     if spec.family == CYCLE:
-        n = spec.n
         c = np.cos(2.0 * np.arange(n) * np.pi / n)
         vals = {MatrixKind.ADJACENCY: 2.0 * c,
                 MatrixKind.DIFFERENCE: 2.0 - 2.0 * c,
                 MatrixKind.NORMALIZED: 1.0 - c,
                 MatrixKind.SIGNLESS: 2.0 + 2.0 * c}[kind]
-        return ClosedFormSpectrum(kind, spec.label(), np.sort(vals))
+        return ClosedFormSpectrum(kind, spec, np.sort(vals))
     raise DomainError(f"no closed-form spectrum for family {spec.family!r}")
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from speclab import DomainError, Graph
+from speclab import DomainError, Graph, chebyshev_t, chebyshev_u
 
 
 def lu_det(m: np.ndarray) -> float:
@@ -78,6 +78,25 @@ def slow_cheeger_vertex(g: Graph) -> Fraction:
         if best is None or value < best:
             best = value
     return best
+
+
+def slow_tail(k: int, c, odd: bool = False):
+    """Reference loop-tail factor: one chebyshev_u recurrence per term."""
+    if odd:
+        return 2.0 * chebyshev_u(k + 1, c) - chebyshev_u(k, c) - chebyshev_u(k - 1, c)
+    return 2.0 * chebyshev_u(k + 1, c) + chebyshev_u(k, c) - chebyshev_u(k - 1, c)
+
+
+def slow_sector_charpoly(n: int, k: int, lam, odd: bool = False):
+    """Reference sector factor p_{n,k} (odd=False) or q_{n,k} (odd=True):
+    three chebyshev_u recurrences per tail and one chebyshev_t per T term,
+    in the order of operations of the single-pass evaluation."""
+    scale = 2.0 ** n * 3.0 ** k
+    ca = lam - 1.0
+    c = 1.5 * lam - (2.0 if odd else 1.0)
+    value = (slow_tail(k, c, odd) * chebyshev_t(n, ca)
+             - slow_tail(k - 1, c, odd) * chebyshev_t(n - 1, ca))
+    return value / scale
 
 
 def slow_bracket_roots(fn, steps: int, lo: float = 0.0, hi: float = 2.0,

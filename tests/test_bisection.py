@@ -237,7 +237,7 @@ def test_indicator_balanced_subset_is_sign_vector():
     check = sl.indicator_identity_check(g, [0, 1, 2])
     assert check.ncut == sl.normalized_cut(g, [0, 1, 2])
     # equal volumes force the (1,...,1,-1,...,-1) pattern
-    assert sl.subset_volume(g, [0, 1, 2]) * 2 == g.volume
+    assert sl.vertex_subset(g, [0, 1, 2]).volume * 2 == g.volume
     assert np.array_equal(check.indicator, np.array([1.0] * 3 + [-1.0] * 3))
 
 

@@ -9,7 +9,7 @@ import pytest
 import speclab as sl
 from speclab import DomainError, FamilySpec, MatrixKind
 
-from conftest import lu_det, slow_bracket_roots
+from conftest import lu_det, slow_bracket_roots, slow_sector_charpoly, slow_tail
 
 
 def norm_lap(spec):
@@ -126,6 +126,23 @@ def test_tail_odd_trig():
     direct = (2 * math.sin((k + 1) * gamma) - math.sin(k * gamma)
               - math.sin((k - 1) * gamma))
     assert abs(sl.tail_poly_odd(k, math.cos(gamma)) * math.sin(gamma) - direct) <= 1e-12
+
+
+@pytest.mark.parametrize("odd", [False, True], ids=["pnk", "qnk"])
+def test_single_pass_equals_three_call_formula(odd):
+    # the single pass repeats the per-term recurrences' operations exactly
+    fn = sl.roach_odd_charpoly if odd else sl.weighted_path_charpoly
+    tail = sl.tail_poly_odd if odd else sl.tail_poly_even
+    grid = 2.0 * np.arange(2001) / 2000  # the charpoly --roots grid
+    lams = [-1.0 + 0.04 * i for i in range(101)]
+    for k in range(1, 13):
+        assert [tail(k, x - 1) for x in lams] == [slow_tail(k, x - 1, odd) for x in lams]
+        assert np.array_equal(tail(k, grid - 1), slow_tail(k, grid - 1, odd))
+    for n in range(3, 13):
+        for k in range(3, 13):
+            assert np.array_equal(fn(n, k, grid), slow_sector_charpoly(n, k, grid, odd))
+            assert [fn(n, k, x) for x in lams] == [slow_sector_charpoly(n, k, x, odd)
+                                                   for x in lams]
 
 
 def test_tail_domain():

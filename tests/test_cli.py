@@ -7,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import speclab as sl
 from speclab import cli
@@ -298,6 +300,67 @@ def test_closed_forms_do_not_generate(monkeypatch):
     _, out, _ = invoke(["sweep", "--family", "roach", "--n-range", "100000:100000",
                         "--k-range", "2:3"])
     assert out.splitlines()[1].startswith("100000,2,c2:k=2&n>=2,")
+
+
+# 10**2200 parses, but the closed-form value's denominator has about 4,400 digits,
+# more than the interpreter turns into text by default
+BIG = str(10 ** 2200)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--family", "roach", "--n-range", f"{BIG}:{BIG}", "--k-range", "2:2"],
+    ["mcut", "--method", "formula", "--family", "roach", "--n", BIG, "--k", "2"],
+], ids=["sweep", "mcut"])
+def test_value_beyond_digit_limit_exits_2(argv):
+    code, out, err = invoke(argv)
+    assert code == 2 and out == ""
+    assert _one_json_line(err)["error"] == "SizeError"
+
+
+def test_closed_form_path_spectrum_builds_no_vectors_unasked():
+    doc = invoke_json(["spectrum", "--closed-form", "--family", "path", "--n", "30000"])
+    assert len(doc["eigenvalues"]) == 30000 and "vectors" not in doc
+    doc = invoke_json(["spectrum", "--closed-form", "--family", "path", "--n", "4",
+                       "--vectors"])
+    assert len(doc["vectors"]) == 4 and len(doc["vectors"][0]) == 4
+
+
+# small parameters, and powers of ten with up to 4,300 digits
+_SIZES = st.one_of(st.integers(-2, 70), st.integers(1, 4299).map(lambda j: 10 ** j))
+
+
+@st.composite
+def _closed_form_argv(draw) -> list[str]:
+    command = draw(st.sampled_from(["sweep", "mcut", "spectrum"]))
+    if command == "sweep":
+        n, k = draw(_SIZES), draw(_SIZES)
+        return ["sweep", "--family", draw(st.sampled_from(["roach", "weighted-path"])),
+                "--n-range", f"{n}:{n + draw(st.integers(0, 2))}", "--k-range", f"{k}:{k}",
+                "--format", draw(st.sampled_from(["csv", "gnuplot"]))]
+    if command == "mcut":
+        argv = ["mcut", "--method", "formula", "--family",
+                draw(st.sampled_from([*sl.FAMILIES, "double-tree", "ladder"]))]
+        for flag in ("--n", "--k", "--m", "--depth"):
+            if draw(st.booleans()):
+                argv += [flag, str(draw(_SIZES))]
+        return argv
+    n = draw(st.integers(-1, 3000))
+    argv = ["spectrum", "--closed-form", "--n", str(n),
+            "--family", draw(st.sampled_from(["path", "cycle", "roach"])),
+            "--kind", draw(st.sampled_from([k.value for k in sl.MatrixKind] + ["x"]))]
+    return argv + (["--vectors"] if n <= 200 and draw(st.booleans()) else [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_closed_form_argv())
+@example(["sweep", "--family", "roach", "--n-range", f"{BIG}:{BIG}", "--k-range", "2:2"])
+@example(["mcut", "--method", "formula", "--family", "roach", "--n", "1", "--k", str(10 ** 20)])
+def test_closed_form_commands_keep_the_exit_contract(argv):
+    code, out, err = invoke(argv)
+    assert code in (0, 2, 64, 65, 70)
+    if err:
+        _one_json_line(err)
+    assert invoke(argv)[1] == out
 
 
 def test_multiplicity_error_exits_2():

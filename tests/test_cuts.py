@@ -11,7 +11,7 @@ import speclab as sl
 from speclab import (ConnectivityError, DomainError, FamilySpec, Graph,
                      MatrixKind, SizeError)
 
-from conftest import slow_cheeger_vertex, slow_min_ncut
+from conftest import slow_cheeger_vertex, slow_edge_connectivity, slow_min_ncut
 
 
 # ---------------------------------------------------------------------------
@@ -117,18 +117,6 @@ def test_pruned_rejects_unbalanced_seed():
     g = sl.generate(FamilySpec.path(8))
     with pytest.raises(DomainError):
         sl.min_ncut_pruned(g, sl.vertex_subset(g, [0]))  # vol 1 vs 13
-
-
-def test_min_ncut_by_cut_weight():
-    g = sl.generate(FamilySpec.roach(2, 3))
-    per_weight = sl.min_ncut_by_cut_weight(g)
-    brute = sl.min_ncut_brute(g)
-    assert min(per_weight.values()) == brute.value
-    s = g.volume
-    # per-weight minima follow the 4 j s / (s^2 - X_j) form
-    for j, value in per_weight.items():
-        x_j = s * s - Fraction(4 * j * s, value)
-        assert x_j.denominator == 1 and x_j >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +298,7 @@ def test_mcut_connectivity_lower_bound():
                  FamilySpec.lollipop(4, 3), FamilySpec.double_tree(3)):
         g = sl.generate(spec)
         mcut = sl.min_ncut_brute(g).value
-        kappa = sl.edge_connectivity(g)
+        kappa = slow_edge_connectivity(g)
         assert mcut >= Fraction(4 * kappa, max(g.degrees) * g.n)
 
 

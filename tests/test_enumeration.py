@@ -18,6 +18,12 @@ from conftest import (slow_cheeger_edge, slow_cheeger_vertex, slow_edge_connecti
                       slow_isoperimetric, slow_min_ncut, slow_sides)
 
 
+def _edge_connectivity(g: Graph) -> Fraction:
+    """Least cut weight over all bipartitions, from the enumeration engine."""
+    (value, _idx), = en.minimize(g, lambda c: (c["cut"], 1))
+    return value
+
+
 def _random_graph(seed: int, n: int) -> Graph:
     rng = random.Random(seed)
     edges = {(rng.randrange(v), v): rng.randint(1, 3) for v in range(1, n)}
@@ -65,18 +71,11 @@ def test_every_functional_matches_oracles_across_chunks(g, chunk_bits):
         assert (report.value, report.witness.mask, report.cut_weight) == (value, mask, cut)
         assert report.branch == f"cut<={seed.cut_weight}"
 
-    s = g.volume
-    per_weight = {}
-    for _mask, _size, vol, cut in slow_sides(g):
-        value = Fraction(cut * s, vol * (s - vol))
-        per_weight[cut] = min(per_weight.get(cut, value), value)
-    assert sl.min_ncut_by_cut_weight(g) == dict(sorted(per_weight.items()))
-
     iso, h, gv = slow_isoperimetric(g), slow_cheeger_edge(g), slow_cheeger_vertex(g)
     assert sl.isoperimetric_number(g) == iso
     assert sl.cheeger_edge(g) == h
     assert sl.cheeger_vertex(g) == gv
-    assert sl.edge_connectivity(g) == slow_edge_connectivity(g)
+    assert _edge_connectivity(g) == slow_edge_connectivity(g)
     assert cuts.expansion_constants(g, with_ncut=True) == (iso, h, gv, brute)
     assert cuts.expansion_constants(g) == (iso, h, gv, None)
 
@@ -105,7 +104,7 @@ def test_improper_full_set_in_last_chunk_is_never_chosen(monkeypatch, bits):
         pruned = [sl.min_ncut_pruned(g, seed) for seed in _balanced_seeds(g)]
         for report in [sl.min_ncut_brute(g), *pruned]:
             assert report.witness.mask != full and report.value > 0
-        assert sl.edge_connectivity(g) == slow_edge_connectivity(g) > 0
+        assert _edge_connectivity(g) == slow_edge_connectivity(g) > 0
         assert sl.isoperimetric_number(g) == slow_isoperimetric(g) > 0
         assert sl.cheeger_edge(g) == slow_cheeger_edge(g) > 0
         assert sl.cheeger_vertex(g) == slow_cheeger_vertex(g) > 0
@@ -127,7 +126,7 @@ def test_chunk_layout_matches_index_order(monkeypatch, bits):
         mask = en.full_mask_from_index(m)
         a = {v for v in range(g.n) if mask >> v & 1}
         b = set(range(g.n)) - a
-        assert cut[m] == sl.cut_weight(g, a)
+        assert cut[m] == sl.vertex_subset(g, a).cut_weight
         assert vol[m] == sum(g.degrees[v] for v in a)
         assert size[m] == len(a)
         assert bound_a[m] == sum(g.degrees[v] for v in b if a & set(rows[v]) - {v})

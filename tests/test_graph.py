@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import speclab as sl
-from speclab import (ConnectivityError, DomainError, FamilySpec, Graph,
-                     SchemaError, SizeError, UnsupportedError)
+from speclab import (DomainError, FamilySpec, Graph, SchemaError, SizeError,
+                     UnsupportedError)
+from speclab import _enumeration as en
 
 from conftest import slow_min_ncut
 
@@ -198,8 +199,8 @@ def test_product_rejects_loops():
 def test_ncut_example_case1(ncut_example_graph):
     g = ncut_example_graph
     a = sl.vertex_subset(g, [0, 1, 2, 3])
-    assert sl.cut_weight(g, a) == 2
-    assert sl.subset_volume(g, a) == 12 and g.volume - a.volume == 8
+    assert a.cut_weight == 2
+    assert a.volume == 12 and g.volume - a.volume == 8
     assert sl.normalized_cut(g, a) == Fraction(5, 12)
     # the other two published cases of the same example
     assert sl.normalized_cut(g, [0, 1, 2]) == Fraction(4, 5)
@@ -262,36 +263,26 @@ def test_subset_capacity_is_64():
 # connectivity measures
 # ---------------------------------------------------------------------------
 
+def _edge_connectivity(g: Graph) -> Fraction:
+    """Least cut weight over all bipartitions, from the enumeration engine."""
+    (value, _idx), = en.minimize(g, lambda c: (c["cut"], 1))
+    return value
+
+
 def test_edge_connectivity_examples():
-    assert sl.edge_connectivity(sl.generate(FamilySpec.cycle(6))) == 2
-    assert sl.edge_connectivity(sl.generate(FamilySpec.complete(5))) == 4
-    assert sl.edge_connectivity(sl.generate(FamilySpec.cycle_cross_path(4, 3))) == 3
+    assert _edge_connectivity(sl.generate(FamilySpec.cycle(6))) == 2
+    assert _edge_connectivity(sl.generate(FamilySpec.complete(5))) == 4
+    assert _edge_connectivity(sl.generate(FamilySpec.cycle_cross_path(4, 3))) == 3
 
 
 def test_edge_connectivity_disconnected_is_zero():
     g = Graph(4, ((0, 1, 1), (2, 3, 1)))
-    assert sl.edge_connectivity(g) == 0
+    assert _edge_connectivity(g) == 0
 
 
 def test_edge_connectivity_size_cap():
     with pytest.raises(SizeError):
-        sl.edge_connectivity(sl.generate(FamilySpec.path(25)))
-
-
-def test_distance_and_diameter():
-    p5 = sl.generate(FamilySpec.path(5))
-    assert sl.distance(p5, 0, 4) == 4
-    assert sl.diameter(p5) == 4
-    assert sl.diameter(sl.generate(FamilySpec.complete(6))) == 1
-    assert sl.diameter(sl.generate(FamilySpec.cycle(6))) == 3
-
-
-def test_distance_unreachable():
-    g = Graph(3, ((0, 1, 1),))
-    with pytest.raises(ConnectivityError):
-        sl.distance(g, 0, 2)
-    with pytest.raises(ConnectivityError):
-        sl.diameter(g)
+        _edge_connectivity(sl.generate(FamilySpec.path(25)))
 
 
 def test_ncut_defined_on_disconnected_graph():

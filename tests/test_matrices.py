@@ -154,6 +154,14 @@ def test_path_closed_form_eigenvectors(kind):
             assert np.linalg.norm(m @ u - cf.eigenvalues[j] * u) <= 1e-10
 
 
+def test_path_eigenvectors_are_built_on_first_read():
+    cf = sl.closed_form_spectrum(FamilySpec.path(30000), MatrixKind.NORMALIZED)
+    assert cf.eigenvalues.shape == (30000,) and "eigenvectors" not in vars(cf)
+    small = sl.closed_form_spectrum(FamilySpec.path(5), MatrixKind.NORMALIZED)
+    assert small.eigenvectors is small.eigenvectors and small.eigenvectors.shape == (5, 5)
+    assert sl.closed_form_spectrum(FamilySpec.cycle(5), MatrixKind.NORMALIZED).eigenvectors is None
+
+
 def test_closed_form_domain_errors():
     with pytest.raises(DomainError):
         sl.closed_form_spectrum(FamilySpec.complete(4), MatrixKind.ADJACENCY)
