@@ -172,8 +172,8 @@ def bracket_roots(fn, steps: int, lo: float = 0.0, hi: float = 2.0,
     pairs of roots inside one grid cell, so the returned count is a lower
     bound on the number of roots. Values that underflow to 0 can add
     spurious brackets: a caller that knows the degree d can reject more
-    than d brackets (``charpoly --roots`` does), but underflow that leaves
-    at most d brackets goes undetected.
+    than d brackets, but underflow that leaves at most d brackets goes
+    undetected.
     """
     if steps < 1:
         raise DomainError("grid needs at least one step")

@@ -14,6 +14,8 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import bisection, charpoly, cuts, graph, matrices
 from .errors import (DomainError, NumericError, SchemaError, SpecLabError)
 
@@ -142,7 +144,6 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--lam", type=float)
     p.add_argument("--roots", action="store_true")
-    p.add_argument("--steps", type=int, default=0)
     p.add_argument("--out")
 
     p = sub.add_parser("sweep", help="closed-form minima over a parameter grid")
@@ -247,33 +248,29 @@ def _cmd_compare(args, stdout):
 
 
 def _cmd_charpoly(args, stdout):
-    fn = {"pnk": charpoly.weighted_path_charpoly,
-          "qnk": charpoly.roach_odd_charpoly,
-          "product": charpoly.roach_charpoly}[args.which]
     n, k = args.n, args.k
     if args.roots == (args.lam is not None):
         raise _UsageError("give exactly one of --lam X or --roots")
     if args.lam is not None and not math.isfinite(args.lam):
         raise _UsageError(f"--lam must be finite, got {args.lam}")
     charpoly.normalization(n, k)
+    doc = {"which": args.which, "n": n, "k": k}
     if args.lam is not None:
+        fn = {"pnk": charpoly.weighted_path_charpoly, "qnk": charpoly.roach_odd_charpoly,
+              "product": charpoly.roach_charpoly}[args.which]
         value = fn(n, k, args.lam)
         if not math.isfinite(value):
             raise NumericError(f"polynomial evaluation overflowed at lambda={args.lam}")
-        doc = {"which": args.which, "n": n, "k": k, "lambda": _fmt(args.lam),
-               "value": _fmt(value)}
-        _emit(doc, args.out, stdout)
-        return
-    steps = args.steps or max(2000, 4 * (n + k))
-    brackets = charpoly.bracket_roots(lambda x: fn(n, k, x), steps)
-    degree = (n + k) * (2 if args.which == "product" else 1)
-    if len(brackets) > degree:
-        raise NumericError(f"{len(brackets)} brackets for a degree-{degree} polynomial: "
-                           "the evaluation underflowed")
-    doc = {"which": args.which, "n": n, "k": k, "interval": [0, 2],
-           "steps": steps,
-           "roots": [_fmt(0.5 * (a + b)) for a, b in brackets],
-           "count": len(brackets)}
+        doc.update({"lambda": _fmt(args.lam), "value": _fmt(value)})
+    else:  # the roots are the eigenvalues of the sector blocks whose charpoly this is
+        even, odd = bisection.even_odd_blocks(n, k)
+        blocks = {"pnk": (even,), "qnk": (odd,), "product": (even, odd)}[args.which]
+        try:
+            roots = np.sort(np.concatenate([np.linalg.eigvalsh(b.values) for b in blocks]))
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"eigensolver failed to converge: {exc}") from exc
+        doc.update({"interval": [0, 2], "roots": [_fmt(x) for x in np.clip(roots, 0.0, 2.0)],
+                    "count": len(roots)})
     _emit(doc, args.out, stdout)
 
 

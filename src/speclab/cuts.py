@@ -33,6 +33,7 @@ from .graph import (CYCLE, CYCLE_CROSS_PATH, COMPLETE, DOUBLE_TREE, LOLLIPOP,
 BRUTE_FORCE = "brute_force"
 PRUNED = "pruned"
 FORMULA = "formula"
+MAX_SWEEP_ROWS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -338,6 +339,12 @@ def formula_sweep(family: str, n_range, k_range) -> list[SweepRow]:
     """Closed-form minima over a parameter grid for roach or weighted_path."""
     if family not in (ROACH, WEIGHTED_PATH):
         raise DomainError(f"sweep supports roach and weighted_path, not {family!r}")
+    try:
+        count = len(n_range) * len(k_range)
+    except OverflowError:  # a range longer than sys.maxsize
+        count = MAX_SWEEP_ROWS + 1
+    if count > MAX_SWEEP_ROWS:
+        raise SizeError(f"sweep is capped at {MAX_SWEEP_ROWS} rows")
     rows = []
     for n in n_range:
         for k in k_range:

@@ -88,9 +88,6 @@ class Graph:
     def volume(self) -> int:
         return sum(self.degrees)
 
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
-
     def adjacency_rows(self) -> list[dict[int, int]]:
         """Weighted adjacency as one dict per vertex (loops on the diagonal)."""
         rows = [dict() for _ in range(self.n)]

@@ -17,12 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NumericError
-from .graph import CYCLE, PATH, FamilySpec, Graph
+from .errors import DomainError, NumericError, SizeError
+from .graph import CYCLE, MAX_ORDER, PATH, FamilySpec, Graph
 
 RESIDUAL_TOL = 1e-9
 ORTHO_TOL = 1e-9
 SIMPLE_GAP_TOL = 1e-8
+MAX_DENSE_ORDER = 1 << 12  # largest n x n float64 matrix built (128 MB)
 
 
 class MatrixKind(enum.Enum):
@@ -63,8 +64,10 @@ class SymmetricMatrix:
 
 
 def build_matrix(g: Graph, kind: MatrixKind) -> SymmetricMatrix:
-    """Assemble one of the four graph matrices."""
+    """Assemble one of the four graph matrices; SizeError above MAX_DENSE_ORDER."""
     n = g.n
+    if n > MAX_DENSE_ORDER:
+        raise SizeError(f"dense matrices are capped at order {MAX_DENSE_ORDER}, got {n}")
     w = np.zeros((n, n))
     for u, v, wt in g.edges:
         w[u, v] = w[v, u] = wt
@@ -127,9 +130,6 @@ def eig_sym(m: SymmetricMatrix) -> Spectrum:
         vals, vecs = np.linalg.eigh(m.values)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed to converge: {exc}") from exc
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
     residual = float(np.max(np.linalg.norm(m.values @ vecs - vecs * vals, axis=0))) \
         if m.order else 0.0
     scale = max(1.0, float(np.max(np.abs(m.values)))) * max(1, m.order)
@@ -178,6 +178,8 @@ class ClosedFormSpectrum:
     def eigenvectors(self) -> np.ndarray | None:
         if self.spec.family != PATH:
             return None
+        if self.spec.n > MAX_DENSE_ORDER:
+            raise SizeError(f"{self.source}: dense matrices are capped at order {MAX_DENSE_ORDER}")
         (value, entry), j = _PATH_FORMS[self.kind], np.arange(self.spec.n)
         order = np.argsort(value(j, j.size), kind="stable")
         vecs = entry(j[:, None], j[None, :], j.size)[:, order]
@@ -188,6 +190,8 @@ def closed_form_spectrum(spec: FamilySpec, kind: MatrixKind) -> ClosedFormSpectr
     """Closed-form eigenvalues (paths and cycles) and path eigenvectors."""
     spec.validate()
     n = spec.n
+    if n > MAX_ORDER:
+        raise SizeError(f"closed-form spectra are capped at n = {MAX_ORDER}, got {spec.label()}")
     if spec.family == PATH:
         if n < 2:
             raise DomainError("closed-form path spectrum needs n >= 2")

@@ -224,21 +224,58 @@ def test_charpoly_out_of_range_exits_70(argv):
     assert _one_json_line(err)["error"] == "NumericError"
 
 
-@pytest.mark.parametrize("argv", [
-    ["--which", "pnk", "--n", "3", "--k", "600"],        # grid overflows
-    ["--which", "product", "--n", "20", "--k", "500"],   # 1121 brackets, degree 1040
-])
-def test_charpoly_roots_degree_check_exits_70(argv):
-    code, out, err = invoke(["charpoly", *argv, "--roots"])
+@pytest.mark.parametrize("argv, count", [
+    (["--which", "pnk", "--n", "3", "--k", "600"], 603),
+    (["--which", "product", "--n", "20", "--k", "500"], 1040),
+], ids=["pnk-3-600", "product-20-500"])
+def test_charpoly_roots_complete_near_the_range_limit(argv, count):
+    doc = invoke_json(["charpoly", *argv, "--roots"])
+    assert doc["count"] == len(doc["roots"]) == count
+
+
+def test_charpoly_steps_flag_exits_64():
+    code, out, err = invoke(["charpoly", "--which", "pnk", "--n", "4", "--k", "3",
+                             "--roots", "--steps", "2000"])
+    assert code == 64 and out == ""
+    assert "--steps" in _one_json_line(err)["message"]
+
+
+def test_charpoly_roots_eigensolver_failure_exits_70(monkeypatch):
+    def fail(values):
+        raise cli.np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(cli.np.linalg, "eigvalsh", fail)
+    code, out, err = invoke(["charpoly", "--which", "qnk", "--n", "4", "--k", "3", "--roots"])
     assert code == 70 and out == ""
     assert _one_json_line(err)["error"] == "NumericError"
 
 
-def test_charpoly_steps_cap_exits_2():
-    code, out, err = invoke(["charpoly", "--which", "pnk", "--n", "4", "--k", "3",
-                             "--roots", "--steps", str(2 ** 20 + 1)])
-    assert code == 2 and out == ""
-    assert "capped" in _one_json_line(err)["message"]
+def _roots(which, n, k):
+    return invoke_json(["charpoly", "--which", which, "--n", str(n), "--k", str(k),
+                        "--roots"])["roots"]
+
+
+def test_charpoly_roots_count_is_the_degree():
+    for n in range(3, 21):
+        for k in range(3, 21):
+            for which, degree in (("pnk", n + k), ("qnk", n + k), ("product", 2 * (n + k))):
+                roots = _roots(which, n, k)
+                assert len(roots) == degree, (which, n, k)
+                assert roots == sorted(roots) and 0.0 <= roots[0] and roots[-1] <= 2.0
+
+
+def test_charpoly_roots_match_the_polynomial_sign_changes():
+    for which, fn in (("pnk", sl.weighted_path_charpoly), ("qnk", sl.roach_odd_charpoly)):
+        for n in range(3, 13):
+            for k in range(3, 13):
+                brackets = sl.bracket_roots(lambda x: fn(n, k, x), 2000)
+                mids = [0.5 * (a + b) for a, b in brackets]
+                assert len(mids) == n + k
+                assert _roots(which, n, k) == pytest.approx(mids, abs=1e-9)
+
+
+def test_charpoly_product_roots_are_the_merged_sector_roots():
+    for n, k in [(3, 3), (3, 9), (4, 8), (9, 3), (8, 8), (12, 11), (20, 5)]:
+        assert _roots("product", n, k) == sorted(_roots("pnk", n, k) + _roots("qnk", n, k))
 
 
 def test_non_utf8_graph_file_exits_65(tmp_path):
@@ -325,13 +362,33 @@ def test_closed_form_path_spectrum_builds_no_vectors_unasked():
     assert len(doc["vectors"]) == 4 and len(doc["vectors"][0]) == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--family", "path", "--n", "4097"],
+    ["lcut", "--family", "path", "--n", "4097"],
+    ["spectrum", "--closed-form", "--family", "path", "--n", "4097", "--vectors"],
+    ["sweep", "--family", "roach", "--n-range", "1:100000000", "--k-range", "2:2"],
+])
+def test_oversized_requests_exit_2(argv):
+    code, out, err = invoke(argv)
+    assert code == 2 and out == ""
+    assert _one_json_line(err)["error"] == "SizeError"
+
+
+def test_size_caps_leave_the_tested_sizes():
+    doc = invoke_json(["spectrum", "--closed-form", "--family", "path", "--n", "4097"])
+    assert len(doc["eigenvalues"]) == 4097 and "vectors" not in doc
+    code, out, _ = invoke(["sweep", "--family", "roach", "--n-range", "90:260",
+                           "--k-range", "2:260"])
+    assert code == 0 and out.count("\n") == 1 + 171 * 259
+
+
 # small parameters, and powers of ten with up to 4,300 digits
 _SIZES = st.one_of(st.integers(-2, 70), st.integers(1, 4299).map(lambda j: 10 ** j))
 
 
 @st.composite
 def _closed_form_argv(draw) -> list[str]:
-    command = draw(st.sampled_from(["sweep", "mcut", "spectrum"]))
+    command = draw(st.sampled_from(["sweep", "mcut", "spectrum", "charpoly"]))
     if command == "sweep":
         n, k = draw(_SIZES), draw(_SIZES)
         return ["sweep", "--family", draw(st.sampled_from(["roach", "weighted-path"])),
@@ -344,7 +401,11 @@ def _closed_form_argv(draw) -> list[str]:
             if draw(st.booleans()):
                 argv += [flag, str(draw(_SIZES))]
         return argv
-    n = draw(st.integers(-1, 3000))
+    if command == "charpoly":
+        argv = ["charpoly", "--which", draw(st.sampled_from(["pnk", "qnk", "product"])),
+                "--n", str(draw(_SIZES)), "--k", str(draw(_SIZES))]
+        return argv + (["--roots"] if draw(st.booleans()) else ["--lam", repr(draw(st.floats()))])
+    n = draw(st.one_of(st.integers(-1, 3000), _SIZES))
     argv = ["spectrum", "--closed-form", "--n", str(n),
             "--family", draw(st.sampled_from(["path", "cycle", "roach"])),
             "--kind", draw(st.sampled_from([k.value for k in sl.MatrixKind] + ["x"]))]
@@ -355,6 +416,7 @@ def _closed_form_argv(draw) -> list[str]:
 @given(_closed_form_argv())
 @example(["sweep", "--family", "roach", "--n-range", f"{BIG}:{BIG}", "--k-range", "2:2"])
 @example(["mcut", "--method", "formula", "--family", "roach", "--n", "1", "--k", str(10 ** 20)])
+@example(["spectrum", "--closed-form", "--family", "cycle", "--n", str(10 ** 21)])
 def test_closed_form_commands_keep_the_exit_contract(argv):
     code, out, err = invoke(argv)
     assert code in (0, 2, 64, 65, 70)

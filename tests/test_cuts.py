@@ -245,6 +245,18 @@ def test_sweep_empty_and_csv():
     assert lines[1].startswith("6,4,") and lines[1].endswith("4,33,0.121212121212121")
 
 
+def test_sweep_refused_before_any_row(monkeypatch):
+    def refuse(spec):
+        raise AssertionError(f"computed a row for {spec.label()}")
+    monkeypatch.setattr(sl.cuts, "min_ncut_formula", refuse)
+    with pytest.raises(sl.SizeError):
+        sl.formula_sweep("roach", range(1, sl.cuts.MAX_SWEEP_ROWS + 1), range(2, 4))
+    with pytest.raises(sl.SizeError):  # longer than sys.maxsize, so len() overflows
+        sl.formula_sweep("roach", range(1, 10 ** 30), [2])
+    with pytest.raises(AssertionError):
+        sl.formula_sweep("roach", range(1, sl.cuts.MAX_SWEEP_ROWS + 1), [2])
+
+
 def test_sweep_rejects_other_families():
     with pytest.raises(DomainError):
         sl.formula_sweep("path", range(2, 4), range(2, 4))

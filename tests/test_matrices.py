@@ -162,6 +162,24 @@ def test_path_eigenvectors_are_built_on_first_read():
     assert sl.closed_form_spectrum(FamilySpec.cycle(5), MatrixKind.NORMALIZED).eigenvectors is None
 
 
+def test_dense_matrices_capped_before_allocating(monkeypatch):
+    big = sl.matrices.MAX_DENSE_ORDER + 1
+    g = sl.generate(FamilySpec.path(big))
+    cf = sl.closed_form_spectrum(FamilySpec.path(big), MatrixKind.NORMALIZED)
+    monkeypatch.setattr(sl.matrices, "np", None)  # any array work would raise
+    with pytest.raises(sl.SizeError):
+        sl.build_matrix(g, MatrixKind.ADJACENCY)
+    with pytest.raises(sl.SizeError):
+        cf.eigenvectors
+
+
+def test_closed_form_spectra_capped_at_generation_budget():
+    with pytest.raises(sl.SizeError):
+        sl.closed_form_spectrum(FamilySpec.cycle(sl.graph.MAX_ORDER + 1), MatrixKind.ADJACENCY)
+    assert sl.closed_form_spectrum(FamilySpec.cycle(sl.graph.MAX_ORDER),
+                                   MatrixKind.ADJACENCY).eigenvalues.shape == (sl.graph.MAX_ORDER,)
+
+
 def test_closed_form_domain_errors():
     with pytest.raises(DomainError):
         sl.closed_form_spectrum(FamilySpec.complete(4), MatrixKind.ADJACENCY)
