@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cuts import ladder_split_wins, min_ncut_brute, min_ncut_formula
+from .cuts import _nearest_split, ladder_split_wins, min_ncut_brute, min_ncut_formula
 from .errors import ConnectivityError, DomainError, MultiplicityError, NumericError
 from .graph import (EXHAUSTIVE_CAP, SUBSET_CAPACITY, FamilySpec, Graph,
                     VertexSubset, generate, is_automorphism, is_connected,
@@ -36,7 +36,6 @@ class BisectionReport:
     """Sign-pattern cut of the second eigenvector, with exact cut value."""
 
     lambda2: float
-    simple: bool
     gap: float
     positive_side: VertexSubset
     value: Fraction
@@ -55,13 +54,13 @@ def _canonical_fiedler(spectrum: Spectrum) -> np.ndarray:
     return u
 
 
-def spectral_cut(g: Graph, automorphism=None) -> BisectionReport:
+def spectral_cut(g: Graph) -> BisectionReport:
     """Bipartition of g by the sign pattern of the second eigenvector.
 
-    ``automorphism`` feeds the parity classification; it defaults to the
-    generator-supplied mirror when the graph carries one. When zero entries
-    exist, the opposite-orientation cut value is also reported, since the
-    sign convention silently decides which side absorbs them.
+    The parity is classified under the generator-supplied mirror when the
+    graph carries one. When zero entries exist, the opposite-orientation cut
+    value is also reported, since the sign convention silently decides which
+    side absorbs them.
     """
     if not is_connected(g):
         raise ConnectivityError("spectral cut needs a connected graph")
@@ -74,18 +73,15 @@ def spectral_cut(g: Graph, automorphism=None) -> BisectionReport:
         raise MultiplicityError(
             f"second eigenvalue is not simple (gap {gap:.3e}); spectral cut undefined")
     u = _canonical_fiedler(spectrum)
-    zero = np.abs(u) <= ZERO_TOL
-    zeros = int(zero.sum())
-    pos = (u > ZERO_TOL) | zero
-    side = vertex_subset(g, [int(i) for i in np.flatnonzero(pos)])
+    zeros = int(np.count_nonzero(np.abs(u) <= ZERO_TOL))
+    side = vertex_subset(g, [int(i) for i in np.flatnonzero(u >= -ZERO_TOL)])
     value = normalized_cut(g, side)
     alt = None
     if zeros:
-        other = vertex_subset(g, [int(i) for i in np.flatnonzero(~pos | zero)])
+        other = vertex_subset(g, [int(i) for i in np.flatnonzero(u <= ZERO_TOL)])
         alt = normalized_cut(g, other)
-    perm = automorphism if automorphism is not None else g.mirror
-    parity = NO_AUTOMORPHISM if perm is None else classify_parity(g, perm, u)
-    return BisectionReport(spectrum.lambda2, True, gap, side, value, parity, alt, zeros)
+    parity = NO_AUTOMORPHISM if g.mirror is None else classify_parity(g, g.mirror, u)
+    return BisectionReport(spectrum.lambda2, gap, side, value, parity, alt, zeros)
 
 
 def classify_parity(g: Graph, perm, u) -> str:
@@ -123,8 +119,8 @@ def even_odd_blocks(n: int, k: int) -> tuple[SymmetricMatrix, SymmetricMatrix]:
     for v, w in wp.loops:
         odd_values[v, v] = 1.0 + w / wp.degrees[v]
     label = FamilySpec.roach(n, k).label()
-    even = SymmetricMatrix(even.kind, f"even_sector({label})", even.values)
-    odd = SymmetricMatrix(MatrixKind.NORMALIZED, f"odd_sector({label})", odd_values)
+    even = SymmetricMatrix(f"even_sector({label})", even.values)
+    odd = SymmetricMatrix(f"odd_sector({label})", odd_values)
     return even, odd
 
 
@@ -195,8 +191,8 @@ def counterexample_check(k: int) -> CounterexampleReport:
     spec = FamilySpec.roach(2 * k, k)
     g = generate(spec)
     report = spectral_cut(g)
-    s = 3 * k
-    top_row_cut = set(report.positive_side.vertices()) in (set(range(s)), set(range(s, 2 * s)))
+    row = (1 << 3 * k) - 1  # the mask of one row: vertices 0..3k-1
+    top_row_cut = report.positive_side.mask in (row, row << 3 * k)
     mcut = min_ncut_brute(g) if 6 * k <= EXHAUSTIVE_CAP else min_ncut_formula(spec)
     return CounterexampleReport(
         k=k,
@@ -223,12 +219,9 @@ def in_disagreement_region(n: int, k: int) -> bool:
     """Membership in the parameter region where the two cuts must differ."""
     if n < 1 or k < 2:
         raise DomainError("region needs n >= 1 and k >= 2")
-    if k == 2:
-        return n >= 2
-    if k == 3:
-        return n >= 3
-    # K1 <= n: the balanced ladder split no longer beats the antenna cut
-    return k % 2 == 0 and n % 3 == 0 and k >= 4 and not ladder_split_wins(n, k, 0)
+    # members: the minimum is the antenna cut (c2), and k < 4 or 3|n & 2|k (d = 0)
+    d = _nearest_split(3 * k - 2 * n, 6)[0]
+    return (k < 4 or d == 0) and not ladder_split_wins(n, k, d)
 
 
 def disagreement_region_check(n: int, k: int) -> RegionReport:

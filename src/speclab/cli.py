@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import bisection, charpoly, cuts, graph, matrices
-from .errors import (DomainError, NumericError, SchemaError, SpecLabError)
+from .errors import DomainError, NumericError, SchemaError, SizeError, SpecLabError
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -62,16 +62,17 @@ def _load_input(args, build: bool = True) -> tuple[graph.Graph | None,
                                                   graph.FamilySpec | None]:
     """The input graph and its family spec; a family graph is generated only
     when ``build`` is set, so closed forms never build one."""
-    has_file = getattr(args, "graph", None) is not None
-    has_family = getattr(args, "family", None) is not None
-    if has_file == has_family:
+    if (args.graph is None) == (args.family is None):
         raise _UsageError("give exactly one input: --graph PATH or --family NAME")
-    if has_file:
+    if args.graph is not None:
+        limit = 64 * graph.MAX_EDGES  # characters, 64 per edge of the budget
         try:
             with open(args.graph, "r", encoding="utf-8") as fh:
-                text = fh.read()
+                text = fh.read(limit + 1)
         except (OSError, UnicodeDecodeError) as exc:
             raise SchemaError(f"cannot read graph file: {exc}") from exc
+        if len(text) > limit:
+            raise SizeError(f"graph file is longer than {limit} characters")
         return graph.from_json(text), None
     spec = _family_spec(args)
     return (graph.generate(spec) if build else None), spec
@@ -114,7 +115,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen", help="generate a family instance")
     _add_input_flags(p, family_only=True)
-    p.add_argument("--out")
     p.add_argument("--format", choices=["json", "dot"], default="json")
 
     p = sub.add_parser("spectrum", help="eigenvalues of a graph matrix")
@@ -122,21 +122,17 @@ def build_parser() -> _Parser:
     p.add_argument("--kind", default="normalized")
     p.add_argument("--closed-form", action="store_true")
     p.add_argument("--vectors", action="store_true")
-    p.add_argument("--out")
 
     p = sub.add_parser("mcut", help="exact minimum normalized cut")
     _add_input_flags(p)
     p.add_argument("--method", choices=["brute", "formula", "pruned"], default="brute")
     p.add_argument("--seed", help="comma-separated 1-based vertices for --method pruned")
-    p.add_argument("--out")
 
     p = sub.add_parser("lcut", help="spectral bisection cut")
     _add_input_flags(p)
-    p.add_argument("--out")
 
     p = sub.add_parser("compare", help="minimum cut vs spectral cut")
     _add_input_flags(p)
-    p.add_argument("--out")
 
     p = sub.add_parser("charpoly", help="characteristic polynomial evaluation")
     p.add_argument("--which", choices=["pnk", "qnk", "product"], required=True)
@@ -144,35 +140,29 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--lam", type=float)
     p.add_argument("--roots", action="store_true")
-    p.add_argument("--out")
 
     p = sub.add_parser("sweep", help="closed-form minima over a parameter grid")
     p.add_argument("--family", required=True)
     p.add_argument("--n-range", required=True)
     p.add_argument("--k-range", required=True)
     p.add_argument("--format", choices=["csv", "gnuplot"], default="csv")
-    p.add_argument("--out")
 
     p = sub.add_parser("bounds", help="expansion constants and eigenvalue bounds")
     _add_input_flags(p)
-    p.add_argument("--out")
 
     p = sub.add_parser("counterexample", help="ladder counterexample verdicts")
     p.add_argument("--k-range", required=True)
-    p.add_argument("--out")
+    for p in sub.choices.values():  # every command can also write its document to a file
+        p.add_argument("--out")
     return parser
 
 
-def _cmd_gen(args, stdout):
-    spec = _family_spec(args)
-    g = graph.generate(spec)
-    if args.format == "dot":
-        _emit(graph.to_dot(g), args.out, stdout)
-    else:
-        _emit(graph.to_json_dict(g), args.out, stdout)
+def _cmd_gen(args):
+    g = graph.generate(_family_spec(args))
+    return graph.to_dot(g) if args.format == "dot" else graph.to_json_dict(g)
 
 
-def _cmd_spectrum(args, stdout):
+def _cmd_spectrum(args):
     kind = matrices.MatrixKind.parse(args.kind)
     g, spec = _load_input(args, build=not args.closed_form)
     if args.closed_form:
@@ -188,17 +178,10 @@ def _cmd_spectrum(args, stdout):
     if args.vectors and sp.eigenvectors is not None:
         doc["vectors"] = [[_fmt(x) for x in sp.eigenvectors[:, j]]
                           for j in range(sp.eigenvalues.shape[0])]
-    _emit(doc, args.out, stdout)
+    return doc
 
 
-def _cut_report_doc(report: cuts.CutReport) -> dict:
-    return {"value": _rat(report.value), "cut_weight": report.cut_weight,
-            "method": report.method, "branch": report.branch,
-            "witness": _vertices_1based(report.witness),
-            "family": report.family.label() if report.family else None}
-
-
-def _cmd_mcut(args, stdout):
+def _cmd_mcut(args):
     g, spec = _load_input(args, build=args.method != "formula")
     if args.method == "formula":
         if spec is None:
@@ -214,13 +197,19 @@ def _cmd_mcut(args, stdout):
         report = cuts.min_ncut_pruned(g, graph.vertex_subset(g, verts))
     else:
         report = cuts.min_ncut_brute(g)
-    _emit(_cut_report_doc(report), args.out, stdout)
+    return {"value": _rat(report.value), "cut_weight": report.cut_weight,
+            "method": report.method, "branch": report.branch,
+            "witness": _vertices_1based(report.witness),
+            "family": report.family.label() if report.family else None}
 
 
-def _bisect_doc(report: bisection.BisectionReport) -> dict:
+def _cmd_lcut(args):
+    g, _spec = _load_input(args)
+    report = bisection.spectral_cut(g)
     # a 2-vertex graph has no third eigenvalue, hence no finite gap
     gap = _fmt(report.gap) if math.isfinite(report.gap) else None
-    doc = {"lambda2": _fmt(report.lambda2), "simple": report.simple,
+    # a spectral cut exists only when lambda2 is simple
+    doc = {"lambda2": _fmt(report.lambda2), "simple": True,
            "gap": gap, "parity": report.parity,
            "lcut": _rat(report.value),
            "positive_side": _vertices_1based(report.positive_side),
@@ -230,24 +219,18 @@ def _bisect_doc(report: bisection.BisectionReport) -> dict:
     return doc
 
 
-def _cmd_lcut(args, stdout):
-    g, _spec = _load_input(args)
-    _emit(_bisect_doc(bisection.spectral_cut(g)), args.out, stdout)
-
-
-def _cmd_compare(args, stdout):
+def _cmd_compare(args):
     g, spec = _load_input(args)
     mcut = cuts.closed_form(spec) or cuts.min_ncut_brute(g)
     lcut = bisection.spectral_cut(g)
-    doc = {"mcut": _rat(mcut.value), "lcut": _rat(lcut.value),
-           "lambda2": _fmt(lcut.lambda2),
-           "equal": mcut.value == lcut.value,
-           "mcut_witness": _vertices_1based(mcut.witness),
-           "lcut_positive_side": _vertices_1based(lcut.positive_side)}
-    _emit(doc, args.out, stdout)
+    return {"mcut": _rat(mcut.value), "lcut": _rat(lcut.value),
+            "lambda2": _fmt(lcut.lambda2),
+            "equal": mcut.value == lcut.value,
+            "mcut_witness": _vertices_1based(mcut.witness),
+            "lcut_positive_side": _vertices_1based(lcut.positive_side)}
 
 
-def _cmd_charpoly(args, stdout):
+def _cmd_charpoly(args):
     n, k = args.n, args.k
     if args.roots == (args.lam is not None):
         raise _UsageError("give exactly one of --lam X or --roots")
@@ -271,18 +254,18 @@ def _cmd_charpoly(args, stdout):
             raise NumericError(f"eigensolver failed to converge: {exc}") from exc
         doc.update({"interval": [0, 2], "roots": [_fmt(x) for x in np.clip(roots, 0.0, 2.0)],
                     "count": len(roots)})
-    _emit(doc, args.out, stdout)
+    return doc
 
 
-def _cmd_sweep(args, stdout):
+def _cmd_sweep(args):
     fam = args.family.replace("-", "_")
     n_range, k_range = _parse_range(args.n_range), _parse_range(args.k_range)
     rows = cuts.formula_sweep(fam, n_range, k_range)
     dump = cuts.sweep_to_gnuplot if args.format == "gnuplot" else cuts.sweep_to_csv
-    _emit(dump(rows), args.out, stdout)
+    return dump(rows)
 
 
-def _cmd_bounds(args, stdout):
+def _cmd_bounds(args):
     g, spec = _load_input(args)
     mcut = cuts.closed_form(spec)
     iso, h, gv, brute = cuts.expansion_constants(g, with_ncut=mcut is None)
@@ -291,7 +274,7 @@ def _cmd_bounds(args, stdout):
     lam2_diff = matrices.eig_sym(matrices.build_matrix(g, matrices.MatrixKind.DIFFERENCE)).lambda2
     max_deg = max(g.degrees)
     iso_upper_sq = (2 * max_deg - lam2_diff) * lam2_diff
-    doc = {
+    return {
         "mcut": _rat(mcut.value),
         "lambda2_normalized": _fmt(lam2_norm),
         "lambda2_difference": _fmt(lam2_diff),
@@ -308,20 +291,19 @@ def _cmd_bounds(args, stdout):
             "cheeger_upper": lam2_norm <= 2 * float(h) + 1e-9,
         },
     }
-    _emit(doc, args.out, stdout)
 
 
-def _cmd_counterexample(args, stdout):
+def _cmd_counterexample(args):
     krange = _parse_range(args.k_range)
     reports = [bisection.counterexample_check(k) for k in krange]
-    doc = {"results": [{
+    return {"results": [{
         "k": r.k, "mcut": _rat(r.mcut), "mcut_method": r.mcut_method,
         "lcut": _rat(r.lcut), "lambda2": _fmt(r.lambda2), "parity": r.parity,
         "top_row_cut": r.top_row_cut, "strictly_less": r.strictly_less,
     } for r in reports]}
-    _emit(doc, args.out, stdout)
 
 
+# Each command returns its JSON document, or its text (gen --format dot, sweep).
 _COMMANDS = {
     "gen": _cmd_gen,
     "spectrum": _cmd_spectrum,
@@ -349,7 +331,8 @@ def run(argv, stdout=None, stderr=None) -> int:
     _PARSER = _PARSER or build_parser()
     try:
         args = _PARSER.parse_args(argv)
-        _COMMANDS[args.command](args, stdout if stdout is not None else sys.stdout)
+        _emit(_COMMANDS[args.command](args), args.out,
+              stdout if stdout is not None else sys.stdout)
     except SystemExit as exc:  # --help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     except (_UsageError, SpecLabError) as exc:

@@ -28,10 +28,6 @@ class MultiplicityError(DomainError):
 class NumericError(SpecLabError):
     """A numeric routine failed to reach its accuracy target."""
 
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class SchemaError(SpecLabError):
     """A serialized graph does not conform to the JSON schema."""

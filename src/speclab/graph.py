@@ -17,8 +17,9 @@ from .errors import DomainError, SchemaError, SizeError, UnsupportedError
 
 SUBSET_CAPACITY = 64
 EXHAUSTIVE_CAP = 24
-MAX_ORDER = 1 << 17   # generate() builds at most this many vertices
+MAX_ORDER = 1 << 17   # generate() and graph files build at most this many vertices
 MAX_EDGES = 1 << 19   # and this many edges
+MAX_WEIGHT = 1 << 53  # larger integers are not all exact in float64
 
 
 @dataclass(frozen=True)
@@ -52,8 +53,7 @@ class Graph:
                 raise DomainError(f"edge ({u},{v}) is a loop; use the loops field")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise DomainError(f"edge ({u},{v}) out of range for n={self.n}")
-            if not (isinstance(w, int) and w > 0):
-                raise DomainError(f"edge weight {w!r} is not a positive integer")
+            _check_weight("edge", w)
             if u > v:
                 u, v = v, u
             if (u, v) in seen:
@@ -62,12 +62,10 @@ class Graph:
             norm.append((u, v, w))
         loops = []
         seen_loops = set()
-        for entry in self.loops:
-            v, w = entry
+        for v, w in self.loops:
             if not (0 <= v < self.n):
                 raise DomainError(f"loop vertex {v} out of range for n={self.n}")
-            if not (isinstance(w, int) and w > 0):
-                raise DomainError(f"loop weight {w!r} is not a positive integer")
+            _check_weight("loop", w)
             if v in seen_loops:
                 raise DomainError(f"duplicate loop on vertex {v}")
             seen_loops.add(v)
@@ -97,6 +95,21 @@ class Graph:
         for v, w in self.loops:
             rows[v][v] = w
         return rows
+
+
+def _check_weight(what: str, w) -> None:
+    if not (isinstance(w, int) and w > 0):
+        raise DomainError(f"{what} weight {w!r} is not a positive integer")
+    if w > MAX_WEIGHT:
+        raise DomainError(f"{what} weight {w} is above MAX_WEIGHT = 2**53")
+
+
+def _check_budget(label: str, order: int, edges: int) -> None:
+    """SizeError above MAX_ORDER vertices or MAX_EDGES edges; generate() and
+    from_json_dict() call it before they build anything."""
+    if order > MAX_ORDER or edges > MAX_EDGES:
+        raise SizeError(f"{label} is above the generation budget of "
+                        f"{MAX_ORDER} vertices and {MAX_EDGES} edges")
 
 
 @dataclass(frozen=True)
@@ -272,12 +285,11 @@ def generate(spec: FamilySpec) -> Graph:
     anything is built.
     """
     spec.validate()
-    # A tree's order is 2**depth: compare the depth before building that integer.
-    if ((spec.depth or 0) > MAX_ORDER.bit_length() or spec.order() > MAX_ORDER
-            or spec.edge_count() > MAX_EDGES):
-        raise SizeError(f"{spec.label()} is above the generation budget of "
-                        f"{MAX_ORDER} vertices and {MAX_EDGES} edges")
     f, name = spec.family, spec.label()
+    # A tree's order is 2**depth: compare the depth before building that integer.
+    if (spec.depth or 0) > MAX_ORDER.bit_length():
+        _check_budget(name, MAX_ORDER + 1, 0)
+    _check_budget(name, spec.order(), spec.edge_count())
     if f == PATH:
         n = spec.n
         return Graph(n, tuple((i, i + 1, 1) for i in range(n - 1)), name=name,
@@ -383,6 +395,20 @@ def to_json_dict(g: Graph) -> dict:
     }
 
 
+def _parse_entries(items: list, n: int, what: str, shape: str) -> tuple[tuple[int, ...], ...]:
+    """1-based integer entries of ``shape`` (vertices, then a weight) as 0-based tuples."""
+    arity = shape.count(",") + 1
+    entries = []
+    for item in items:
+        if (not isinstance(item, list) or len(item) != arity
+                or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)):
+            raise SchemaError(f"{what} entry {item!r} is not {shape}")
+        if not all(1 <= x <= n for x in item[:-1]):
+            raise SchemaError(f"{what} {item!r} references a vertex outside 1..{n}")
+        entries.append((*(x - 1 for x in item[:-1]), item[-1]))
+    return tuple(entries)
+
+
 def from_json_dict(data) -> Graph:
     if not isinstance(data, dict):
         raise SchemaError("graph document must be a JSON object")
@@ -394,28 +420,14 @@ def from_json_dict(data) -> Graph:
         raise SchemaError("name must be a string")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise SchemaError("n must be a positive integer")
-    edges = []
     if not isinstance(data["edges"], list) or not isinstance(data["loops"], list):
         raise SchemaError("edges and loops must be arrays")
-    for item in data["edges"]:
-        if (not isinstance(item, list) or len(item) != 3
-                or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)):
-            raise SchemaError(f"edge entry {item!r} is not [u, v, w]")
-        u, v, w = item
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise SchemaError(f"edge {item!r} references a vertex outside 1..{n}")
-        edges.append((u - 1, v - 1, w))
-    loops = []
-    for item in data["loops"]:
-        if (not isinstance(item, list) or len(item) != 2
-                or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)):
-            raise SchemaError(f"loop entry {item!r} is not [v, w]")
-        v, w = item
-        if not 1 <= v <= n:
-            raise SchemaError(f"loop {item!r} references a vertex outside 1..{n}")
-        loops.append((v - 1, w))
+    m = len(data["edges"])
+    _check_budget(f"graph document with {n} vertices and {m} edges", n, m)
+    edges = _parse_entries(data["edges"], n, "edge", "[u, v, w]")
+    loops = _parse_entries(data["loops"], n, "loop", "[v, w]")
     try:
-        return Graph(n, tuple(edges), tuple(loops), name=name)
+        return Graph(n, edges, loops, name=name)
     except DomainError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -427,7 +439,7 @@ def to_json(g: Graph) -> str:
 def from_json(text: str) -> Graph:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too deep, or an int past the digit limit
         raise SchemaError(f"invalid JSON: {exc}") from exc
     return from_json_dict(data)
 

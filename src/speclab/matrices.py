@@ -45,7 +45,6 @@ class MatrixKind(enum.Enum):
 class SymmetricMatrix:
     """Dense real symmetric matrix tied to its source graph."""
 
-    kind: MatrixKind
     source: str
     values: np.ndarray = field(repr=False)
 
@@ -87,18 +86,17 @@ def build_matrix(g: Graph, kind: MatrixKind) -> SymmetricMatrix:
                 f"vertex {bad + 1} has degree 0; normalized Laplacian undefined")
         scale = 1.0 / np.sqrt(deg)
         m = -w * np.outer(scale, scale)
-        np.fill_diagonal(m, [1.0 - w[i, i] / deg[i] for i in range(n)])
+        np.fill_diagonal(m, 1.0 - np.diag(w) / deg)
     else:
         raise DomainError(f"unknown matrix kind {kind!r}")
     m = np.triu(m) + np.triu(m, 1).T  # mirror the upper triangle exactly
-    return SymmetricMatrix(kind, g.name, m)
+    return SymmetricMatrix(g.name, m)
 
 
 @dataclass(frozen=True)
 class Spectrum:
     """Full eigendecomposition with ascending eigenvalues and residual bound."""
 
-    kind: MatrixKind
     source: str
     eigenvalues: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray = field(repr=False)
@@ -134,12 +132,11 @@ def eig_sym(m: SymmetricMatrix) -> Spectrum:
         if m.order else 0.0
     scale = max(1.0, float(np.max(np.abs(m.values)))) * max(1, m.order)
     if residual > RESIDUAL_TOL * scale:
-        raise NumericError("eigendecomposition residual above tolerance",
-                           residual=residual)
+        raise NumericError("eigendecomposition residual above tolerance")
     ortho = float(np.max(np.abs(vecs.T @ vecs - np.eye(m.order))))
     if ortho > ORTHO_TOL:
-        raise NumericError("eigenvectors are not orthonormal", residual=ortho)
-    return Spectrum(m.kind, m.source, vals, vecs, residual)
+        raise NumericError("eigenvectors are not orthonormal")
+    return Spectrum(m.source, vals, vecs, residual)
 
 
 # ---------------------------------------------------------------------------

@@ -308,8 +308,8 @@ def test_region_membership():
 
 def test_region_is_the_antenna_cut_branches():
     region = {"c2:k=2&n>=2", "c2:k=3&n>=3", "c2:3|n&2|k&K1<=n"}
-    for n in range(1, 60):
-        for k in range(2, 60):
+    for n in range(1, 200):
+        for k in range(2, 200):
             branch = sl.min_ncut_formula(FamilySpec.roach(n, k)).branch
             assert sl.in_disagreement_region(n, k) == (branch in region), (n, k)
 

@@ -304,6 +304,41 @@ def test_schema_error_exits_65(tmp_path):
     assert code == 65
 
 
+def _graph_doc(edges, n=3):
+    return json.dumps({"name": "g", "n": n, "edges": edges, "loops": []})
+
+
+# (file contents, exit code, error); None reads /dev/zero, which never ends
+@pytest.mark.parametrize("content, code, error", [
+    pytest.param("[" * 20000 + "]" * 20000, 65, "SchemaError", id="nested_20000"),
+    pytest.param('{"name": "g", "n": 1' + "0" * 4999 + ', "edges": [], "loops": []}',
+                 65, "SchemaError", id="n_5000_digits"),
+    pytest.param(_graph_doc([], n=10 ** 13), 2, "SizeError", id="n_10e13"),
+    pytest.param(None, 2, "SizeError", id="dev_zero", marks=pytest.mark.skipif(
+        not os.path.exists("/dev/zero"), reason="no /dev/zero")),
+    pytest.param(_graph_doc([[1, 2, 10 ** 400], [2, 3, 1]]), 65, "SchemaError", id="w_10e400"),
+    pytest.param(_graph_doc([[1, 2, 2 ** 60], [2, 3, 1]]), 65, "SchemaError", id="w_2e60"),
+    pytest.param(_graph_doc([[0, 1, 1]]), 65, "SchemaError", id="zero_based"),
+    pytest.param(_graph_doc([[1, 2]]), 65, "SchemaError", id="short_edge"),
+    pytest.param(_graph_doc([[1, 2, 1], [2, 1, 1]]), 65, "SchemaError", id="duplicate"),
+    pytest.param('{"name": "g", "n": 3, "edges": [[1, 2, 1]], "loops": [[1, 1.5]]}',
+                 65, "SchemaError", id="float_loop_weight"),
+    pytest.param('{"name": "g", "n": 3, "edges": []}', 65, "SchemaError", id="no_loops"),
+    pytest.param('{"name": ', 65, "SchemaError", id="truncated"),
+    pytest.param(b'\xff\xfe{\x00}\x00', 65, "SchemaError", id="utf16"),
+])
+@pytest.mark.parametrize("command", ["spectrum", "mcut", "lcut", "compare", "bounds"])
+def test_graph_documents_keep_the_exit_contract(tmp_path, command, content, code, error):
+    path = tmp_path / "g.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
+    got, out, err = invoke([command, "--graph", "/dev/zero" if content is None else str(path)])
+    assert (got, out) == (code, "")
+    assert _one_json_line(err)["error"] == error
+
+
 def test_size_error_exits_2():
     code, _, err = invoke(["mcut", "--family", "path", "--n", "30"])
     assert code == 2 and json.loads(err)["error"] == "SizeError"
@@ -423,6 +458,28 @@ def test_closed_form_commands_keep_the_exit_contract(argv):
     if err:
         _one_json_line(err)
     assert invoke(argv)[1] == out
+
+
+_OUT_ARGVS = [
+    ["gen", "--family", "roach", "--n", "2", "--k", "3", "--format", "dot"],
+    ["spectrum", "--family", "path", "--n", "5", "--vectors"],
+    ["mcut", "--family", "path", "--n", "6"],
+    ["lcut", "--family", "roach", "--n", "6", "--k", "3"],
+    ["compare", "--family", "roach", "--n", "4", "--k", "3"],
+    ["charpoly", "--which", "qnk", "--n", "3", "--k", "3", "--roots"],
+    ["sweep", "--family", "roach", "--n-range", "1:3", "--k-range", "2:4"],
+    ["bounds", "--family", "lollipop", "--n", "4", "--m", "2"],
+    ["counterexample", "--k-range", "3:4"],
+]
+
+
+@pytest.mark.parametrize("argv", _OUT_ARGVS, ids=[a[0] for a in _OUT_ARGVS])
+def test_out_file_equals_stdout(tmp_path, argv):
+    assert sorted(a[0] for a in _OUT_ARGVS) == sorted(cli._COMMANDS)
+    path = tmp_path / "doc.out"
+    code, out, err = invoke([*argv, "--out", str(path)])
+    assert (code, err) == (0, "") and out.endswith("\n")
+    assert path.read_text(encoding="utf-8") == out == invoke(argv)[1]
 
 
 def test_multiplicity_error_exits_2():

@@ -44,6 +44,13 @@ def test_two_tuple_edges_default_to_weight_one():
     assert g.degrees == (1, 2, 1)
 
 
+def test_weights_stop_at_2_pow_53():
+    Graph(2, ((0, 1, 2 ** 53),), ((1, 2 ** 53),))
+    for edges, loops in ((((0, 1, 2 ** 53 + 1),), ()), (((0, 1, 1),), ((0, 2 ** 53 + 1),))):
+        with pytest.raises(DomainError):
+            Graph(2, edges, loops)
+
+
 def test_loop_counts_once_in_degree():
     g = Graph(2, ((0, 1, 1),), ((1, 5),))
     assert g.degrees == (1, 6)
@@ -368,6 +375,15 @@ def test_schema_violations(mutate):
     mutate(doc)
     with pytest.raises(SchemaError):
         sl.from_json_dict(doc)
+
+
+def test_graph_documents_share_the_generation_budget():
+    doc = {"name": "g", "n": sl.graph.MAX_ORDER, "edges": [], "loops": []}
+    assert sl.from_json_dict(doc).n == sl.graph.MAX_ORDER
+    for over in ({"n": sl.graph.MAX_ORDER + 1},
+                 {"edges": [[1, 2, 1]] * (sl.graph.MAX_EDGES + 1)}):
+        with pytest.raises(SizeError):
+            sl.from_json_dict({**doc, **over})
 
 
 def test_duplicate_edge_in_document_is_schema_error():

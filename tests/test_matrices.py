@@ -64,7 +64,7 @@ def test_normalized_needs_positive_degrees():
 
 def test_symmetric_matrix_rejects_asymmetry():
     with pytest.raises(DomainError):
-        SymmetricMatrix(MatrixKind.ADJACENCY, "bad", np.array([[0.0, 1.0], [0.0, 0.0]]))
+        SymmetricMatrix("bad", np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +77,7 @@ def test_eig_p2_difference():
 
 
 def test_eig_identity():
-    sp = sl.eig_sym(SymmetricMatrix(MatrixKind.ADJACENCY, "I5", np.eye(5)))
+    sp = sl.eig_sym(SymmetricMatrix("I5", np.eye(5)))
     assert sp.eigenvalues == pytest.approx([1.0] * 5)
 
 
