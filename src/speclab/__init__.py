@@ -17,13 +17,11 @@ from .cuts import (CutReport, SweepRow, cheeger_edge, cheeger_vertex,
                    min_ncut_formula, min_ncut_pruned, sweep_to_csv,
                    sweep_to_gnuplot)
 from .errors import (ConnectivityError, DomainError, MultiplicityError,
-                     NumericError, SchemaError, SizeError, SpecLabError,
-                     UnsupportedError)
-from .graph import (FAMILIES, FamilySpec, Graph, VertexSubset,
-                    cartesian_product, from_json, from_json_dict, generate,
-                    is_automorphism, is_connected, normalized_cut,
-                    subset_from_mask, to_dot, to_json, to_json_dict,
-                    vertex_subset)
+                     NumericError, SchemaError, SizeError, SpecLabError)
+from .graph import (FAMILIES, FamilySpec, Graph, VertexSubset, from_json,
+                    from_json_dict, generate, is_automorphism, is_connected,
+                    normalized_cut, read_json, subset_from_mask, to_dot,
+                    to_json, to_json_dict, vertex_subset)
 from .matrices import (ClosedFormSpectrum, MatrixKind, Spectrum,
                        SymmetricMatrix, build_matrix, circulant_eigenpairs,
                        circulant_matrix, closed_form_spectrum, eig_sym)

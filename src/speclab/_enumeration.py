@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import SizeError
 from .graph import EXHAUSTIVE_CAP, Graph
+from .matrices import MatrixKind, build_matrix
 
 VOLUME_CAP = 1 << 15
 CHUNK_BITS = 16
@@ -49,9 +50,7 @@ def _factors(g: Graph, lo: int) -> dict:
     ya[:, :k] = (np.arange(1 << lo)[:, None] << 1 | 1) >> np.arange(k) & 1
     za[:, k:] = np.arange(len(za))[:, None] >> np.arange(n - k) & 1
     yb, zb = (np.arange(n) < k) - ya, (np.arange(n) >= k) - za  # side B
-    adj = np.zeros((n, n))
-    for u, v, w in g.edges:
-        adj[u, v] = adj[v, u] = w
+    adj = build_matrix(g, MatrixKind.ADJACENCY).values  # loops cancel out of lap and boundary
     lap, deg = np.diag(adj.sum(1)) - adj, np.array(g.degrees, dtype=float)
     h1, l1 = np.ones((len(za), 1)), np.ones((1, len(ya)))
 

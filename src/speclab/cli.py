@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import bisection, charpoly, cuts, graph, matrices
-from .errors import DomainError, NumericError, SchemaError, SizeError, SpecLabError
+from .errors import DomainError, NumericError, SchemaError, SpecLabError
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -65,15 +65,7 @@ def _load_input(args, build: bool = True) -> tuple[graph.Graph | None,
     if (args.graph is None) == (args.family is None):
         raise _UsageError("give exactly one input: --graph PATH or --family NAME")
     if args.graph is not None:
-        limit = 64 * graph.MAX_EDGES  # characters, 64 per edge of the budget
-        try:
-            with open(args.graph, "r", encoding="utf-8") as fh:
-                text = fh.read(limit + 1)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise SchemaError(f"cannot read graph file: {exc}") from exc
-        if len(text) > limit:
-            raise SizeError(f"graph file is longer than {limit} characters")
-        return graph.from_json(text), None
+        return graph.read_json(args.graph), None
     spec = _family_spec(args)
     return (graph.generate(spec) if build else None), spec
 
@@ -81,7 +73,7 @@ def _load_input(args, build: bool = True) -> tuple[graph.Graph | None,
 def _add_input_flags(p: argparse.ArgumentParser, family_only: bool = False):
     if not family_only:
         p.add_argument("--graph", help="path to a graph JSON document")
-    p.add_argument("--family", help="graph family name")
+    p.add_argument("--family", required=family_only, help="graph family name")
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--m", type=int)
@@ -104,8 +96,11 @@ def _emit(doc, out, stdout) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write --out file: {exc}") from exc
     stdout.write(text)
 
 

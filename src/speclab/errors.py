@@ -17,10 +17,6 @@ class ConnectivityError(DomainError):
     """The operation requires a connected graph."""
 
 
-class UnsupportedError(DomainError):
-    """The input shape is valid but not supported by this operation."""
-
-
 class MultiplicityError(DomainError):
     """The second eigenvalue is not simple, so the spectral cut is undefined."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DomainError, SchemaError, SizeError, UnsupportedError
+from .errors import DomainError, SchemaError, SizeError
 
 SUBSET_CAPACITY = 64
 EXHAUSTIVE_CAP = 24
@@ -86,16 +86,6 @@ class Graph:
     def volume(self) -> int:
         return sum(self.degrees)
 
-    def adjacency_rows(self) -> list[dict[int, int]]:
-        """Weighted adjacency as one dict per vertex (loops on the diagonal)."""
-        rows = [dict() for _ in range(self.n)]
-        for u, v, w in self.edges:
-            rows[u][v] = w
-            rows[v][u] = w
-        for v, w in self.loops:
-            rows[v][v] = w
-        return rows
-
 
 def _check_weight(what: str, w) -> None:
     if not (isinstance(w, int) and w > 0):
@@ -123,9 +113,6 @@ class VertexSubset:
 
     def vertices(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.graph.n) if self.mask >> i & 1)
-
-    def size(self) -> int:
-        return self.mask.bit_count()
 
 
 def vertex_subset(g: Graph, vertices: Iterable[int]) -> VertexSubset:
@@ -310,9 +297,12 @@ def generate(spec: FamilySpec) -> Graph:
         edges = half + [(t + u, t + v, w) for u, v, w in half] + [(0, t, 1)]
         mirror = tuple((i + t) % (2 * t) for i in range(2 * t))
         return Graph(2 * t, tuple(edges), name=name, mirror=mirror)
-    if f == CYCLE_CROSS_PATH:
-        return cartesian_product(generate(FamilySpec.cycle(spec.m)),
-                                 generate(FamilySpec.path(spec.n)), name=name)
+    if f == CYCLE_CROSS_PATH:  # vertex (u, v) of C_m x P_n is u * n + v
+        m, n = spec.m, spec.n
+        ring = [(u, u + 1) for u in range(m - 1)] + [(0, m - 1)]
+        edges = [(u * n + v, u * n + v + 1, 1) for u in range(m) for v in range(n - 1)]
+        edges += [(a * n + v, b * n + v, 1) for a, b in ring for v in range(n)]
+        return Graph(m * n, tuple(edges), name=name)
     if f == ROACH:
         n, k = spec.n, spec.k
         s = n + k
@@ -330,28 +320,11 @@ def generate(spec: FamilySpec) -> Graph:
         edges = tuple((i, i + 1, 1) for i in range(s - 1))
         loops = tuple((i, 1) for i in range(n, s))
         return Graph(s, edges, loops, name=name)
-    if f == LOLLIPOP:
-        n, m = spec.n, spec.m
-        edges = [(i, i + 1, 1) for i in range(m - 1)]
-        edges += [(m + i, m + j, 1) for i in range(n) for j in range(i + 1, n)]
-        edges.append((m - 1, m, 1))
-        return Graph(m + n, tuple(edges), name=name)
-    raise DomainError(f"unknown family {f!r}")
-
-
-def cartesian_product(g: Graph, h: Graph, name: str = "") -> Graph:
-    """Cartesian product; vertex (u, v) maps to index u * h.n + v."""
-    if g.loops or h.loops:
-        raise UnsupportedError("cartesian product is defined for loop-free graphs")
-    edges = []
-    for u in range(g.n):
-        for a, b, w in h.edges:
-            edges.append((u * h.n + a, u * h.n + b, w))
-    for a, b, w in g.edges:
-        for v in range(h.n):
-            edges.append((a * h.n + v, b * h.n + v, w))
-    label = name or f"({g.name or 'G'})x({h.name or 'H'})"
-    return Graph(g.n * h.n, tuple(edges), name=label)
+    n, m = spec.n, spec.m  # LOLLIPOP, the last family validate() admits
+    edges = [(i, i + 1, 1) for i in range(m - 1)]
+    edges += [(m + i, m + j, 1) for i in range(n) for j in range(i + 1, n)]
+    edges.append((m - 1, m, 1))
+    return Graph(m + n, tuple(edges), name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +332,13 @@ def cartesian_product(g: Graph, h: Graph, name: str = "") -> Graph:
 # ---------------------------------------------------------------------------
 
 def is_connected(g: Graph) -> bool:
-    rows = g.adjacency_rows()
+    neighbours = [[] for _ in range(g.n)]
+    for u, v, _w in g.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
     seen, stack = {0}, [0]
     while stack:
-        for v in rows[stack.pop()]:
+        for v in neighbours[stack.pop()]:
             if v not in seen:
                 seen.add(v)
                 stack.append(v)
@@ -373,12 +349,9 @@ def is_automorphism(g: Graph, perm: Sequence[int]) -> bool:
     """True iff the permutation commutes with the weighted adjacency matrix."""
     if sorted(perm) != list(range(g.n)):
         raise DomainError("perm is not a bijection on the vertex set")
-    rows = g.adjacency_rows()
-    for u in range(g.n):
-        mapped = {perm[v]: w for v, w in rows[u].items()}
-        if mapped != rows[perm[u]]:
-            return False
-    return True
+    edges = {(*sorted((perm[u], perm[v])), w) for u, v, w in g.edges}
+    return (edges == set(g.edges)
+            and {(perm[v], w) for v, w in g.loops} == set(g.loops))
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +415,20 @@ def from_json(text: str) -> Graph:
     except (ValueError, RecursionError) as exc:  # also too deep, or an int past the digit limit
         raise SchemaError(f"invalid JSON: {exc}") from exc
     return from_json_dict(data)
+
+
+def read_json(path) -> Graph:
+    """The graph document in a file, read to at most 64 characters per edge of
+    the budget; SizeError past that, SchemaError when the file cannot be read."""
+    limit = 64 * MAX_EDGES
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read(limit + 1)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"cannot read graph file: {exc}") from exc
+    if len(text) > limit:
+        raise SizeError(f"graph file is longer than {limit} characters")
+    return from_json(text)
 
 
 def to_dot(g: Graph) -> str:

@@ -186,6 +186,8 @@ class ClosedFormSpectrum:
 def closed_form_spectrum(spec: FamilySpec, kind: MatrixKind) -> ClosedFormSpectrum:
     """Closed-form eigenvalues (paths and cycles) and path eigenvectors."""
     spec.validate()
+    if spec.family not in (PATH, CYCLE):
+        raise DomainError(f"no closed-form spectrum for family {spec.family!r}")
     n = spec.n
     if n > MAX_ORDER:
         raise SizeError(f"closed-form spectra are capped at n = {MAX_ORDER}, got {spec.label()}")
@@ -193,14 +195,12 @@ def closed_form_spectrum(spec: FamilySpec, kind: MatrixKind) -> ClosedFormSpectr
         if n < 2:
             raise DomainError("closed-form path spectrum needs n >= 2")
         return ClosedFormSpectrum(kind, spec, np.sort(_PATH_FORMS[kind][0](np.arange(n), n)))
-    if spec.family == CYCLE:
-        c = np.cos(2.0 * np.arange(n) * np.pi / n)
-        vals = {MatrixKind.ADJACENCY: 2.0 * c,
-                MatrixKind.DIFFERENCE: 2.0 - 2.0 * c,
-                MatrixKind.NORMALIZED: 1.0 - c,
-                MatrixKind.SIGNLESS: 2.0 + 2.0 * c}[kind]
-        return ClosedFormSpectrum(kind, spec, np.sort(vals))
-    raise DomainError(f"no closed-form spectrum for family {spec.family!r}")
+    c = np.cos(2.0 * np.arange(n) * np.pi / n)
+    vals = {MatrixKind.ADJACENCY: 2.0 * c,
+            MatrixKind.DIFFERENCE: 2.0 - 2.0 * c,
+            MatrixKind.NORMALIZED: 1.0 - c,
+            MatrixKind.SIGNLESS: 2.0 + 2.0 * c}[kind]
+    return ClosedFormSpectrum(kind, spec, np.sort(vals))
 
 
 def circulant_eigenpairs(first_row) -> tuple[np.ndarray, np.ndarray]:

@@ -64,16 +64,24 @@ def slow_edge_connectivity(g: Graph) -> int:
     return min(cut for _m, _size, _vol, cut in slow_sides(g))
 
 
+def neighbour_sets(g: Graph) -> list[set[int]]:
+    """Each vertex's neighbours along the edges (a loop is not a neighbour)."""
+    neighbours = [set() for _ in range(g.n)]
+    for u, v, _w in g.edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    return neighbours
+
+
 def slow_cheeger_vertex(g: Graph) -> Fraction:
     """Reference vertex expansion over all nonempty proper subsets."""
-    rows = g.adjacency_rows()
+    neighbours = neighbour_sets(g)
     s = g.volume
     best = None
     for mask in range(1, 2 ** g.n - 1):
         inside = [i for i in range(g.n) if mask >> i & 1]
         vol_s = sum(g.degrees[i] for i in inside)
-        boundary = {v for u in inside for v in rows[u]
-                    if v != u and not mask >> v & 1}
+        boundary = {v for u in inside for v in neighbours[u] if not mask >> v & 1}
         value = Fraction(sum(g.degrees[v] for v in boundary), min(vol_s, s - vol_s))
         if best is None or value < best:
             best = value

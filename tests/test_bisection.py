@@ -45,7 +45,7 @@ def test_p3_zero_entry_grouped_with_positive_side():
     # second eigenvector of the 3-path is (+, 0, -) up to sign
     report = sl.spectral_cut(sl.generate(FamilySpec.path(3)))
     assert report.zero_count == 1
-    assert report.positive_side.size() == 2
+    assert report.positive_side.mask.bit_count() == 2
     assert report.value == Fraction(4, 3)
     assert report.alt_value == Fraction(4, 3)  # symmetric here
 

@@ -1,5 +1,6 @@
 """Command-line interface: documents, exit codes, determinism, round trips."""
 
+import argparse
 import io
 import json
 import os
@@ -441,8 +442,9 @@ def _closed_form_argv(draw) -> list[str]:
                 "--n", str(draw(_SIZES)), "--k", str(draw(_SIZES))]
         return argv + (["--roots"] if draw(st.booleans()) else ["--lam", repr(draw(st.floats()))])
     n = draw(st.one_of(st.integers(-1, 3000), _SIZES))
-    argv = ["spectrum", "--closed-form", "--n", str(n),
-            "--family", draw(st.sampled_from(["path", "cycle", "roach"])),
+    family = draw(st.sampled_from(["path", "cycle", "roach", "tree", "double-tree"]))
+    argv = ["spectrum", "--closed-form", "--family", family,
+            *(["--depth", str(draw(_SIZES))] if "tree" in family else ["--n", str(n)]),
             "--kind", draw(st.sampled_from([k.value for k in sl.MatrixKind] + ["x"]))]
     return argv + (["--vectors"] if n <= 200 and draw(st.booleans()) else [])
 
@@ -452,12 +454,80 @@ def _closed_form_argv(draw) -> list[str]:
 @example(["sweep", "--family", "roach", "--n-range", f"{BIG}:{BIG}", "--k-range", "2:2"])
 @example(["mcut", "--method", "formula", "--family", "roach", "--n", "1", "--k", str(10 ** 20)])
 @example(["spectrum", "--closed-form", "--family", "cycle", "--n", str(10 ** 21)])
+@example(["spectrum", "--closed-form", "--family", "double-tree", "--depth", "3"])
 def test_closed_form_commands_keep_the_exit_contract(argv):
     code, out, err = invoke(argv)
     assert code in (0, 2, 64, 65, 70)
     if err:
         _one_json_line(err)
     assert invoke(argv)[1] == out
+
+
+# command -> [(flag, takes a value)], read from the parser so that no flag is missed
+_FLAGS = {name: [(a.option_strings[-1], a.nargs != 0) for a in p._actions
+                 if a.option_strings and a.dest != "help"]
+          for name, p in next(a for a in cli.build_parser()._actions
+                              if isinstance(a, argparse._SubParsersAction)).choices.items()}
+# values any flag may get: out of range, huge, not numbers, not finite
+_HOSTILE = ["-5", "0", "1", "2", "3", "6", "12", str(10 ** 20), "x", "1.5", "", "nan", "-inf"]
+_RANGES = ["1:12", "3:5", "2:2", "5:3", "1:", ":", "a:b", "1:2:3", f"3:{10 ** 20}", "-3:2"]
+_VALUES = {
+    "--family": [*sl.FAMILIES, "double-tree", "cycle-cross-path", "weighted-path", "ladder"],
+    "--kind": [k.value for k in sl.MatrixKind],
+    "--which": ["pnk", "qnk", "product"],
+    "--method": ["brute", "formula", "pruned"],
+    "--format": ["json", "dot", "csv", "gnuplot"],
+    "--seed": ["1,2", "1,13", "0", "x,1"],
+    "--lam": ["0.5", "1e308"],
+    "--n-range": _RANGES,
+    "--k-range": _RANGES,
+    # placeholders for the files made by contract_files
+    "--graph": ["@GRAPH", "@BAD", "@DIR", "@MISSING", "/dev/null"],
+    "--out": ["@OUT", "@DIR", "@MISSING", ""],
+}
+
+
+@st.composite
+def _any_argv(draw) -> list[str]:
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    for flag, takes_value in draw(st.lists(st.sampled_from(_FLAGS[command]), unique=True)):
+        argv.append(flag)
+        if takes_value:  # --out writes only into the test's own directory
+            pool = _VALUES.get(flag, []) + (_HOSTILE if flag != "--out" else [])
+            argv.append(draw(st.sampled_from(pool)))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("contract")
+    (d / "g.json").write_text(sl.to_json(sl.generate(sl.FamilySpec.roach(2, 2))))
+    (d / "bad.json").write_text('{"name": ')
+    return {"@GRAPH": str(d / "g.json"), "@BAD": str(d / "bad.json"), "@DIR": str(d),
+            "@MISSING": str(d / "missing" / "x.json"), "@OUT": str(d / "out.json")}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_any_argv())
+@example(["spectrum", "--closed-form", "--family", "tree", "--depth", "3"])
+@example(["gen", "--family", "path", "--n", "3", "--out", "@MISSING"])
+@example(["gen", "--family", "path", "--n", "3", "--out", "@DIR"])
+@example(["gen"])  # no --family
+def test_every_command_keeps_the_exit_contract(contract_files, argv):
+    code, out, err = invoke([contract_files.get(a, a) for a in argv])
+    assert code in (0, 2, 64, 65, 70)
+    assert (code == 0) == (err == "") and (code == 0 or out == "")
+    if err:
+        _one_json_line(err)
+
+
+@pytest.mark.parametrize("where", ["missing_directory", "directory"])
+def test_unwritable_out_exits_64(tmp_path, where):
+    path = tmp_path / "missing" / "x.json" if where == "missing_directory" else tmp_path
+    code, out, err = invoke(["gen", "--family", "path", "--n", "3", "--out", str(path)])
+    assert (code, out) == (64, "")
+    assert _one_json_line(err)["error"] == "_UsageError"
 
 
 _OUT_ARGVS = [

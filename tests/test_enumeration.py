@@ -14,8 +14,8 @@ import pytest
 import speclab as sl
 from speclab import FamilySpec, Graph
 from speclab import _enumeration as en, cuts
-from conftest import (slow_cheeger_edge, slow_cheeger_vertex, slow_edge_connectivity,
-                      slow_isoperimetric, slow_min_ncut, slow_sides)
+from conftest import (neighbour_sets, slow_cheeger_edge, slow_cheeger_vertex,
+                      slow_edge_connectivity, slow_isoperimetric, slow_min_ncut, slow_sides)
 
 
 def _edge_connectivity(g: Graph) -> Fraction:
@@ -114,7 +114,7 @@ def test_improper_full_set_in_last_chunk_is_never_chosen(monkeypatch, bits):
 def test_chunk_layout_matches_index_order(monkeypatch, bits):
     monkeypatch.setattr(en, "CHUNK_BITS", bits)
     g = _random_graph(4, 9)
-    rows = g.adjacency_rows()
+    neighbours = neighbour_sets(g)
     chunks = list(en.bipartition_arrays(g))
     sizes = [c["cut"].size for c in chunks]
     assert max(sizes) <= 2 ** bits and sum(sizes) == 2 ** (g.n - 1)
@@ -129,5 +129,5 @@ def test_chunk_layout_matches_index_order(monkeypatch, bits):
         assert cut[m] == sl.vertex_subset(g, a).cut_weight
         assert vol[m] == sum(g.degrees[v] for v in a)
         assert size[m] == len(a)
-        assert bound_a[m] == sum(g.degrees[v] for v in b if a & set(rows[v]) - {v})
-        assert bound_b[m] == sum(g.degrees[v] for v in a if b & set(rows[v]) - {v})
+        assert bound_a[m] == sum(g.degrees[v] for v in b if a & neighbours[v])
+        assert bound_b[m] == sum(g.degrees[v] for v in a if b & neighbours[v])

@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import speclab as sl
-from speclab import (DomainError, FamilySpec, Graph, SchemaError, SizeError,
-                     UnsupportedError)
+from speclab import DomainError, FamilySpec, Graph, SchemaError, SizeError
 from speclab import _enumeration as en
 
 from conftest import slow_min_ncut
@@ -166,18 +165,11 @@ def test_generation_budget():
 
 
 # ---------------------------------------------------------------------------
-# cartesian product
+# cycle cross paths
 # ---------------------------------------------------------------------------
 
-def test_product_p2_p2_is_c4():
-    p2 = sl.generate(FamilySpec.path(2))
-    g = sl.cartesian_product(p2, p2)
-    assert g.n == 4 and len(g.edges) == 4 and set(g.degrees) == {2}
-
-
 def test_product_c3_p2():
-    g = sl.cartesian_product(sl.generate(FamilySpec.cycle(3)),
-                             sl.generate(FamilySpec.path(2)))
+    g = sl.generate(FamilySpec.cycle_cross_path(3, 2))
     assert g.n == 6 and set(g.degrees) == {3} and g.volume == 18
 
 
@@ -186,17 +178,17 @@ def test_product_c4_p3_edge_count():
     assert g.n == 12 and len(g.edges) == 20
 
 
-def test_product_commutes_on_degrees():
-    a = sl.generate(FamilySpec.cycle(5))
-    b = sl.generate(FamilySpec.path(3))
-    assert sorted(sl.cartesian_product(a, b).degrees) == \
-        sorted(sl.cartesian_product(b, a).degrees)
-
-
-def test_product_rejects_loops():
-    wp = sl.generate(FamilySpec.weighted_path(2, 2))
-    with pytest.raises(UnsupportedError):
-        sl.cartesian_product(wp, sl.generate(FamilySpec.path(2)))
+def test_cycle_cross_path_edge_order():
+    # C_m x P_n with vertex (u, v) at u * n + v: every copy of the path's
+    # edges, copy by copy, then each cycle edge for every v, in that order
+    for m in range(3, 7):
+        for n in range(1, 5):
+            cycle = [(u, u + 1) for u in range(m - 1)] + [(0, m - 1)]
+            path = [(v, v + 1) for v in range(n - 1)]
+            expected = [(u * n + a, u * n + b, 1) for u in range(m) for a, b in path]
+            expected += [(a * n + v, b * n + v, 1) for a, b in cycle for v in range(n)]
+            g = sl.generate(FamilySpec.cycle_cross_path(m, n))
+            assert (g.n, list(g.edges), g.loops) == (m * n, expected, ())
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +320,29 @@ def test_non_bijection_rejected():
 def test_automorphism_matches_matrix_commutation():
     # PA = AP with P the permutation matrix is the defining test; compare
     # against the library's edge-mapping implementation on both outcomes.
-    g = sl.generate(FamilySpec.roach(2, 3))
-    adj = sl.build_matrix(g, sl.MatrixKind.ADJACENCY).values
-    for perm in (g.mirror, tuple([1, 0] + list(range(2, g.n)))):
+    family = [sl.generate(spec) for spec in ALL_SPECS]
+    weighted = Graph(5, ((0, 1, 2), (1, 2, 3), (2, 3, 3), (3, 4, 2)), ((0, 4), (4, 4), (2, 1)))
+    looped_path = Graph(3, ((0, 1, 1), (1, 2, 1)), ((0, 1),))
+    # each generator's mirror, or the reversal where a family stores none
+    cases = [(g, g.mirror or tuple(reversed(range(g.n)))) for g in family]
+    cases += [(weighted, (4, 3, 2, 1, 0)),  # keeps every weight and loop
+              (weighted, (4, 1, 2, 3, 0)),  # keeps the loops, not the edges
+              (looped_path, (2, 1, 0)),  # keeps the edges, moves the loop
+              (Graph(3, ((0, 1, 1), (1, 2, 2))), (2, 1, 0)),  # swaps the edge weights
+              (family[6], tuple([1, 0] + list(range(2, 10))))]
+    rng = random.Random(11)
+    cases += [(g, tuple(rng.sample(range(g.n), g.n))) for g in family + [weighted]
+              for _ in range(20)]
+    outcomes = set()
+    for g, perm in cases:
+        adj = sl.build_matrix(g, sl.MatrixKind.ADJACENCY).values
         p = np.zeros((g.n, g.n))
         for j, img in enumerate(perm):
             p[img, j] = 1.0
         commutes = np.array_equal(p @ adj, adj @ p)
-        assert commutes == sl.is_automorphism(g, perm)
+        assert commutes == sl.is_automorphism(g, perm), (g.name, perm)
+        outcomes.add(commutes)
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -181,8 +181,10 @@ def test_closed_form_spectra_capped_at_generation_budget():
 
 
 def test_closed_form_domain_errors():
-    with pytest.raises(DomainError):
-        sl.closed_form_spectrum(FamilySpec.complete(4), MatrixKind.ADJACENCY)
+    # trees have no n: the family is refused before any size check reads it
+    for spec in (FamilySpec.complete(4), FamilySpec.tree(3), FamilySpec.double_tree(3)):
+        with pytest.raises(DomainError, match="no closed-form spectrum"):
+            sl.closed_form_spectrum(spec, MatrixKind.ADJACENCY)
     with pytest.raises(DomainError):
         sl.closed_form_spectrum(FamilySpec.path(1), MatrixKind.ADJACENCY)
 
