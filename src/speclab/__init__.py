@@ -3,19 +3,16 @@ characteristic polynomials, exact minimum normalized cuts, and spectral
 bisection, with exact-rational cut arithmetic throughout."""
 
 from .bisection import (BisectionReport, CounterexampleReport,
-                        IndicatorIdentity, RegionReport, classify_parity,
-                        counterexample_check, disagreement_region_check,
-                        even_odd_blocks, in_disagreement_region,
-                        indicator_identity_check, spectral_cut)
+                        IndicatorIdentity, classify_parity, counterexample_check,
+                        even_odd_blocks, indicator_identity_check, spectral_cut)
 from .charpoly import (bracket_roots, chebyshev_pair, chebyshev_t, chebyshev_u,
                        normalized_path_charpoly, roach_charpoly,
                        roach_odd_charpoly, tail_poly_even, tail_poly_odd,
                        tridiag_det, weighted_path_charpoly,
                        weighted_path_lambda2_bound)
 from .cuts import (CutReport, SweepRow, cheeger_edge, cheeger_vertex,
-                   formula_sweep, isoperimetric_number, min_ncut_brute,
-                   min_ncut_formula, min_ncut_pruned, sweep_to_csv,
-                   sweep_to_gnuplot)
+                   formula_sweep, in_disagreement_region, isoperimetric_number,
+                   min_ncut, min_ncut_brute, min_ncut_formula, min_ncut_pruned)
 from .errors import (ConnectivityError, DomainError, MultiplicityError,
                      NumericError, SchemaError, SizeError, SpecLabError)
 from .graph import (FAMILIES, FamilySpec, Graph, VertexSubset, from_json,

@@ -15,12 +15,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cuts import _nearest_split, ladder_split_wins, min_ncut_brute, min_ncut_formula
+from .cuts import min_ncut_brute, min_ncut_formula
 from .errors import ConnectivityError, DomainError, MultiplicityError, NumericError
-from .graph import (EXHAUSTIVE_CAP, SUBSET_CAPACITY, FamilySpec, Graph,
-                    VertexSubset, generate, is_automorphism, is_connected,
-                    normalized_cut, vertex_subset)
-from .matrices import MatrixKind, Spectrum, SymmetricMatrix, build_matrix, eig_sym
+from .graph import (EXHAUSTIVE_CAP, FamilySpec, Graph, VertexSubset, generate,
+                    is_automorphism, is_connected, normalized_cut, vertex_subset)
+from .matrices import MatrixKind, SymmetricMatrix, build_matrix, eig_sym
 
 ZERO_TOL = 1e-9
 PARITY_TOL = 1e-6
@@ -44,16 +43,6 @@ class BisectionReport:
     zero_count: int = 0
 
 
-def _canonical_fiedler(spectrum: Spectrum) -> np.ndarray:
-    u = spectrum.eigenvectors[:, 1].copy()
-    significant = np.flatnonzero(np.abs(u) > ZERO_TOL)
-    if significant.size == 0:
-        raise NumericError("second eigenvector is numerically zero")
-    if u[significant[0]] < 0:
-        u = -u
-    return u
-
-
 def spectral_cut(g: Graph) -> BisectionReport:
     """Bipartition of g by the sign pattern of the second eigenvector.
 
@@ -67,12 +56,14 @@ def spectral_cut(g: Graph) -> BisectionReport:
     if g.n < 2:
         raise DomainError("spectral cut needs at least two vertices")
     spectrum = eig_sym(build_matrix(g, MatrixKind.NORMALIZED))
-    gap = float(spectrum.eigenvalues[2] - spectrum.eigenvalues[1]) \
-        if spectrum.order > 2 else math.inf
     if not spectrum.lambda2_is_simple():
-        raise MultiplicityError(
-            f"second eigenvalue is not simple (gap {gap:.3e}); spectral cut undefined")
-    u = _canonical_fiedler(spectrum)
+        raise MultiplicityError(f"second eigenvalue is not simple (gap {spectrum.gap:.3e}); "
+                                "spectral cut undefined")
+    u = spectrum.eigenvectors[:, 1]
+    significant = np.flatnonzero(np.abs(u) > ZERO_TOL)
+    if significant.size == 0:
+        raise NumericError("second eigenvector is numerically zero")
+    u = -u if u[significant[0]] < 0 else u  # the first significant entry is positive
     zeros = int(np.count_nonzero(np.abs(u) <= ZERO_TOL))
     side = vertex_subset(g, [int(i) for i in np.flatnonzero(u >= -ZERO_TOL)])
     value = normalized_cut(g, side)
@@ -81,7 +72,7 @@ def spectral_cut(g: Graph) -> BisectionReport:
         other = vertex_subset(g, [int(i) for i in np.flatnonzero(u <= ZERO_TOL)])
         alt = normalized_cut(g, other)
     parity = NO_AUTOMORPHISM if g.mirror is None else classify_parity(g, g.mirror, u)
-    return BisectionReport(spectrum.lambda2, gap, side, value, parity, alt, zeros)
+    return BisectionReport(spectrum.lambda2, spectrum.gap, side, value, parity, alt, zeros)
 
 
 def classify_parity(g: Graph, perm, u) -> str:
@@ -118,10 +109,7 @@ def even_odd_blocks(n: int, k: int) -> tuple[SymmetricMatrix, SymmetricMatrix]:
     odd_values = np.array(even.values)
     for v, w in wp.loops:
         odd_values[v, v] = 1.0 + w / wp.degrees[v]
-    label = FamilySpec.roach(n, k).label()
-    even = SymmetricMatrix(f"even_sector({label})", even.values)
-    odd = SymmetricMatrix(f"odd_sector({label})", odd_values)
-    return even, odd
+    return even, SymmetricMatrix(odd_values)
 
 
 @dataclass(frozen=True)
@@ -184,7 +172,9 @@ def counterexample_check(k: int) -> CounterexampleReport:
     For the family with antenna length 2k and k rungs, the second eigenvector
     must be odd, the spectral cut must be the one separating the two rows,
     and the exact minimum cut must be strictly smaller. The minimum cut is
-    exhaustive up to EXHAUSTIVE_CAP vertices and closed-form above that.
+    exhaustive up to EXHAUSTIVE_CAP vertices (k <= 4) and closed-form above.
+    min_ncut would take the closed form for every k; the exhaustive search
+    is kept on purpose, because ``mcut_method`` is printed.
     """
     if k < 3:
         raise DomainError("counterexample family needs k >= 3")
@@ -194,45 +184,6 @@ def counterexample_check(k: int) -> CounterexampleReport:
     row = (1 << 3 * k) - 1  # the mask of one row: vertices 0..3k-1
     top_row_cut = report.positive_side.mask in (row, row << 3 * k)
     mcut = min_ncut_brute(g) if 6 * k <= EXHAUSTIVE_CAP else min_ncut_formula(spec)
-    return CounterexampleReport(
-        k=k,
-        mcut=mcut.value,
-        mcut_method=mcut.method,
-        lcut=report.value,
-        lambda2=report.lambda2,
-        parity=report.parity,
-        top_row_cut=top_row_cut,
-        strictly_less=mcut.value < report.value,
-    )
+    return CounterexampleReport(k, mcut.value, mcut.method, report.value, report.lambda2,
+                                report.parity, top_row_cut, mcut.value < report.value)
 
-
-@dataclass(frozen=True)
-class RegionReport:
-    member: bool
-    checked: bool
-    holds: bool | None
-    mcut: Fraction | None = None
-    lcut: Fraction | None = None
-
-
-def in_disagreement_region(n: int, k: int) -> bool:
-    """Membership in the parameter region where the two cuts must differ."""
-    if n < 1 or k < 2:
-        raise DomainError("region needs n >= 1 and k >= 2")
-    # members: the minimum is the antenna cut (c2), and k < 4 or 3|n & 2|k (d = 0)
-    d = _nearest_split(3 * k - 2 * n, 6)[0]
-    return (k < 4 or d == 0) and not ladder_split_wins(n, k, d)
-
-
-def disagreement_region_check(n: int, k: int) -> RegionReport:
-    """Check region membership and, where feasible, the strict inequality."""
-    member = in_disagreement_region(n, k)
-    if not member or 2 * (n + k) > SUBSET_CAPACITY:
-        return RegionReport(member, False, None)
-    spec = FamilySpec.roach(n, k)
-    mcut = min_ncut_formula(spec).value
-    try:
-        lcut = spectral_cut(generate(spec)).value
-    except MultiplicityError:
-        return RegionReport(member, False, None, mcut, None)
-    return RegionReport(member, True, mcut < lcut, mcut, lcut)

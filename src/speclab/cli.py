@@ -9,6 +9,8 @@ byte-identical. Domain errors exit 2, argument errors 64, schema violations
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -17,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import bisection, charpoly, cuts, graph, matrices
-from .errors import DomainError, NumericError, SchemaError, SpecLabError
+from .errors import DomainError, NumericError, SchemaError, SizeError, SpecLabError
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -35,14 +37,43 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _g15(x: float) -> str:
+    """x to 15 significant digits, for stable, locale-free output."""
+    return format(float(x), ".15g")
+
+
 def _fmt(x: float) -> float:
-    """Round to 15 significant digits for stable, locale-free output."""
-    return float(format(float(x), ".15g"))
+    return float(_g15(x))
+
+
+def _fraction_parts(value: Fraction) -> tuple[int, int]:
+    """(numerator, denominator) for JSON or CSV output; SizeError when either
+    has more digits than the interpreter turns into text."""
+    try:
+        str(value.numerator), str(value.denominator)
+    except ValueError:
+        raise SizeError(f"exact value has more than {sys.get_int_max_str_digits()} digits "
+                        "in its numerator or denominator") from None
+    return value.numerator, value.denominator
 
 
 def _rat(value: Fraction) -> dict:
-    num, den = cuts.fraction_parts(value)
+    num, den = _fraction_parts(value)
     return {"num": num, "den": den, "float": _fmt(float(value))}
+
+
+def _sweep_csv(rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["n", "k", "branch", "value_num", "value_den", "value_float"])
+    writer.writerows([r.n, r.k, r.branch, *_fraction_parts(r.value), _g15(r.value)] for r in rows)
+    return buf.getvalue()
+
+
+def _sweep_gnuplot(rows) -> str:
+    """Whitespace-separated dump with a comment header, plottable directly."""
+    lines = [f"{r.n} {r.k} {_g15(r.value)} {r.branch}\n" for r in rows]
+    return "# n k value branch\n" + "".join(lines)
 
 
 def _vertices_1based(subset) -> list[int]:
@@ -166,7 +197,8 @@ def _cmd_spectrum(args):
         sp = matrices.closed_form_spectrum(spec, kind)
     else:
         sp = matrices.eig_sym(matrices.build_matrix(g, kind))
-    doc = {"kind": kind.value, "source": sp.source, "closed_form": args.closed_form,
+    doc = {"kind": kind.value, "source": spec.label() if spec else g.name,
+           "closed_form": args.closed_form,
            "eigenvalues": [_fmt(v) for v in sp.eigenvalues]}
     if not args.closed_form:
         doc["residual"] = _fmt(sp.residual)
@@ -186,16 +218,19 @@ def _cmd_mcut(args):
         if not args.seed:
             raise _UsageError("--method pruned needs --seed")
         try:
-            verts = [int(tok) - 1 for tok in args.seed.split(",")]
+            seed = [int(tok) for tok in args.seed.split(",")]
         except ValueError:
             raise _UsageError(f"--seed takes comma-separated vertex numbers, got {args.seed!r}")
-        report = cuts.min_ncut_pruned(g, graph.vertex_subset(g, verts))
+        for v in seed:
+            if not 1 <= v <= g.n:
+                raise DomainError(f"--seed vertex {v} is not in 1..{g.n}")
+        report = cuts.min_ncut_pruned(g, graph.vertex_subset(g, [v - 1 for v in seed]))
     else:
         report = cuts.min_ncut_brute(g)
     return {"value": _rat(report.value), "cut_weight": report.cut_weight,
             "method": report.method, "branch": report.branch,
             "witness": _vertices_1based(report.witness),
-            "family": report.family.label() if report.family else None}
+            "family": spec.label() if args.method == "formula" else None}
 
 
 def _cmd_lcut(args):
@@ -216,13 +251,18 @@ def _cmd_lcut(args):
 
 def _cmd_compare(args):
     g, spec = _load_input(args)
-    mcut = cuts.closed_form(spec) or cuts.min_ncut_brute(g)
+    mcut = cuts.min_ncut(g, spec)
     lcut = bisection.spectral_cut(g)
     return {"mcut": _rat(mcut.value), "lcut": _rat(lcut.value),
             "lambda2": _fmt(lcut.lambda2),
             "equal": mcut.value == lcut.value,
             "mcut_witness": _vertices_1based(mcut.witness),
             "lcut_positive_side": _vertices_1based(lcut.positive_side)}
+
+
+# --which -> the sector factors it names: 0 the even one (p_nk), 1 the odd one (q_nk)
+_SECTORS = {"pnk": (0,), "qnk": (1,), "product": (0, 1)}
+_SECTOR_CHARPOLYS = (charpoly.weighted_path_charpoly, charpoly.roach_odd_charpoly)
 
 
 def _cmd_charpoly(args):
@@ -232,19 +272,16 @@ def _cmd_charpoly(args):
     if args.lam is not None and not math.isfinite(args.lam):
         raise _UsageError(f"--lam must be finite, got {args.lam}")
     charpoly.normalization(n, k)
-    doc = {"which": args.which, "n": n, "k": k}
+    doc, sectors = {"which": args.which, "n": n, "k": k}, _SECTORS[args.which]
     if args.lam is not None:
-        fn = {"pnk": charpoly.weighted_path_charpoly, "qnk": charpoly.roach_odd_charpoly,
-              "product": charpoly.roach_charpoly}[args.which]
-        value = fn(n, k, args.lam)
+        value = math.prod(_SECTOR_CHARPOLYS[s](n, k, args.lam) for s in sectors)
         if not math.isfinite(value):
             raise NumericError(f"polynomial evaluation overflowed at lambda={args.lam}")
         doc.update({"lambda": _fmt(args.lam), "value": _fmt(value)})
     else:  # the roots are the eigenvalues of the sector blocks whose charpoly this is
-        even, odd = bisection.even_odd_blocks(n, k)
-        blocks = {"pnk": (even,), "qnk": (odd,), "product": (even, odd)}[args.which]
+        blocks = bisection.even_odd_blocks(n, k)
         try:
-            roots = np.sort(np.concatenate([np.linalg.eigvalsh(b.values) for b in blocks]))
+            roots = np.sort(np.concatenate([np.linalg.eigvalsh(blocks[s].values) for s in sectors]))
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"eigensolver failed to converge: {exc}") from exc
         doc.update({"interval": [0, 2], "roots": [_fmt(x) for x in np.clip(roots, 0.0, 2.0)],
@@ -256,15 +293,12 @@ def _cmd_sweep(args):
     fam = args.family.replace("-", "_")
     n_range, k_range = _parse_range(args.n_range), _parse_range(args.k_range)
     rows = cuts.formula_sweep(fam, n_range, k_range)
-    dump = cuts.sweep_to_gnuplot if args.format == "gnuplot" else cuts.sweep_to_csv
-    return dump(rows)
+    return (_sweep_gnuplot if args.format == "gnuplot" else _sweep_csv)(rows)
 
 
 def _cmd_bounds(args):
     g, spec = _load_input(args)
-    mcut = cuts.closed_form(spec)
-    iso, h, gv, brute = cuts.expansion_constants(g, with_ncut=mcut is None)
-    mcut = mcut or brute
+    iso, h, gv, mcut = cuts.expansion_constants(g, spec)
     lam2_norm = matrices.eig_sym(matrices.build_matrix(g, matrices.MatrixKind.NORMALIZED)).lambda2
     lam2_diff = matrices.eig_sym(matrices.build_matrix(g, matrices.MatrixKind.DIFFERENCE)).lambda2
     max_deg = max(g.degrees)

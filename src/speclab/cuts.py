@@ -14,9 +14,6 @@ exact on the boundary.
 
 from __future__ import annotations
 
-import csv
-import io
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -45,7 +42,6 @@ class CutReport:
     cut_weight: int
     method: str
     branch: str = ""
-    family: FamilySpec | None = None
 
 
 def _require_connected(g: Graph) -> None:
@@ -133,13 +129,14 @@ def cheeger_vertex(g: Graph) -> Fraction:
     return _expansion(g, _cheeger_vertex)
 
 
-def expansion_constants(g: Graph, with_ncut: bool = False):
-    """Isoperimetric number, both Cheeger constants and, if asked, the
-    brute-force minimum normalized cut (else None), from one pass."""
+def expansion_constants(g: Graph, spec: FamilySpec | None = None):
+    """Isoperimetric number, both Cheeger constants and min_ncut(g, spec),
+    from one pass; the pass adds the Ncut only when no closed form answers."""
+    mcut = _closed_form(spec)
     _require_connected(g)
     found = en.minimize(g, _isoperimetric, _cheeger_edge, _cheeger_vertex,
-                        *([_ncut] if with_ncut else []))
-    mcut = _cut_report(g, found.pop(), BRUTE_FORCE) if with_ncut else None
+                        *([] if mcut else [_ncut]))
+    mcut = mcut or _cut_report(g, found.pop(), BRUTE_FORCE)
     return (*(value for value, _idx in found), mcut)
 
 
@@ -185,6 +182,15 @@ def ladder_split_wins(n: int, k: int, d: int) -> bool:
     return (3 * k + 2 * n - 2) ** 2 + d * d < 2 * (3 * k - 1) ** 2
 
 
+def in_disagreement_region(n: int, k: int) -> bool:
+    """Membership in the parameter region where the two cuts must differ."""
+    if n < 1 or k < 2:
+        raise DomainError("region needs n >= 1 and k >= 2")
+    # members: the minimum is the antenna cut (c2), and k < 4 or 3|n & 2|k (d = 0)
+    d = _nearest_split(3 * k - 2 * n, 6)[0]
+    return (k < 4 or d == 0) and not ladder_split_wins(n, k, d)
+
+
 def _formula_report(spec: FamilySpec, branch: str, witness_vertices,
                     cut: int, volume: int, d: int) -> CutReport:
     # witness_vertices is lazy and read only up to the subset capacity; the
@@ -198,10 +204,10 @@ def _formula_report(spec: FamilySpec, branch: str, witness_vertices,
             raise AssertionError(
                 f"closed-form branch {branch} of {spec.label()} yields {value} "
                 f"cutting {cut} but its witness achieves {achieved} cutting {w.cut_weight}")
-    return CutReport(value, w, cut, FORMULA, branch, spec)
+    return CutReport(value, w, cut, FORMULA, branch)
 
 
-def closed_form(spec: FamilySpec | None) -> CutReport | None:
+def _closed_form(spec: FamilySpec | None) -> CutReport | None:
     """min_ncut_formula(spec), or None without a spec or outside its domain."""
     try:
         return min_ncut_formula(spec) if spec is not None else None
@@ -209,11 +215,17 @@ def closed_form(spec: FamilySpec | None) -> CutReport | None:
         return None
 
 
+def min_ncut(g: Graph, spec: FamilySpec | None = None) -> CutReport:
+    """Minimum normalized cut of g: the closed form when ``spec`` (the family
+    instance g was generated from) is in its domain, else the exhaustive one."""
+    return _closed_form(spec) or min_ncut_brute(g)
+
+
 def min_ncut_formula(spec: FamilySpec) -> CutReport:
     """Closed-form minimum normalized cut for a family instance.
 
     Raises DomainError when the instance falls outside the domain where the
-    closed form applies; callers should then use min_ncut_brute.
+    closed form applies; min_ncut then falls back to min_ncut_brute.
     """
     spec.validate()
     if spec.family not in _FORMULAS:
@@ -353,31 +365,3 @@ def formula_sweep(family: str, n_range, k_range) -> list[SweepRow]:
             rows.append(SweepRow(n, k, report.branch, report.value))
     return rows
 
-
-def fraction_parts(value: Fraction) -> tuple[int, int]:
-    """(numerator, denominator) for JSON or CSV output; SizeError when either
-    has more digits than the interpreter turns into text."""
-    try:
-        str(value.numerator), str(value.denominator)
-    except ValueError:
-        raise SizeError(f"exact value has more than {sys.get_int_max_str_digits()} digits "
-                        "in its numerator or denominator") from None
-    return value.numerator, value.denominator
-
-
-def sweep_to_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "k", "branch", "value_num", "value_den", "value_float"])
-    for row in rows:
-        writer.writerow([row.n, row.k, row.branch, *fraction_parts(row.value),
-                         format(float(row.value), ".15g")])
-    return buf.getvalue()
-
-
-def sweep_to_gnuplot(rows) -> str:
-    """Whitespace-separated dump with a comment header, plottable directly."""
-    lines = ["# n k value branch"]
-    for row in rows:
-        lines.append(f"{row.n} {row.k} {format(float(row.value), '.15g')} {row.branch}")
-    return "\n".join(lines) + "\n"

@@ -43,9 +43,8 @@ class MatrixKind(enum.Enum):
 
 @dataclass(frozen=True)
 class SymmetricMatrix:
-    """Dense real symmetric matrix tied to its source graph."""
+    """Dense real symmetric matrix, checked exactly symmetric."""
 
-    source: str
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -85,19 +84,17 @@ def build_matrix(g: Graph, kind: MatrixKind) -> SymmetricMatrix:
             raise DomainError(
                 f"vertex {bad + 1} has degree 0; normalized Laplacian undefined")
         scale = 1.0 / np.sqrt(deg)
-        m = -w * np.outer(scale, scale)
+        m = 0.0 - w * np.outer(scale, scale)  # 0.0 - keeps zero entries +0.0
         np.fill_diagonal(m, 1.0 - np.diag(w) / deg)
     else:
         raise DomainError(f"unknown matrix kind {kind!r}")
-    m = np.triu(m) + np.triu(m, 1).T  # mirror the upper triangle exactly
-    return SymmetricMatrix(g.name, m)
+    return SymmetricMatrix(m)
 
 
 @dataclass(frozen=True)
 class Spectrum:
     """Full eigendecomposition with ascending eigenvalues and residual bound."""
 
-    source: str
     eigenvalues: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray = field(repr=False)
     residual: float
@@ -112,14 +109,16 @@ class Spectrum:
             raise DomainError("lambda2 needs at least two eigenvalues")
         return float(self.eigenvalues[1])
 
+    @property
+    def gap(self) -> float:
+        """lambda3 - lambda2; infinite below three eigenvalues."""
+        return float(self.eigenvalues[2] - self.eigenvalues[1]) if self.order > 2 else math.inf
+
     def lambda2_is_simple(self) -> bool:
         """Gap test: lambda3 - lambda2 must clear a relative threshold."""
-        if self.order < 2:
-            return False
-        if self.order == 2:
-            return True
-        lam3 = float(self.eigenvalues[2])
-        return lam3 - self.lambda2 > SIMPLE_GAP_TOL * max(1.0, abs(lam3))
+        if self.order <= 2:
+            return self.order == 2
+        return self.gap > SIMPLE_GAP_TOL * max(1.0, abs(float(self.eigenvalues[2])))
 
 
 def eig_sym(m: SymmetricMatrix) -> Spectrum:
@@ -136,26 +135,39 @@ def eig_sym(m: SymmetricMatrix) -> Spectrum:
     ortho = float(np.max(np.abs(vecs.T @ vecs - np.eye(m.order))))
     if ortho > ORTHO_TOL:
         raise NumericError("eigenvectors are not orthonormal")
-    return Spectrum(m.source, vals, vecs, residual)
+    return Spectrum(vals, vecs, residual)
 
 
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------
 
-# kind -> (eigenvalue j, entry i of eigenvector j) of the n-path, indices from 0
+# kind -> (a, b): each path and cycle eigenvalue of that kind is a + b cos(theta)
+_COSINE_FORMS = {MatrixKind.ADJACENCY: (0.0, 2.0), MatrixKind.DIFFERENCE: (2.0, -2.0),
+                 MatrixKind.NORMALIZED: (1.0, -1.0), MatrixKind.SIGNLESS: (2.0, 2.0)}
+
+# kind -> (theta of eigenvalue j, entry i of eigenvector j) of the n-path, indices
+# from 0; the n-cycle has theta = 2 pi j / n for every kind
 _PATH_FORMS = {
-    MatrixKind.ADJACENCY: (lambda j, n: 2.0 * np.cos((j + 1) * np.pi / (n + 1)),
+    MatrixKind.ADJACENCY: (lambda j, n: (j + 1) * np.pi / (n + 1),
                            lambda i, j, n: np.sin((i + 1) * (j + 1) * np.pi / (n + 1))),
-    MatrixKind.DIFFERENCE: (lambda j, n: 2.0 - 2.0 * np.cos(j * np.pi / n),
+    MatrixKind.DIFFERENCE: (lambda j, n: j * np.pi / n,
                             lambda i, j, n: np.cos((2 * i + 1) * j * np.pi / (2 * n))),
-    MatrixKind.NORMALIZED: (lambda j, n: 1.0 - np.cos(j * np.pi / (n - 1)),
+    MatrixKind.NORMALIZED: (lambda j, n: j * np.pi / (n - 1),
                             # interior entries carry sqrt(2)
                             lambda i, j, n: np.cos(i * j * np.pi / (n - 1))
                             * np.where((i > 0) & (i < n - 1), math.sqrt(2.0), 1.0)),
-    MatrixKind.SIGNLESS: (lambda j, n: 2.0 + 2.0 * np.cos((j + 1) * np.pi / n),
+    MatrixKind.SIGNLESS: (lambda j, n: (j + 1) * np.pi / n,
                           lambda i, j, n: np.sin((2 * i + 1) * (j + 1) * np.pi / (2 * n))),
 }
+
+
+def _cosine_eigenvalues(spec: FamilySpec, kind: MatrixKind) -> np.ndarray:
+    """a + b cos(theta_j) of the path or cycle, unsorted."""
+    j, n = np.arange(spec.n), spec.n
+    theta = _PATH_FORMS[kind][0](j, n) if spec.family == PATH else 2.0 * j * np.pi / n
+    a, b = _COSINE_FORMS[kind]
+    return a + b * np.cos(theta)
 
 
 @dataclass(frozen=True)
@@ -167,18 +179,15 @@ class ClosedFormSpectrum:
     spec: FamilySpec
     eigenvalues: np.ndarray = field(repr=False)
 
-    @property
-    def source(self) -> str:
-        return self.spec.label()
-
     @functools.cached_property
     def eigenvectors(self) -> np.ndarray | None:
         if self.spec.family != PATH:
             return None
         if self.spec.n > MAX_DENSE_ORDER:
-            raise SizeError(f"{self.source}: dense matrices are capped at order {MAX_DENSE_ORDER}")
-        (value, entry), j = _PATH_FORMS[self.kind], np.arange(self.spec.n)
-        order = np.argsort(value(j, j.size), kind="stable")
+            raise SizeError(
+                f"{self.spec.label()}: dense matrices are capped at order {MAX_DENSE_ORDER}")
+        entry, j = _PATH_FORMS[self.kind][1], np.arange(self.spec.n)
+        order = np.argsort(_cosine_eigenvalues(self.spec, self.kind), kind="stable")
         vecs = entry(j[:, None], j[None, :], j.size)[:, order]
         return vecs / np.linalg.norm(vecs, axis=0)
 
@@ -191,16 +200,9 @@ def closed_form_spectrum(spec: FamilySpec, kind: MatrixKind) -> ClosedFormSpectr
     n = spec.n
     if n > MAX_ORDER:
         raise SizeError(f"closed-form spectra are capped at n = {MAX_ORDER}, got {spec.label()}")
-    if spec.family == PATH:
-        if n < 2:
-            raise DomainError("closed-form path spectrum needs n >= 2")
-        return ClosedFormSpectrum(kind, spec, np.sort(_PATH_FORMS[kind][0](np.arange(n), n)))
-    c = np.cos(2.0 * np.arange(n) * np.pi / n)
-    vals = {MatrixKind.ADJACENCY: 2.0 * c,
-            MatrixKind.DIFFERENCE: 2.0 - 2.0 * c,
-            MatrixKind.NORMALIZED: 1.0 - c,
-            MatrixKind.SIGNLESS: 2.0 + 2.0 * c}[kind]
-    return ClosedFormSpectrum(kind, spec, np.sort(vals))
+    if spec.family == PATH and n < 2:
+        raise DomainError("closed-form path spectrum needs n >= 2")
+    return ClosedFormSpectrum(kind, spec, np.sort(_cosine_eigenvalues(spec, kind)))
 
 
 def circulant_eigenpairs(first_row) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from speclab import DomainError, Graph, chebyshev_t, chebyshev_u
+from speclab import DomainError, FamilySpec, Graph, chebyshev_t, chebyshev_u
+
+# one small instance of every family
+ALL_SPECS = [FamilySpec.path(5), FamilySpec.cycle(6), FamilySpec.complete(4),
+             FamilySpec.tree(3), FamilySpec.double_tree(3),
+             FamilySpec.cycle_cross_path(3, 2), FamilySpec.roach(2, 3),
+             FamilySpec.weighted_path(3, 2), FamilySpec.lollipop(4, 2)]
 
 
 def lu_det(m: np.ndarray) -> float:

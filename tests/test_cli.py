@@ -182,6 +182,15 @@ def test_non_numeric_pruned_seed_exits_64():
     assert _one_json_line(err)["error"] == "_UsageError"
 
 
+@pytest.mark.parametrize("vertex", ["0", "5", "-2"])
+def test_out_of_range_pruned_seed_names_the_typed_vertex(vertex):
+    code, out, err = invoke(["mcut", "--family", "path", "--n", "4",
+                             "--method", "pruned", "--seed", f"1,{vertex}"])
+    assert code == 2 and out == ""
+    assert _one_json_line(err) == {"error": "DomainError",
+                                   "message": f"--seed vertex {vertex} is not in 1..4"}
+
+
 @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
 def test_non_finite_lambda_exits_64(lam):
     code, out, err = invoke(["charpoly", "--which", "pnk", "--n", "4", "--k", "3",

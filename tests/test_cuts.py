@@ -1,5 +1,6 @@
 """Exhaustive minimum cuts, pruning, closed-form branches, and expansion constants."""
 
+import io
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import speclab as sl
 from speclab import (ConnectivityError, DomainError, FamilySpec, Graph,
                      MatrixKind, SizeError)
+from speclab import _enumeration as en, cli, cuts
 
 from conftest import slow_cheeger_vertex, slow_edge_connectivity, slow_min_ncut
 
@@ -237,10 +239,16 @@ def test_sweep_weighted_path_corollary():
             assert row.value == Fraction(4 * (7 * k - 2), (7 * k - 3) * (7 * k - 1))
 
 
+def _sweep_text(*format_args):
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["sweep", "--family", "roach", "--n-range", "6:6", "--k-range", "4:4", *format_args]
+    assert cli.run(argv, out, err) == 0, err.getvalue()
+    return out.getvalue()
+
+
 def test_sweep_empty_and_csv():
     assert sl.formula_sweep("roach", range(0), range(2, 5)) == []
-    text = sl.sweep_to_csv(sl.formula_sweep("roach", [6], [4]))
-    lines = text.strip().split("\n")
+    lines = _sweep_text().strip().split("\n")
     assert lines[0] == "n,k,branch,value_num,value_den,value_float"
     assert lines[1].startswith("6,4,") and lines[1].endswith("4,33,0.121212121212121")
 
@@ -263,10 +271,42 @@ def test_sweep_rejects_other_families():
 
 
 def test_sweep_gnuplot_dump():
-    text = sl.sweep_to_gnuplot(sl.formula_sweep("roach", [6], [4]))
-    lines = text.strip().split("\n")
+    lines = _sweep_text("--format", "gnuplot").strip().split("\n")
     assert lines[0] == "# n k value branch"
     assert lines[1].startswith("6 4 0.121212121212121 ")
+
+
+# ---------------------------------------------------------------------------
+# the closed form, else the exhaustive search
+# ---------------------------------------------------------------------------
+
+def test_min_ncut_takes_the_formula_inside_its_domain():
+    for spec in (FamilySpec.roach(6, 3), FamilySpec.path(9), FamilySpec.weighted_path(4, 3)):
+        assert sl.min_ncut(sl.generate(spec), spec) == sl.min_ncut_formula(spec)
+
+
+def test_min_ncut_falls_back_to_brute_force():
+    spec = FamilySpec.weighted_path(1, 1)  # 3k + 2n < 11: outside the closed form
+    g = sl.generate(spec)
+    assert sl.min_ncut(g, spec) == sl.min_ncut_brute(g)
+    g = sl.generate(FamilySpec.roach(6, 3))
+    report = sl.min_ncut(g)  # no spec
+    assert report == sl.min_ncut_brute(g) and report.method == "brute_force"
+
+
+@pytest.mark.parametrize("spec, objectives", [(FamilySpec.roach(2, 3), 3),
+                                              (FamilySpec.weighted_path(1, 2), 4), (None, 4)])
+def test_expansion_constants_adds_the_ncut_only_without_a_closed_form(monkeypatch, spec,
+                                                                        objectives):
+    g = sl.generate(spec or FamilySpec.roach(2, 3))
+    passes = []
+    minimize = en.minimize
+    monkeypatch.setattr(en, "minimize",
+                        lambda graph, *fns: passes.append(len(fns)) or minimize(graph, *fns))
+    iso, h, gv, mcut = cuts.expansion_constants(g, spec)
+    assert passes == [objectives]
+    assert (iso, h, gv) == (sl.isoperimetric_number(g), sl.cheeger_edge(g), sl.cheeger_vertex(g))
+    assert mcut == sl.min_ncut(g, spec)
 
 
 # ---------------------------------------------------------------------------

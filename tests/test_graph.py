@@ -13,7 +13,7 @@ import speclab as sl
 from speclab import DomainError, FamilySpec, Graph, SchemaError, SizeError
 from speclab import _enumeration as en
 
-from conftest import slow_min_ncut
+from conftest import ALL_SPECS, slow_min_ncut
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +348,6 @@ def test_automorphism_matches_matrix_commutation():
 # ---------------------------------------------------------------------------
 # interchange
 # ---------------------------------------------------------------------------
-
-ALL_SPECS = [FamilySpec.path(5), FamilySpec.cycle(6), FamilySpec.complete(4),
-             FamilySpec.tree(3), FamilySpec.double_tree(3),
-             FamilySpec.cycle_cross_path(3, 2), FamilySpec.roach(2, 3),
-             FamilySpec.weighted_path(3, 2), FamilySpec.lollipop(4, 2)]
-
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
 def test_json_round_trip(spec):

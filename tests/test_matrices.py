@@ -1,12 +1,15 @@
 """Matrix assembly, the eigensolver contract, and closed-form spectra."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 import speclab as sl
 from speclab import DomainError, FamilySpec, Graph, MatrixKind, SymmetricMatrix
+
+from conftest import ALL_SPECS
 
 KINDS = list(MatrixKind)
 S2 = 1.0 / math.sqrt(2.0)
@@ -48,11 +51,24 @@ def test_difference_rows_sum_to_zero_without_loops():
         assert np.max(np.abs(m.sum(axis=1))) == 0.0
 
 
+def _random_weighted_graph(seed: int) -> Graph:
+    rng = random.Random(seed)
+    n = rng.randint(2, 16)  # connected, so every degree is positive
+    edges = {(rng.randrange(v), v): rng.randint(1, 50) for v in range(1, n)}
+    for _ in range(rng.randint(0, n)):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges[(u, v)] = rng.randint(1, 50)
+    loops = tuple((v, rng.randint(1, 9)) for v in range(n) if rng.random() < 0.4)
+    return Graph(n, tuple((u, v, w) for (u, v), w in edges.items()), loops)
+
+
 def test_matrices_exactly_symmetric():
-    g = sl.generate(FamilySpec.roach(3, 3))
-    for kind in KINDS:
-        m = sl.build_matrix(g, kind).values
-        assert np.array_equal(m, m.T)
+    graphs = [sl.generate(spec) for spec in [*ALL_SPECS, FamilySpec.roach(3, 3)]]
+    for g in graphs + [_random_weighted_graph(seed) for seed in range(60)]:
+        for kind in KINDS:
+            m = sl.build_matrix(g, kind).values
+            assert np.array_equal(m, m.T), (g, kind)
+            assert not np.any(np.signbit(m) & (m == 0.0)), (g, kind)  # every zero is +0.0
 
 
 def test_normalized_needs_positive_degrees():
@@ -64,7 +80,7 @@ def test_normalized_needs_positive_degrees():
 
 def test_symmetric_matrix_rejects_asymmetry():
     with pytest.raises(DomainError):
-        SymmetricMatrix("bad", np.array([[0.0, 1.0], [0.0, 0.0]]))
+        SymmetricMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +93,7 @@ def test_eig_p2_difference():
 
 
 def test_eig_identity():
-    sp = sl.eig_sym(SymmetricMatrix("I5", np.eye(5)))
+    sp = sl.eig_sym(SymmetricMatrix(np.eye(5)))
     assert sp.eigenvalues == pytest.approx([1.0] * 5)
 
 
