@@ -10,18 +10,28 @@ Memory does not grow with the 2**(n-1) indices: a chunk holds at most
 the table whose entry (r, c) is index ``(r << lo) | c``. Each value is a sum
 of high-factor times low-factor products, hence one matrix product per
 chunk: the cut weight is x'Lx = y'Ly + z'Lz + 2 z'Ly for the Laplacian L,
-volumes and sizes are outer sums, and the boundary volume sums deg(v)
-[v in B] (1 - [no neighbour of v in A]) over v, each indicator a low one
-times a high one. The factors are integers and every partial sum stays below
-a few times the volume cap of 2**15, far below 2**53, so the float64 products
-are exact in any summation order. In each chunk a float prefilter keeps the
-indices within a relative 1e-9 of the running minimum, and integer cross
-multiplication over them gives the chunk's exact minimum, which replaces
-the running one only when smaller: the lowest index wins a tie.
+volumes and sizes are outer sums, the Ncut denominator vol(A) (s - vol(A))
+for the total volume s is a rank-3 sum of the two parts' volumes, and the
+boundary volume sums deg(v) [v in B] (1 - [no neighbour of v in A]) over v,
+each indicator a low one times a high one. A factor pair is built the first
+time a pass asks for it. The factors are integers and every partial sum is
+at most max(4s, s^2) < 2**30, since s < VOLUME_CAP = 2**15, far below 2**53,
+so the float64 products are exact in any summation order.
+
+A pass allocates each chunk-sized array once: every chunk has the same
+shape and writes its products and its objectives' work into the pass's
+arrays, so a chunk's arrays are valid only until the next chunk is read.
+The objectives share the work arrays num, den and ratio and keep only the
+cut weight between them, because every further array is more fresh pages
+for each pass to touch. In each chunk a float prefilter keeps the indices within a relative 1e-9 of
+the running minimum, and integer cross multiplication over them gives the
+chunk's exact minimum, which replaces the running one only when smaller:
+the lowest index wins a tie.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -43,16 +53,17 @@ def _check_size(g: Graph) -> None:
         raise SizeError(f"exhaustive sweep caps the total volume at {VOLUME_CAP}")
 
 
-def _factors(g: Graph, lo: int) -> dict:
-    """(high, low) factors with value[r, c] = high[r] @ low[:, c]."""
-    n, k = g.n, lo + 1
+def _factors(g: Graph, lo: int):
+    """factor(key) -> (high, low) with value[r, c] = high[r] @ low[:, c]; each
+    pair is built when a pass first asks for it."""
+    n, k, s = g.n, lo + 1, g.volume
     ya, za = np.zeros((1 << lo, n)), np.zeros((1 << (n - k), n))
     ya[:, :k] = (np.arange(1 << lo)[:, None] << 1 | 1) >> np.arange(k) & 1
     za[:, k:] = np.arange(len(za))[:, None] >> np.arange(n - k) & 1
-    yb, zb = (np.arange(n) < k) - ya, (np.arange(n) >= k) - za  # side B
     adj = build_matrix(g, MatrixKind.ADJACENCY).values  # loops cancel out of lap and boundary
     lap, deg = np.diag(adj.sum(1)) - adj, np.array(g.degrees, dtype=float)
     h1, l1 = np.ones((len(za), 1)), np.ones((1, len(ya)))
+    vol_z, vol_y = za @ deg, ya @ deg
 
     def outer(high, low):
         return np.column_stack([high, h1]), np.vstack([l1, low])
@@ -62,49 +73,72 @@ def _factors(g: Graph, lo: int) -> dict:
         return (np.hstack([off_z, -off_z * (z @ adj == 0)]),
                 np.vstack([off_y.T, (off_y * (y @ adj == 0)).T]))
 
-    quad_y, quad_z = ((ya @ lap) * ya).sum(1), ((za @ lap) * za).sum(1)
-    return {"cut": (np.column_stack([2 * za @ lap, quad_z, h1]),
-                    np.vstack([ya.T, l1, quad_y])),
-            "vol": outer(za @ deg, ya @ deg),
-            "size": outer(za.sum(1), ya.sum(1)),
-            "bound_a": boundary(ya, za),
-            "bound_b": boundary(yb, zb)}
+    def cut():
+        quad_y, quad_z = ((ya @ lap) * ya).sum(1), ((za @ lap) * za).sum(1)
+        return np.column_stack([2 * za @ lap, quad_z, h1]), np.vstack([ya.T, l1, quad_y])
+
+    builders = {
+        "cut": cut,
+        "vol": lambda: outer(vol_z, vol_y),
+        "size": lambda: outer(za.sum(1), ya.sum(1)),
+        # vol(A) vol(B) = (s a - a^2) - 2 a b + (s b - b^2) for vol(A) = a + b
+        "ncut_den": lambda: (np.column_stack([vol_z * (s - vol_z), -2 * vol_z, h1]),
+                             np.vstack([l1, vol_y, vol_y * (s - vol_y)])),
+        "bound_a": lambda: boundary(ya, za),
+        "bound_b": lambda: boundary((np.arange(n) < k) - ya, (np.arange(n) >= k) - za),
+    }
+    return functools.cache(lambda key: builders[key]())
 
 
 class Chunk(dict):
     """Bipartitions from index ``start`` on, as (rows, 2**lo) float64 arrays
-    computed on first use: cut, vol and size of side A, bound_a (volume of
-    the vertices of B with a neighbour in A) and bound_b (A and B swapped)."""
+    computed on first use: cut, vol and size of side A, ncut_den (vol A vol
+    B), bound_a (volume of the vertices of B with a neighbour in A) and
+    bound_b (A and B swapped).
 
-    def __init__(self, g: Graph, factors: dict, rows: slice, start: int, last: bool):
+    Every chunk of a pass has the same shape, and ``work(name)`` is the
+    pass's one array called ``name``: ``self[key]`` is kept in
+    ``work(key)``, and ``product(key, out)`` writes the values into an array
+    of the caller's, such as ``work("den")``, without keeping them. So a
+    chunk's arrays are valid only until the next chunk of the pass is read.
+    """
+
+    def __init__(self, g: Graph, factor, work, rows: slice, start: int, last: bool):
         super().__init__()
-        self.g, self.factors, self.rows, self.start, self.last = g, factors, rows, start, last
+        self.g, self.factor, self.work = g, factor, work
+        self.rows, self.start, self.last = rows, start, last
+
+    def product(self, key: str, out: np.ndarray) -> np.ndarray:
+        """This chunk's values ``key``, written into ``out`` and not kept."""
+        high, low = self.factor(key)
+        return np.matmul(high[self.rows], low, out=out)
 
     def __missing__(self, key: str) -> np.ndarray:
-        high, low = self.factors[key]
-        self[key] = value = high[self.rows] @ low
+        self[key] = value = self.product(key, self.work(key))
         return value
 
 
 def bipartition_arrays(g: Graph):
-    """Check g, build its factors, and stream its bipartitions as Chunks."""
+    """Check g and stream its bipartitions as Chunks of one pass."""
     _check_size(g)
     lo = min(g.n // 2, CHUNK_BITS)
-    factors, high, step = _factors(g, lo), 1 << (g.n - 1 - lo), 1 << (CHUNK_BITS - lo)
-    return (Chunk(g, factors, slice(r0, r0 + step), r0 << lo, r0 + step >= high)
+    high = 1 << (g.n - 1 - lo)
+    step = min(high, 1 << (CHUNK_BITS - lo))  # powers of two: every chunk has step rows
+    factor, work = _factors(g, lo), functools.cache(lambda name: np.empty((step, 1 << lo)))
+    return (Chunk(g, factor, work, slice(r0, r0 + step), r0 << lo, r0 + step >= high)
             for r0 in range(0, high, step))
 
 
 def side_sizes(g: Graph) -> np.ndarray:
     """|A| per canonical bipartition (vertex 0 included), as one whole array."""
-    return np.concatenate([c["size"].ravel() for c in bipartition_arrays(g)]).astype(np.int64)
+    return np.concatenate([c["size"].astype(np.int64).ravel() for c in bipartition_arrays(g)])
 
 
 def boundary_volumes(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """bound_a and bound_b (see Chunk) per canonical bipartition, as whole arrays."""
-    chunks = list(bipartition_arrays(g))
-    return tuple(np.concatenate([c[key].ravel() for c in chunks]).astype(np.int64)
-                 for key in ("bound_a", "bound_b"))
+    pairs = [(c["bound_a"].astype(np.int64).ravel(), c["bound_b"].astype(np.int64).ravel())
+             for c in bipartition_arrays(g)]
+    return tuple(np.concatenate(arrays) for arrays in zip(*pairs))
 
 
 def exact_min_fraction(num: np.ndarray, den: np.ndarray) -> tuple[Fraction, int]:
@@ -130,7 +164,7 @@ class RunningMin:
 
     def add(self, chunk: Chunk, num, den) -> None:
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = num / den
+            ratio = np.divide(num, den, out=chunk.work("ratio"))
         if chunk.last:
             ratio.flat[-1] = np.inf  # the improper full set
         low = ratio.min()
@@ -154,7 +188,8 @@ def minimize(g: Graph, *objectives) -> list[tuple[Fraction, int]]:
 
     An objective maps a Chunk to ``(num, den)``, with num = inf where a
     bipartition is excluded and den > 0 elsewhere; the improper full set
-    never counts.
+    never counts. Objectives run one after another on each chunk, so they
+    may share the chunk's work arrays.
     """
     mins = [RunningMin() for _ in objectives]
     for chunk in bipartition_arrays(g):

@@ -49,11 +49,12 @@ def _require_connected(g: Graph) -> None:
         raise ConnectivityError(f"{g.name or 'graph'} is disconnected")
 
 
-def _ncut(c: en.Chunk, keep=None):
-    """Ncut objective; bipartitions outside the mask ``keep`` are excluded."""
-    s = c.g.volume
-    num = c["cut"] * s if keep is None else np.where(keep, c["cut"] * s, np.inf)
-    return num, c["vol"] * (s - c["vol"])
+def _ncut(c: en.Chunk, max_cut: int | None = None):
+    """Ncut objective; bipartitions cutting more than ``max_cut`` are excluded."""
+    num = np.multiply(c["cut"], c.g.volume, out=c.work("num"))
+    if max_cut is not None:
+        num[c["cut"] > max_cut] = np.inf
+    return num, c.product("ncut_den", c.work("den"))
 
 
 def _cut_report(g: Graph, found: tuple[Fraction, int], method: str,
@@ -88,7 +89,7 @@ def min_ncut_pruned(g: Graph, seed: VertexSubset) -> CutReport:
     if imbalance * imbalance * (j0 + 1) > s * s:
         raise DomainError(
             f"seed violates the balance hypothesis: |{imbalance}| > {s}/sqrt({j0 + 1})")
-    found, = en.minimize(g, lambda c: _ncut(c, c["cut"] <= j0))
+    found, = en.minimize(g, lambda c: _ncut(c, j0))
     return _cut_report(g, found, PRUNED, branch=f"cut<={j0}")
 
 
@@ -96,16 +97,26 @@ def min_ncut_pruned(g: Graph, seed: VertexSubset) -> CutReport:
 # expansion constants
 # ---------------------------------------------------------------------------
 
+def _smaller_side(c: en.Chunk, key: str, total: int):
+    """min(x, total - x) = total/2 - |x - total/2| for x = c's values ``key``,
+    computed in place in the work array den (exact: x and total are integers)."""
+    den = c.product(key, c.work("den"))
+    np.abs(np.subtract(den, total / 2, out=den), out=den)
+    return np.subtract(total / 2, den, out=den)
+
+
 def _isoperimetric(c: en.Chunk):
-    return c["cut"], np.minimum(c["size"], c.g.n - c["size"])
+    return c["cut"], _smaller_side(c, "size", c.g.n)
 
 
 def _cheeger_edge(c: en.Chunk):
-    return c["cut"], np.minimum(c["vol"], c.g.volume - c["vol"])
+    return c["cut"], _smaller_side(c, "vol", c.g.volume)
 
 
 def _cheeger_vertex(c: en.Chunk):
-    return np.minimum(c["bound_a"], c["bound_b"]), np.minimum(c["vol"], c.g.volume - c["vol"])
+    num = c.work("num")
+    np.minimum(c.product("bound_a", num), c.product("bound_b", c.work("den")), out=num)
+    return num, _smaller_side(c, "vol", c.g.volume)
 
 
 def _expansion(g: Graph, objective) -> Fraction:
