@@ -1,8 +1,16 @@
-"""Streamed exhaustive bipartition sweep shared by the exact cut operations.
+"""Exhaustive bipartition sweep and the four objectives minimized over it.
 
 Bipartitions are canonicalized so that side A contains vertex 0. Index ``m``
 holds the membership of vertices 1..n-1 in its bits, so A's full bitmask is
 ``1 | (m << 1)``; the last index is the improper full set, never a minimum.
+
+Objectives, each num/den over the bipartitions (A, B) of total volume s:
+NCUT is cut(A) s / (vol A vol B), and with ``max_cut`` (the pruned search)
+a bipartition cutting more has num = inf; ISOPERIMETRIC is cut(A) / min(|A|,
+|B|); CHEEGER_EDGE is cut(A) / min(vol A, vol B); CHEEGER_VERTEX is
+min(bound_a, bound_b) / min(vol A, vol B), where bound_a is the volume of
+the vertices of B with a neighbour in A and bound_b swaps A and B. The
+smaller share min(x, t - x) is t/2 - |x - t/2|, exact on integers.
 
 Memory does not grow with the 2**(n-1) indices: a chunk holds at most
 2**CHUNK_BITS of them. The side indicator x = y + z splits into a low part y
@@ -10,29 +18,31 @@ Memory does not grow with the 2**(n-1) indices: a chunk holds at most
 the table whose entry (r, c) is index ``(r << lo) | c``. Each value is a sum
 of high-factor times low-factor products, hence one matrix product per
 chunk: the cut weight is x'Lx = y'Ly + z'Lz + 2 z'Ly for the Laplacian L,
-volumes and sizes are outer sums, the Ncut denominator vol(A) (s - vol(A))
-for the total volume s is a rank-3 sum of the two parts' volumes, and the
-boundary volume sums deg(v) [v in B] (1 - [no neighbour of v in A]) over v,
-each indicator a low one times a high one. A factor pair is built the first
-time a pass asks for it. The factors are integers and every partial sum is
-at most max(4s, s^2) < 2**30, since s < VOLUME_CAP = 2**15, far below 2**53,
-so the float64 products are exact in any summation order.
+volumes and sizes are outer sums, vol A vol B = vol(A) (s - vol(A)) is a
+rank-3 sum of the two parts' volumes, and the boundary volume sums deg(v)
+[v in B] (1 - [no neighbour of v in A]) over v, each indicator a low one
+times a high one. A factor pair is built the first time a pass asks for it.
+The factors are integers and every partial sum is at most max(4s, s^2) <
+2**30, since s < VOLUME_CAP = 2**15: the float64 products are exact in any
+summation order, and num and den are integers whose int64 products fit.
 
-A pass allocates each chunk-sized array once: every chunk has the same
-shape and writes its products and its objectives' work into the pass's
-arrays, so a chunk's arrays are valid only until the next chunk is read.
-The objectives share the work arrays num, den and ratio and keep only the
-cut weight between them, because every further array is more fresh pages
-for each pass to touch. In each chunk a float prefilter keeps the indices within a relative 1e-9 of
-the running minimum, and integer cross multiplication over them gives the
-chunk's exact minimum, which replaces the running one only when smaller:
-the lowest index wins a tie.
+One call of ``minimize`` is one pass. It allocates the four chunk-sized
+arrays cut, num, den and ratio as one block (at 19-22 vertices, four
+separate arrays freed together went back from malloc to the system and were
+page-faulted anew by each pass; the block stays on the heap), every chunk
+writes into them, and they go when the call returns. The objectives run one
+after another on a chunk, sharing num, den and ratio and keeping only cut.
+A float prefilter keeps the indices within a relative 1e-9 of the running
+minimum, exact_min_fraction cross-multiplies them in integers, and the
+chunk's exact minimum replaces the running one only when smaller: the
+lowest index wins a tie.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,6 +52,11 @@ from .matrices import MatrixKind, build_matrix
 
 VOLUME_CAP = 1 << 15
 CHUNK_BITS = 16
+
+NCUT, ISOPERIMETRIC = "ncut", "isoperimetric"
+CHEEGER_EDGE, CHEEGER_VERTEX = "cheeger_edge", "cheeger_vertex"
+# the side measure whose smaller share is each expansion objective's denominator
+_SIDE = {ISOPERIMETRIC: "size", CHEEGER_EDGE: "vol", CHEEGER_VERTEX: "vol"}
 
 
 def _check_size(g: Graph) -> None:
@@ -90,112 +105,103 @@ def _factors(g: Graph, lo: int):
     return functools.cache(lambda key: builders[key]())
 
 
-class Chunk(dict):
-    """Bipartitions from index ``start`` on, as (rows, 2**lo) float64 arrays
-    computed on first use: cut, vol and size of side A, ncut_den (vol A vol
-    B), bound_a (volume of the vertices of B with a neighbour in A) and
-    bound_b (A and B swapped).
+class Chunk(NamedTuple):
+    """Bipartitions from index ``start`` on, ``last`` if they end the pass.
+    ``chunk(key, out)`` writes their values ``key`` (cut, vol, size,
+    ncut_den, bound_a or bound_b) as a (rows, 2**lo) float64 array into
+    ``out``, or a new array, from the pass's ``factor`` pair."""
 
-    Every chunk of a pass has the same shape, and ``work(name)`` is the
-    pass's one array called ``name``: ``self[key]`` is kept in
-    ``work(key)``, and ``product(key, out)`` writes the values into an array
-    of the caller's, such as ``work("den")``, without keeping them. So a
-    chunk's arrays are valid only until the next chunk of the pass is read.
-    """
+    start: int
+    last: bool
+    rows: slice
+    factor: Callable
 
-    def __init__(self, g: Graph, factor, work, rows: slice, start: int, last: bool):
-        super().__init__()
-        self.g, self.factor, self.work = g, factor, work
-        self.rows, self.start, self.last = rows, start, last
-
-    def product(self, key: str, out: np.ndarray) -> np.ndarray:
-        """This chunk's values ``key``, written into ``out`` and not kept."""
+    def __call__(self, key: str, out: np.ndarray | None = None) -> np.ndarray:
         high, low = self.factor(key)
         return np.matmul(high[self.rows], low, out=out)
 
-    def __missing__(self, key: str) -> np.ndarray:
-        self[key] = value = self.product(key, self.work(key))
-        return value
+
+def _layout(g: Graph) -> tuple[int, int, int]:
+    """(lo, high, step): 2**lo columns, high rows in chunks of step rows, all
+    powers of two, so every chunk of a pass has the same shape."""
+    lo = min(g.n // 2, CHUNK_BITS)
+    high = 1 << (g.n - 1 - lo)
+    return lo, high, min(high, 1 << (CHUNK_BITS - lo))
 
 
 def bipartition_arrays(g: Graph):
-    """Check g and stream its bipartitions as Chunks of one pass."""
+    """Check g and stream its bipartitions as the Chunks of one pass."""
     _check_size(g)
-    lo = min(g.n // 2, CHUNK_BITS)
-    high = 1 << (g.n - 1 - lo)
-    step = min(high, 1 << (CHUNK_BITS - lo))  # powers of two: every chunk has step rows
-    factor, work = _factors(g, lo), functools.cache(lambda name: np.empty((step, 1 << lo)))
-    return (Chunk(g, factor, work, slice(r0, r0 + step), r0 << lo, r0 + step >= high)
+    lo, high, step = _layout(g)
+    factor = _factors(g, lo)
+    return (Chunk(r0 << lo, r0 + step >= high, slice(r0, r0 + step), factor)
             for r0 in range(0, high, step))
 
 
 def side_sizes(g: Graph) -> np.ndarray:
     """|A| per canonical bipartition (vertex 0 included), as one whole array."""
-    return np.concatenate([c["size"].astype(np.int64).ravel() for c in bipartition_arrays(g)])
+    return np.concatenate([c("size").astype(np.int64).ravel() for c in bipartition_arrays(g)])
 
 
 def boundary_volumes(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """bound_a and bound_b (see Chunk) per canonical bipartition, as whole arrays."""
-    pairs = [(c["bound_a"].astype(np.int64).ravel(), c["bound_b"].astype(np.int64).ravel())
+    """bound_a and bound_b per canonical bipartition, as whole arrays."""
+    pairs = [(c("bound_a").astype(np.int64).ravel(), c("bound_b").astype(np.int64).ravel())
              for c in bipartition_arrays(g)]
     return tuple(np.concatenate(arrays) for arrays in zip(*pairs))
 
 
 def exact_min_fraction(num: np.ndarray, den: np.ndarray) -> tuple[Fraction, int]:
-    """Exact argmin of num/den (den > 0); ties break on the lowest position.
-
-    A float pass locates near-minimal candidates, then integer cross
-    multiplication resolves them exactly (products fit int64 under the
-    engine's volume cap).
-    """
-    ratio = num / den
-    cand = np.flatnonzero(ratio <= ratio.min() * (1 + 1e-9) + 1e-300)
-    idx = int(cand[0])
-    while (better := cand[num[cand] * den[idx] < num[idx] * den[cand]]).size:
+    """Exact minimum of num/den over int64 candidates (den > 0) and its
+    lowest position, by integer cross multiplication (num, den < 2**30)."""
+    idx = 0
+    while (better := np.flatnonzero(num * den[idx] < num[idx] * den)).size:
         idx = int(better[0])
     return Fraction(int(num[idx]), int(den[idx])), idx
 
 
-class RunningMin:
-    """Exact minimum of num/den and its lowest index over a stream of chunks."""
-
-    def __init__(self):
-        self.limit, self.best = np.inf, None
-
-    def add(self, chunk: Chunk, num, den) -> None:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.divide(num, den, out=chunk.work("ratio"))
-        if chunk.last:
-            ratio.flat[-1] = np.inf  # the improper full set
-        low = ratio.min()
-        if low == np.inf or low > self.limit:
-            return
-        self.limit = min(self.limit, low * (1 + 1e-9) + 1e-300)
-        hit = np.flatnonzero(ratio <= self.limit)
-        exact = (np.broadcast_to(x, ratio.shape).flat[hit].astype(np.int64) for x in (num, den))
-        value, i = exact_min_fraction(*exact)
-        if self.best is None or value < self.best[0]:  # an earlier index keeps a tie
-            self.best = value, chunk.start + int(hit[i])
-
-    def result(self) -> tuple[Fraction, int]:
-        if self.best is None:
-            raise SizeError("no valid bipartition to minimize over")
-        return self.best
+def _fraction(objective: str, g: Graph, chunk: Chunk, cut, num, den, max_cut):
+    """The chunk's (numerator, denominator) of ``objective``, written into num
+    and den; ``cut`` holds the chunk's cut weights and may be the numerator."""
+    if objective == NCUT:
+        np.multiply(cut, g.volume, out=num)
+        if max_cut is not None:
+            num[cut > max_cut] = np.inf
+        return num, chunk("ncut_den", den)
+    key, top = _SIDE[objective], cut
+    if objective == CHEEGER_VERTEX:
+        top = np.minimum(chunk("bound_a", num), chunk("bound_b", den), out=num)
+    half = (g.n if key == "size" else g.volume) / 2
+    np.abs(np.subtract(chunk(key, den), half, out=den), out=den)
+    return top, np.subtract(half, den, out=den)
 
 
-def minimize(g: Graph, *objectives) -> list[tuple[Fraction, int]]:
-    """Exact minimum and its lowest index for each objective, in one pass.
-
-    An objective maps a Chunk to ``(num, den)``, with num = inf where a
-    bipartition is excluded and den > 0 elsewhere; the improper full set
-    never counts. Objectives run one after another on each chunk, so they
-    may share the chunk's work arrays.
-    """
-    mins = [RunningMin() for _ in objectives]
-    for chunk in bipartition_arrays(g):
-        for running, objective in zip(mins, objectives):
-            running.add(chunk, *objective(chunk))
-    return [running.result() for running in mins]
+def minimize(g: Graph, *objectives: str, max_cut: int | None = None):
+    """[(exact minimum, its lowest index)] per objective, from one pass; with
+    ``max_cut``, NCUT skips the bipartitions cutting more than it."""
+    chunks = bipartition_arrays(g)
+    lo, _high, step = _layout(g)
+    cut, num, den, ratio = np.empty((4, step, 1 << lo))
+    limits, best = [np.inf] * len(objectives), [None] * len(objectives)
+    for chunk in chunks:
+        chunk("cut", cut)
+        for i, objective in enumerate(objectives):
+            top, bottom = _fraction(objective, g, chunk, cut, num, den, max_cut)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(top, bottom, out=ratio)
+            if chunk.last:
+                ratio.flat[-1] = np.inf  # the improper full set
+            low = ratio.min()
+            if low == np.inf or low > limits[i]:
+                continue
+            limits[i] = min(limits[i], low * (1 + 1e-9) + 1e-300)
+            hit = np.flatnonzero(ratio <= limits[i])
+            value, j = exact_min_fraction(top.flat[hit].astype(np.int64),
+                                          bottom.flat[hit].astype(np.int64))
+            if best[i] is None or value < best[i][0]:  # an earlier index keeps a tie
+                best[i] = value, chunk.start + int(hit[j])
+    if None in best:
+        raise SizeError("no valid bipartition to minimize over")
+    return best
 
 
 def full_mask_from_index(index: int) -> int:

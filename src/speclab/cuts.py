@@ -1,7 +1,7 @@
 """Exact minimum normalized cut: exhaustive search and closed-form branches.
 
-The exhaustive operations canonicalize bipartitions so that side A contains
-vertex 1 and break value ties on the smallest bitmask, which makes witnesses
+The exhaustive operations name their objective to the enumeration engine and
+return, among tied minima, the witness of smallest bitmask, so witnesses are
 deterministic. The closed-form evaluator implements the published piecewise
 minima for the supported families. Each one is a split of cut weight c whose
 side volumes differ by d out of vol(V), and every such value is the one
@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-
-import numpy as np
 
 from . import _enumeration as en
 from .errors import ConnectivityError, DomainError, SizeError
@@ -49,14 +47,6 @@ def _require_connected(g: Graph) -> None:
         raise ConnectivityError(f"{g.name or 'graph'} is disconnected")
 
 
-def _ncut(c: en.Chunk, max_cut: int | None = None):
-    """Ncut objective; bipartitions cutting more than ``max_cut`` are excluded."""
-    num = np.multiply(c["cut"], c.g.volume, out=c.work("num"))
-    if max_cut is not None:
-        num[c["cut"] > max_cut] = np.inf
-    return num, c.product("ncut_den", c.work("den"))
-
-
 def _cut_report(g: Graph, found: tuple[Fraction, int], method: str,
                 branch: str = "") -> CutReport:
     value, idx = found
@@ -67,7 +57,7 @@ def _cut_report(g: Graph, found: tuple[Fraction, int], method: str,
 def min_ncut_brute(g: Graph) -> CutReport:
     """Global minimum of the normalized cut by exhaustive enumeration."""
     _require_connected(g)
-    return _cut_report(g, *en.minimize(g, _ncut), BRUTE_FORCE)
+    return _cut_report(g, *en.minimize(g, en.NCUT), BRUTE_FORCE)
 
 
 def min_ncut_pruned(g: Graph, seed: VertexSubset) -> CutReport:
@@ -89,7 +79,7 @@ def min_ncut_pruned(g: Graph, seed: VertexSubset) -> CutReport:
     if imbalance * imbalance * (j0 + 1) > s * s:
         raise DomainError(
             f"seed violates the balance hypothesis: |{imbalance}| > {s}/sqrt({j0 + 1})")
-    found, = en.minimize(g, lambda c: _ncut(c, j0))
+    found, = en.minimize(g, en.NCUT, max_cut=j0)
     return _cut_report(g, found, PRUNED, branch=f"cut<={j0}")
 
 
@@ -97,29 +87,7 @@ def min_ncut_pruned(g: Graph, seed: VertexSubset) -> CutReport:
 # expansion constants
 # ---------------------------------------------------------------------------
 
-def _smaller_side(c: en.Chunk, key: str, total: int):
-    """min(x, total - x) = total/2 - |x - total/2| for x = c's values ``key``,
-    computed in place in the work array den (exact: x and total are integers)."""
-    den = c.product(key, c.work("den"))
-    np.abs(np.subtract(den, total / 2, out=den), out=den)
-    return np.subtract(total / 2, den, out=den)
-
-
-def _isoperimetric(c: en.Chunk):
-    return c["cut"], _smaller_side(c, "size", c.g.n)
-
-
-def _cheeger_edge(c: en.Chunk):
-    return c["cut"], _smaller_side(c, "vol", c.g.volume)
-
-
-def _cheeger_vertex(c: en.Chunk):
-    num = c.work("num")
-    np.minimum(c.product("bound_a", num), c.product("bound_b", c.work("den")), out=num)
-    return num, _smaller_side(c, "vol", c.g.volume)
-
-
-def _expansion(g: Graph, objective) -> Fraction:
+def _expansion(g: Graph, objective: str) -> Fraction:
     _require_connected(g)
     (value, _idx), = en.minimize(g, objective)
     return value
@@ -127,17 +95,17 @@ def _expansion(g: Graph, objective) -> Fraction:
 
 def isoperimetric_number(g: Graph) -> Fraction:
     """min cut(S, V\\S) / |S| over nonempty S with |S| <= n/2."""
-    return _expansion(g, _isoperimetric)
+    return _expansion(g, en.ISOPERIMETRIC)
 
 
 def cheeger_edge(g: Graph) -> Fraction:
     """Edge expansion: min cut(S, V\\S) / min(vol S, vol V\\S)."""
-    return _expansion(g, _cheeger_edge)
+    return _expansion(g, en.CHEEGER_EDGE)
 
 
 def cheeger_vertex(g: Graph) -> Fraction:
     """Vertex expansion: min vol(boundary of S) / min(vol S, vol V\\S)."""
-    return _expansion(g, _cheeger_vertex)
+    return _expansion(g, en.CHEEGER_VERTEX)
 
 
 def expansion_constants(g: Graph, spec: FamilySpec | None = None):
@@ -145,8 +113,8 @@ def expansion_constants(g: Graph, spec: FamilySpec | None = None):
     from one pass; the pass adds the Ncut only when no closed form answers."""
     mcut = _closed_form(spec)
     _require_connected(g)
-    found = en.minimize(g, _isoperimetric, _cheeger_edge, _cheeger_vertex,
-                        *([] if mcut else [_ncut]))
+    found = en.minimize(g, en.ISOPERIMETRIC, en.CHEEGER_EDGE, en.CHEEGER_VERTEX,
+                        *([] if mcut else [en.NCUT]))
     mcut = mcut or _cut_report(g, found.pop(), BRUTE_FORCE)
     return (*(value for value, _idx in found), mcut)
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from speclab import DomainError, FamilySpec, Graph, chebyshev_t, chebyshev_u
+from speclab import _enumeration as en
 
 # one small instance of every family
 ALL_SPECS = [FamilySpec.path(5), FamilySpec.cycle(6), FamilySpec.complete(4),
@@ -68,6 +69,13 @@ def slow_cheeger_edge(g: Graph) -> Fraction:
 
 def slow_edge_connectivity(g: Graph) -> int:
     return min(cut for _m, _size, _vol, cut in slow_sides(g))
+
+
+def edge_connectivity(g: Graph) -> int:
+    """Least cut weight over the proper bipartitions, read from the engine's
+    cut table (not an oracle: tests compare it with slow_edge_connectivity)."""
+    cuts = np.concatenate([c("cut").ravel() for c in en.bipartition_arrays(g)])
+    return int(cuts[:-1].min())  # the last index is the improper full set
 
 
 def neighbour_sets(g: Graph) -> list[set[int]]:

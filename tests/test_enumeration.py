@@ -8,6 +8,7 @@ never chosen.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -15,14 +16,9 @@ import pytest
 import speclab as sl
 from speclab import FamilySpec, Graph, SizeError
 from speclab import _enumeration as en, cuts
-from conftest import (neighbour_sets, slow_cheeger_edge, slow_cheeger_vertex,
-                      slow_edge_connectivity, slow_isoperimetric, slow_min_ncut, slow_sides)
-
-
-def _edge_connectivity(g: Graph) -> Fraction:
-    """Least cut weight over all bipartitions, from the enumeration engine."""
-    (value, _idx), = en.minimize(g, lambda c: (c["cut"], 1))
-    return value
+from conftest import (edge_connectivity, neighbour_sets, slow_cheeger_edge,
+                      slow_cheeger_vertex, slow_edge_connectivity, slow_isoperimetric,
+                      slow_min_ncut, slow_sides)
 
 
 def _random_graph(seed: int, n: int) -> Graph:
@@ -76,7 +72,7 @@ def test_every_functional_matches_oracles_across_chunks(g, chunk_bits):
     assert sl.isoperimetric_number(g) == iso
     assert sl.cheeger_edge(g) == h
     assert sl.cheeger_vertex(g) == gv
-    assert _edge_connectivity(g) == slow_edge_connectivity(g)
+    assert edge_connectivity(g) == slow_edge_connectivity(g)
     assert cuts.expansion_constants(g) == (iso, h, gv, brute)
 
 
@@ -104,7 +100,7 @@ def test_improper_full_set_in_last_chunk_is_never_chosen(monkeypatch, bits):
         pruned = [sl.min_ncut_pruned(g, seed) for seed in _balanced_seeds(g)]
         for report in [sl.min_ncut_brute(g), *pruned]:
             assert report.witness.mask != full and report.value > 0
-        assert _edge_connectivity(g) == slow_edge_connectivity(g) > 0
+        assert edge_connectivity(g) == slow_edge_connectivity(g) > 0
         assert sl.isoperimetric_number(g) == slow_isoperimetric(g) > 0
         assert sl.cheeger_edge(g) == slow_cheeger_edge(g) > 0
         assert sl.cheeger_vertex(g) == slow_cheeger_vertex(g) > 0
@@ -115,61 +111,108 @@ def test_chunk_layout_matches_index_order(monkeypatch, bits):
     monkeypatch.setattr(en, "CHUNK_BITS", bits)
     g = _random_graph(4, 9)
     s, neighbours = g.volume, neighbour_sets(g)
-    sides = []
+    keys = ("cut", "vol", "size", "ncut_den", "bound_a", "bound_b")
+    expected = []  # per index, the six values from their definitions
     for m in range(2 ** (g.n - 1)):
         a = {v for v in range(g.n) if en.full_mask_from_index(m) >> v & 1}
-        sides.append((a, set(range(g.n)) - a))
-    start = 0
-    for c in en.bipartition_arrays(g):  # each chunk is read before the next one overwrites it
-        size = c["cut"].size
+        b = set(range(g.n)) - a
+        vol = sum(g.degrees[v] for v in a)
+        expected.append((sl.vertex_subset(g, a).cut_weight, vol, len(a), vol * (s - vol),
+                         sum(g.degrees[v] for v in b if a & neighbours[v]),
+                         sum(g.degrees[v] for v in a if b & neighbours[v])))
+    start, out = 0, None
+    for c in en.bipartition_arrays(g):
+        values = [c(key) for key in keys]
+        size = values[0].size
         assert c.start == start and size <= 2 ** bits
-        for m, cut, vol, den in zip(range(start, start + size), c["cut"].ravel(),
-                                    c["vol"].ravel(), c["ncut_den"].ravel()):
-            a, _b = sides[m]
-            assert cut == sl.vertex_subset(g, a).cut_weight
-            assert vol == sum(g.degrees[v] for v in a)
-            assert den == vol * (s - vol)
+        assert [tuple(row) for row in np.column_stack([v.ravel() for v in values])] == \
+            expected[start:start + size]
+        out = np.empty_like(values[0]) if out is None else out  # one array for every chunk
+        for key, value in zip(keys, values):
+            assert c(key, out) is out and np.array_equal(out, value)
         start += size
     assert start == 2 ** (g.n - 1)
     size, (bound_a, bound_b) = en.side_sizes(g), en.boundary_volumes(g)
-    for m, (a, b) in enumerate(sides):
-        assert size[m] == len(a)
-        assert bound_a[m] == sum(g.degrees[v] for v in b if a & neighbours[v])
-        assert bound_b[m] == sum(g.degrees[v] for v in a if b & neighbours[v])
+    assert list(zip(size, bound_a, bound_b)) == [(e[2], e[4], e[5]) for e in expected]
 
 
 def test_one_pass_writes_every_chunk_into_the_same_arrays(monkeypatch):
     monkeypatch.setattr(en, "CHUNK_BITS", 3)
-    g = _random_graph(5, 10)  # 2**9 bipartitions in 2**6 chunks
-    held = {}  # every array seen, per pass, kept alive so no fresh one could reuse an address
-    add = en.RunningMin.add
+    g = _random_graph(5, 10)  # 2**9 bipartitions in 2**6 chunks of one row of 8
+    passes = []  # per pass: its block and every array a chunk or the division wrote or read
 
-    def spy(running, chunk, num, den):
-        arrays = {"cut": chunk["cut"], "vol": chunk["vol"], "num": num, "den": den}
-        for name, array in arrays.items():
-            held.setdefault((chunk.work, running, name), []).append(array)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            expected = np.divide(num, den)
-        add(running, chunk, num, den)
-        ratio = chunk.work("ratio")
-        held.setdefault((chunk.work, running, "ratio"), []).append(ratio)
-        if chunk.last:
-            expected.flat[-1] = np.inf
-        assert np.array_equal(ratio, expected)
+    class Numpy:  # numpy, recording each pass's block and the arrays of each division
+        def __getattr__(self, name):
+            return getattr(np, name)
 
-    monkeypatch.setattr(en.RunningMin, "add", spy)
+        def empty(self, shape):
+            passes.append((np.empty(shape), []))
+            return passes[-1][0]
+
+        def divide(self, num, den, out):
+            passes[-1][1].extend([("num", num), ("den", den), ("ratio", out)])
+            return np.divide(num, den, out=out)
+
+    call = en.Chunk.__call__
+
+    def spy(chunk, key, out=None):
+        passes[-1][1].append((key, out))
+        return call(chunk, key, out)
+
+    monkeypatch.setattr(en, "np", Numpy())
+    monkeypatch.setattr(en.Chunk, "__call__", spy)
     iso, h, gv = slow_isoperimetric(g), slow_cheeger_edge(g), slow_cheeger_vertex(g)
     brute = sl.min_ncut_brute(g)
     assert (brute.value, brute.witness.mask, brute.cut_weight) == slow_min_ncut(g)
     assert cuts.expansion_constants(g) == (iso, h, gv, brute)
-    for seed in _balanced_seeds(g):
+    seeds = list(_balanced_seeds(g))
+    for seed in seeds:
         report = sl.min_ncut_pruned(g, seed)
         assert (report.value, report.witness.mask, report.cut_weight) == \
             slow_min_ncut(g, max_cut=seed.cut_weight)
-    assert len(held) > 20
-    for arrays in held.values():
-        assert len(arrays) == 2 ** 6
-        assert len({a.ctypes.data for a in arrays}) == 1
+    assert len(passes) == 2 + len(seeds) > 4
+    for block, arrays in passes:  # kept alive, so no fresh array could reuse its addresses
+        assert block.shape == (4, 1, 8)
+        rows = [row.ctypes.data for row in block]
+        assert sum(key == "cut" for key, _a in arrays) == 2 ** 6
+        for key, array in arrays:
+            assert array.shape == (1, 8) and array.ctypes.data in rows, key
+        assert {a.ctypes.data for key, a in arrays if key == "cut"} == {rows[0]}
+        assert {a.ctypes.data for key, a in arrays if key == "ratio"} == {rows[3]}
+
+
+def _float_tied_neighbours(rng: random.Random, count: int):
+    """Farey neighbours p/q < p'/q' (p'q - pq' = 1) with numerators below 2**30
+    and denominators below 2**28, the engine's bounds under VOLUME_CAP, whose
+    float64 quotients are equal; a quarter of them small enough to scale."""
+    pairs = []
+    while len(pairs) < count:
+        bits = 2 * (len(pairs) % 4 == 0)
+        p, q = rng.randrange(2, 1 << 30 - bits), rng.randrange(2, 1 << 28 - bits)
+        if gcd(p, q) == 1:
+            p2 = pow(q, -1, p)
+            q2 = (p2 * q - 1) // p
+            if q2 > 0 and p / q == p2 / q2:
+                pairs.append(((p, q), (p2, q2)))
+    return pairs
+
+
+def test_exact_min_fraction_separates_float_ties():
+    rng = random.Random(2012)
+    scaled = 0
+    for small, big in _float_tied_neighbours(rng, 300):
+        cands = [big] * rng.randint(1, 4) + [small] * rng.randint(1, 3)
+        k = rng.randint(2, 4)
+        if k * small[0] < 1 << 30 and k * small[1] < 1 << 28:  # an unreduced exact tie
+            cands.append((k * small[0], k * small[1]))
+            scaled += 1
+        rng.shuffle(cands)
+        num, den = (np.array(column, dtype=np.int64) for column in zip(*cands))
+        assert len(set(num / den)) == 1  # every float quotient is the same
+        values = [Fraction(p, q) for p, q in cands]
+        best = min(values)
+        assert en.exact_min_fraction(num, den) == (best, values.index(best))
+    assert scaled > 50
 
 
 def _heavy_graph(seed: int, volume: int) -> Graph:

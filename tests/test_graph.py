@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 
 import speclab as sl
 from speclab import DomainError, FamilySpec, Graph, SchemaError, SizeError
-from speclab import _enumeration as en
 
-from conftest import ALL_SPECS, slow_min_ncut
+from conftest import ALL_SPECS, edge_connectivity, slow_min_ncut
 
 
 # ---------------------------------------------------------------------------
@@ -262,26 +261,20 @@ def test_subset_capacity_is_64():
 # connectivity measures
 # ---------------------------------------------------------------------------
 
-def _edge_connectivity(g: Graph) -> Fraction:
-    """Least cut weight over all bipartitions, from the enumeration engine."""
-    (value, _idx), = en.minimize(g, lambda c: (c["cut"], 1))
-    return value
-
-
 def test_edge_connectivity_examples():
-    assert _edge_connectivity(sl.generate(FamilySpec.cycle(6))) == 2
-    assert _edge_connectivity(sl.generate(FamilySpec.complete(5))) == 4
-    assert _edge_connectivity(sl.generate(FamilySpec.cycle_cross_path(4, 3))) == 3
+    assert edge_connectivity(sl.generate(FamilySpec.cycle(6))) == 2
+    assert edge_connectivity(sl.generate(FamilySpec.complete(5))) == 4
+    assert edge_connectivity(sl.generate(FamilySpec.cycle_cross_path(4, 3))) == 3
 
 
 def test_edge_connectivity_disconnected_is_zero():
     g = Graph(4, ((0, 1, 1), (2, 3, 1)))
-    assert _edge_connectivity(g) == 0
+    assert edge_connectivity(g) == 0
 
 
 def test_edge_connectivity_size_cap():
     with pytest.raises(SizeError):
-        _edge_connectivity(sl.generate(FamilySpec.path(25)))
+        edge_connectivity(sl.generate(FamilySpec.path(25)))
 
 
 def test_ncut_defined_on_disconnected_graph():
