@@ -29,13 +29,29 @@ summation order, and num and den are integers whose int64 products fit.
 One call of ``minimize`` is one pass. It allocates the four chunk-sized
 arrays cut, num, den and ratio as one block (at 19-22 vertices, four
 separate arrays freed together went back from malloc to the system and were
-page-faulted anew by each pass; the block stays on the heap), every chunk
-writes into them, and they go when the call returns. The objectives run one
-after another on a chunk, sharing num, den and ratio and keeping only cut.
-A float prefilter keeps the indices within a relative 1e-9 of the running
-minimum, exact_min_fraction cross-multiplies them in integers, and the
-chunk's exact minimum replaces the running one only when smaller: the
-lowest index wins a tie.
+page-faulted anew by each pass; the block stays on the heap). Every chunk
+writes its cut weights into the block, and so does a chunk evaluated whole;
+the block goes when the call returns. The objectives run one after another
+on a chunk, sharing the cut weights. A float prefilter keeps the indices
+within a relative 1e-9 of the running minimum, exact_min_fraction
+cross-multiplies them in integers, and the chunk's exact minimum replaces
+the running one only when smaller: the lowest index wins a tie.
+
+Each objective is at least cut / M on every bipartition: NCUT with M = s/4,
+since vol A vol B <= s^2/4; ISOPERIMETRIC with M = floor(n/2), the largest
+smaller side; CHEEGER_EDGE with M = s/2, the largest smaller volume; and
+CHEEGER_VERTEX with M = s/2, since bound_a and bound_b are each at least the
+cut (each cut edge has an end on either side, counted with its whole
+degree). Once an objective has a running limit, a chunk keeps only the
+entries whose cut is at most limit * M (and, for the pruned NCUT, at most
+``max_cut``, from the first chunk on) and evaluates num and den at those
+alone, from rows of the factor pairs (``Chunk.at``). A chunk with no cap,
+or with more than DENSE_SHARE of its entries under it, is evaluated whole.
+Neither the minimum nor its index changes: an entry whose exact value is at
+most the running minimum v has cut <= M v, and the limit is at least
+v (1 + 1e-9) less a rounding, so the slack keeps the float cap limit * M
+above M v. An entry the cap drops is worth more than v: it could neither
+win nor tie, and the lowest index still wins a tie.
 """
 
 from __future__ import annotations
@@ -52,6 +68,12 @@ from .matrices import MatrixKind, build_matrix
 
 VOLUME_CAP = 1 << 15
 CHUNK_BITS = 16
+# The largest share of a chunk evaluated at its kept entries alone; a chunk
+# keeping more is evaluated whole. Point evaluation gathers a factor row and
+# column per entry: on a 20-vertex graph (one BLAS thread) it beat the whole
+# chunk for every objective up to 1/64 of its 2**16 entries, and lost at 1/32
+# for the vertex objective, whose boundary factors have 2n columns.
+DENSE_SHARE = 1 / 64
 
 NCUT, ISOPERIMETRIC = "ncut", "isoperimetric"
 CHEEGER_EDGE, CHEEGER_VERTEX = "cheeger_edge", "cheeger_vertex"
@@ -69,7 +91,7 @@ def _check_size(g: Graph) -> None:
 
 
 def _factors(g: Graph, lo: int):
-    """factor(key) -> (high, low) with value[r, c] = high[r] @ low[:, c]; each
+    """factor(key) -> (high, low) with value[r, c] = high[r] @ low[c]; each
     pair is built when a pass first asks for it."""
     n, k, s = g.n, lo + 1, g.volume
     ya, za = np.zeros((1 << lo, n)), np.zeros((1 << (n - k), n))
@@ -77,20 +99,20 @@ def _factors(g: Graph, lo: int):
     za[:, k:] = np.arange(len(za))[:, None] >> np.arange(n - k) & 1
     adj = build_matrix(g, MatrixKind.ADJACENCY).values  # loops cancel out of lap and boundary
     lap, deg = np.diag(adj.sum(1)) - adj, np.array(g.degrees, dtype=float)
-    h1, l1 = np.ones((len(za), 1)), np.ones((1, len(ya)))
+    h1, l1 = np.ones((len(za), 1)), np.ones((len(ya), 1))
     vol_z, vol_y = za @ deg, ya @ deg
 
     def outer(high, low):
-        return np.column_stack([high, h1]), np.vstack([l1, low])
+        return np.column_stack([high, h1]), np.column_stack([l1, low])
 
     def boundary(y, z):  # volume off the side (y, z) less that with no neighbour on it
         off_y, off_z = deg * (1 - y), 1 - z
         return (np.hstack([off_z, -off_z * (z @ adj == 0)]),
-                np.vstack([off_y.T, (off_y * (y @ adj == 0)).T]))
+                np.hstack([off_y, off_y * (y @ adj == 0)]))
 
     def cut():
         quad_y, quad_z = ((ya @ lap) * ya).sum(1), ((za @ lap) * za).sum(1)
-        return np.column_stack([2 * za @ lap, quad_z, h1]), np.vstack([ya.T, l1, quad_y])
+        return np.column_stack([2 * za @ lap, quad_z, h1]), np.column_stack([ya, l1, quad_y])
 
     builders = {
         "cut": cut,
@@ -98,7 +120,7 @@ def _factors(g: Graph, lo: int):
         "size": lambda: outer(za.sum(1), ya.sum(1)),
         # vol(A) vol(B) = (s a - a^2) - 2 a b + (s b - b^2) for vol(A) = a + b
         "ncut_den": lambda: (np.column_stack([vol_z * (s - vol_z), -2 * vol_z, h1]),
-                             np.vstack([l1, vol_y, vol_y * (s - vol_y)])),
+                             np.column_stack([l1, vol_y, vol_y * (s - vol_y)])),
         "bound_a": lambda: boundary(ya, za),
         "bound_b": lambda: boundary((np.arange(n) < k) - ya, (np.arange(n) >= k) - za),
     }
@@ -118,7 +140,15 @@ class Chunk(NamedTuple):
 
     def __call__(self, key: str, out: np.ndarray | None = None) -> np.ndarray:
         high, low = self.factor(key)
-        return np.matmul(high[self.rows], low, out=out)
+        return np.matmul(high[self.rows], low.T, out=out)
+
+    def at(self, where: np.ndarray, key: str, out: np.ndarray | None = None) -> np.ndarray:
+        """The values ``key`` at the chunk's flat positions ``where`` only,
+        position p being (row, column) = divmod(p, 2**lo), into ``out``."""
+        high, low = self.factor(key)
+        rows, cols = np.divmod(where, len(low))
+        return np.einsum("ij,ij->i", high.take(self.rows.start + rows, 0), low.take(cols, 0),
+                         out=out)
 
 
 def _layout(g: Graph) -> tuple[int, int, int]:
@@ -159,20 +189,30 @@ def exact_min_fraction(num: np.ndarray, den: np.ndarray) -> tuple[Fraction, int]
     return Fraction(int(num[idx]), int(den[idx])), idx
 
 
-def _fraction(objective: str, g: Graph, chunk: Chunk, cut, num, den, max_cut):
-    """The chunk's (numerator, denominator) of ``objective``, written into num
-    and den; ``cut`` holds the chunk's cut weights and may be the numerator."""
+def _fraction(objective: str, g: Graph, values, cut, num, den, max_cut):
+    """The (numerator, denominator) of ``objective``, written into num and
+    den, from the cut weights ``cut`` (which may be the numerator) and the
+    matching ``values(key, out)``: the whole chunk or its kept entries."""
     if objective == NCUT:
         np.multiply(cut, g.volume, out=num)
         if max_cut is not None:
             num[cut > max_cut] = np.inf
-        return num, chunk("ncut_den", den)
+        return num, values("ncut_den", den)
     key, top = _SIDE[objective], cut
     if objective == CHEEGER_VERTEX:
-        top = np.minimum(chunk("bound_a", num), chunk("bound_b", den), out=num)
+        top = np.minimum(values("bound_a", num), values("bound_b", den), out=num)
     half = (g.n if key == "size" else g.volume) / 2
-    np.abs(np.subtract(chunk(key, den), half, out=den), out=den)
+    np.abs(np.subtract(values(key, den), half, out=den), out=den)
     return top, np.subtract(half, den, out=den)
+
+
+def _kept(cut: np.ndarray, cap: float) -> np.ndarray | None:
+    """The flat positions of the cuts at most ``cap``, or None to evaluate the
+    whole chunk: no cap, or more than DENSE_SHARE of the chunk under it."""
+    if cap == np.inf:
+        return None
+    kept = cut <= cap
+    return np.flatnonzero(kept) if np.count_nonzero(kept) <= DENSE_SHARE * cut.size else None
 
 
 def minimize(g: Graph, *objectives: str, max_cut: int | None = None):
@@ -180,15 +220,29 @@ def minimize(g: Graph, *objectives: str, max_cut: int | None = None):
     ``max_cut``, NCUT skips the bipartitions cutting more than it."""
     chunks = bipartition_arrays(g)
     lo, _high, step = _layout(g)
-    cut, num, den, ratio = np.empty((4, step, 1 << lo))
+    block = np.empty((4, step, 1 << lo))  # cut, num, den, ratio
+    reach = {NCUT: g.volume / 4, ISOPERIMETRIC: g.n // 2,  # M: objective >= cut / M
+             CHEEGER_EDGE: g.volume / 2, CHEEGER_VERTEX: g.volume / 2}
+    ceiling = np.inf if max_cut is None else max_cut
     limits, best = [np.inf] * len(objectives), [None] * len(objectives)
     for chunk in chunks:
-        chunk("cut", cut)
+        cut = chunk("cut", block[0])
+        if chunk.last:
+            cut.flat[-1] = np.inf  # the improper full set, kept by no cap
         for i, objective in enumerate(objectives):
-            top, bottom = _fraction(objective, g, chunk, cut, num, den, max_cut)
+            where = _kept(cut, min(limits[i] * reach[objective],
+                                   ceiling if objective == NCUT else np.inf))
+            if where is None:
+                values, work = chunk, block
+            elif not where.size:
+                continue
+            else:
+                values, work = functools.partial(chunk.at, where), np.empty((4, where.size))
+                work[0] = cut.flat[where]
+            top, bottom = _fraction(objective, g, values, *work[:3], max_cut)
             with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(top, bottom, out=ratio)
-            if chunk.last:
+                ratio = np.divide(top, bottom, out=work[3])
+            if where is None and chunk.last:
                 ratio.flat[-1] = np.inf  # the improper full set
             low = ratio.min()
             if low == np.inf or low > limits[i]:
@@ -198,7 +252,7 @@ def minimize(g: Graph, *objectives: str, max_cut: int | None = None):
             value, j = exact_min_fraction(top.flat[hit].astype(np.int64),
                                           bottom.flat[hit].astype(np.int64))
             if best[i] is None or value < best[i][0]:  # an earlier index keeps a tie
-                best[i] = value, chunk.start + int(hit[j])
+                best[i] = value, chunk.start + int(hit[j] if where is None else where[hit[j]])
     if None in best:
         raise SizeError("no valid bipartition to minimize over")
     return best

@@ -183,7 +183,7 @@ def counterexample_check(k: int) -> CounterexampleReport:
     report = spectral_cut(g)
     row = (1 << 3 * k) - 1  # the mask of one row: vertices 0..3k-1
     top_row_cut = report.positive_side.mask in (row, row << 3 * k)
-    mcut = min_ncut_brute(g) if 6 * k <= EXHAUSTIVE_CAP else min_ncut_formula(spec)
+    mcut = min_ncut_brute(g) if 6 * k <= EXHAUSTIVE_CAP else min_ncut_formula(spec, g)
     return CounterexampleReport(k, mcut.value, mcut.method, report.value, report.lambda2,
                                 report.parity, top_row_cut, mcut.value < report.value)
 

@@ -111,7 +111,7 @@ def cheeger_vertex(g: Graph) -> Fraction:
 def expansion_constants(g: Graph, spec: FamilySpec | None = None):
     """Isoperimetric number, both Cheeger constants and min_ncut(g, spec),
     from one pass; the pass adds the Ncut only when no closed form answers."""
-    mcut = _closed_form(spec)
+    mcut = _closed_form(spec, g)
     _require_connected(g)
     found = en.minimize(g, en.ISOPERIMETRIC, en.CHEEGER_EDGE, en.CHEEGER_VERTEX,
                         *([] if mcut else [en.NCUT]))
@@ -170,13 +170,14 @@ def in_disagreement_region(n: int, k: int) -> bool:
     return (k < 4 or d == 0) and not ladder_split_wins(n, k, d)
 
 
-def _formula_report(spec: FamilySpec, branch: str, witness_vertices,
+def _formula_report(spec: FamilySpec, g: Graph | None, branch: str, witness_vertices,
                     cut: int, volume: int, d: int) -> CutReport:
     # witness_vertices is lazy and read only up to the subset capacity; the
-    # witness must then cut ``cut`` and achieve the split value exactly.
+    # witness must then cut ``cut`` and achieve the split value exactly on g,
+    # or on a graph generated from spec when the caller holds none.
     value, w = _split_value(cut, volume, d), None
     if spec.order() <= SUBSET_CAPACITY:
-        g = generate(spec)
+        g = generate(spec) if g is None else g
         w = vertex_subset(g, witness_vertices)
         achieved = normalized_cut(g, w)
         if achieved != value or w.cut_weight != cut:
@@ -186,10 +187,10 @@ def _formula_report(spec: FamilySpec, branch: str, witness_vertices,
     return CutReport(value, w, cut, FORMULA, branch)
 
 
-def _closed_form(spec: FamilySpec | None) -> CutReport | None:
-    """min_ncut_formula(spec), or None without a spec or outside its domain."""
+def _closed_form(spec: FamilySpec | None, g: Graph) -> CutReport | None:
+    """min_ncut_formula(spec, g), or None without a spec or outside its domain."""
     try:
-        return min_ncut_formula(spec) if spec is not None else None
+        return min_ncut_formula(spec, g) if spec is not None else None
     except DomainError:
         return None
 
@@ -197,83 +198,87 @@ def _closed_form(spec: FamilySpec | None) -> CutReport | None:
 def min_ncut(g: Graph, spec: FamilySpec | None = None) -> CutReport:
     """Minimum normalized cut of g: the closed form when ``spec`` (the family
     instance g was generated from) is in its domain, else the exhaustive one."""
-    return _closed_form(spec) or min_ncut_brute(g)
+    return _closed_form(spec, g) or min_ncut_brute(g)
 
 
-def min_ncut_formula(spec: FamilySpec) -> CutReport:
+def min_ncut_formula(spec: FamilySpec, g: Graph | None = None) -> CutReport:
     """Closed-form minimum normalized cut for a family instance.
 
-    Raises DomainError when the instance falls outside the domain where the
-    closed form applies; min_ncut then falls back to min_ncut_brute.
+    The witness is checked on ``g``, the graph generated from spec, when the
+    caller holds it, and on a newly generated one otherwise. Raises
+    DomainError when the instance falls outside the domain where the closed
+    form applies, or when g is not spec's graph (another order or name);
+    min_ncut then falls back to min_ncut_brute.
     """
     spec.validate()
     if spec.family not in _FORMULAS:
         raise DomainError(f"no closed-form minimum for family {spec.family!r}")
-    return _FORMULAS[spec.family](spec)
+    split = _FORMULAS[spec.family](spec)
+    if g is not None and (g.n != spec.order() or g.name != spec.label()):
+        raise DomainError(f"graph {g.name or '(unnamed)'} of order {g.n} is not {spec.label()}")
+    return _formula_report(spec, g, *split)
 
 
-def _path_formula(spec: FamilySpec) -> CutReport:
+# Each family's rule returns its split: (branch, witness vertices, cut, volume, d).
+
+def _path_formula(spec: FamilySpec):
     n = spec.n
     if n < 2:
         raise DomainError("path minimum cut needs n >= 2")
-    return _formula_report(spec, "2!|n" if n % 2 else "2|n", range(n // 2),
-                           1, 2 * (n - 1), 2 * (n % 2))
+    return "2!|n" if n % 2 else "2|n", range(n // 2), 1, 2 * (n - 1), 2 * (n % 2)
 
 
-def _cycle_formula(spec: FamilySpec) -> CutReport:
+def _cycle_formula(spec: FamilySpec):
     n = spec.n
-    return _formula_report(spec, "2!|n" if n % 2 else "2|n", range(n // 2),
-                           2, 2 * n, 2 * (n % 2))
+    return "2!|n" if n % 2 else "2|n", range(n // 2), 2, 2 * n, 2 * (n % 2)
 
 
-def _complete_formula(spec: FamilySpec) -> CutReport:
+def _complete_formula(spec: FamilySpec):
     n = spec.n
     if n < 2:
         raise DomainError("complete-graph minimum cut needs n >= 2")
-    return _formula_report(spec, "any subset", [0], n - 1, n * (n - 1), (n - 1) * (n - 2))
+    return "any subset", [0], n - 1, n * (n - 1), (n - 1) * (n - 2)
 
 
 # The value 2 / (2^(depth+1) - 3) is built exactly: the cap keeps 2^depth small.
 MAX_CLOSED_FORM_DEPTH = 10_000
 
 
-def _double_tree_formula(spec: FamilySpec) -> CutReport:
+def _double_tree_formula(spec: FamilySpec):
     if spec.depth > MAX_CLOSED_FORM_DEPTH:
         raise SizeError(f"double-tree closed form is capped at depth {MAX_CLOSED_FORM_DEPTH}")
-    return _formula_report(spec, "root bridge", range(2 ** spec.depth - 1),
-                           1, 2 ** (spec.depth + 2) - 6, 0)
+    return "root bridge", range(2 ** spec.depth - 1), 1, 2 ** (spec.depth + 2) - 6, 0
 
 
-def _cycle_cross_path_formula(spec: FamilySpec) -> CutReport:
+def _cycle_cross_path_formula(spec: FamilySpec):
     m, n = spec.m, spec.n
     if n < 2:
         raise DomainError("cycle-cross-path minimum cut needs n >= 2 (and m >= 3)")
     volume = 2 * m * (2 * n - 1)
     if 2 * n > m:  # cut every copy of the path once
         verts = (u * n + v for u in range(m) for v in range(n // 2))
-        return _formula_report(spec, "2n>m", verts, m, volume, 4 * m * (n % 2))
+        return "2n>m", verts, m, volume, 4 * m * (n % 2)
     # cut every copy of the cycle twice
     verts = (u * n + v for u in range(m // 2) for v in range(n))
-    return _formula_report(spec, "2n<=m", verts, 2 * n, volume, 2 * (2 * n - 1) * (m % 2))
+    return "2n<=m", verts, 2 * n, volume, 2 * (2 * n - 1) * (m % 2)
 
 
-def _roach_formula(spec: FamilySpec) -> CutReport:
+def _roach_formula(spec: FamilySpec):
     n, k = spec.n, spec.k
     s, volume = n + k, 2 * (3 * k + 2 * n - 2)
     if (n, k) == (1, 2):  # split the two rows apart
-        return _formula_report(spec, "c1:(n,k)=(1,2)", range(s), k, volume, 0)
+        return "c1:(n,k)=(1,2)", range(s), k, volume, 0
     # Below k = 4 the same test picks the split; the paper labels it by (n, k).
     d, alpha = _nearest_split(3 * k - 2 * n, 6)
     if ladder_split_wins(n, k, d):  # c4: cut both rows between two rungs
         branch = f"c4:{_RESIDUES[d]}&n<K{d + 1}" if k >= 4 else f"c4:(n,k)=({n},{k})"
-        return _formula_report(spec, branch, chain(range(n + alpha), range(s, s + n + alpha)),
-                               2, volume, 2 * d)
+        return branch, chain(range(n + alpha), range(s, s + n + alpha)), 2, volume, 2 * d
     # c2: cut one antenna off
     branch = f"c2:{_RESIDUES[d]}&K{d + 1}<=n" if k >= 4 else f"c2:k={k}&n>={k}"
-    return _formula_report(spec, branch, range(n), 1, volume, 2 * (3 * k - 1))
+    return branch, range(n), 1, volume, 2 * (3 * k - 1)
 
 
-def _weighted_path_formula(spec: FamilySpec) -> CutReport:
+def _weighted_path_formula(spec: FamilySpec):
     n, k = spec.n, spec.k
     t = 3 * k + 2 * n
     if t < 11:
@@ -293,19 +298,19 @@ def _weighted_path_formula(spec: FamilySpec) -> CutReport:
         branch = f"{_RESIDUES[d]}&R3<k"
     if not 1 <= alpha <= n + k - 1:
         raise AssertionError(f"prefix split {alpha} out of range for {spec.label()}")
-    return _formula_report(spec, branch, range(alpha), 1, t - 2, d)
+    return branch, range(alpha), 1, t - 2, d
 
 
-def _lollipop_formula(spec: FamilySpec) -> CutReport:
+def _lollipop_formula(spec: FamilySpec):
     n, m = spec.n, spec.m
     q = n * n - n
     volume = q + 2 * m
     if m == 1:  # the path vertex with its clique neighbour
-        return _formula_report(spec, "m=1", [0, m], n - 1, volume, n * (3 - n))
+        return "m=1", [0, m], n - 1, volume, n * (3 - n)
     if 2 * m <= q + 4:  # cut the bridge
-        return _formula_report(spec, "2<=m<=(n^2-n+4)/2", range(m), 1, volume, 2 * m - 2 - q)
+        return "2<=m<=(n^2-n+4)/2", range(m), 1, volume, 2 * m - 2 - q
     d, alpha = _nearest_split(volume + 2, 4)  # cut the path nearest to balance
-    return _formula_report(spec, f"o{1 + d // 2}&m>(n^2-n+4)/2", range(alpha), 1, volume, d)
+    return f"o{1 + d // 2}&m>(n^2-n+4)/2", range(alpha), 1, volume, d
 
 
 _FORMULAS = {PATH: _path_formula, CYCLE: _cycle_formula, COMPLETE: _complete_formula,

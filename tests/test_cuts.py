@@ -294,6 +294,31 @@ def test_min_ncut_falls_back_to_brute_force():
     assert report == sl.min_ncut_brute(g) and report.method == "brute_force"
 
 
+def test_closed_form_checks_its_witness_on_the_callers_graph(monkeypatch):
+    specs = (FamilySpec.roach(6, 3), FamilySpec.path(9), FamilySpec.cycle_cross_path(4, 3),
+             FamilySpec.lollipop(4, 5), FamilySpec.double_tree(3))
+    graphs = {spec: sl.generate(spec) for spec in specs}
+    expected = {spec: sl.min_ncut_formula(spec) for spec in specs}
+    monkeypatch.setattr(cuts, "generate", None)  # the closed forms may build no graph
+    for spec, g in graphs.items():
+        report = sl.min_ncut_formula(spec, g)
+        assert report == expected[spec] and report.witness.graph is g
+        assert sl.min_ncut(g, spec) == report
+        assert cuts.expansion_constants(g, spec)[3] == report
+    spec = FamilySpec.roach(12, 6)
+    check = sl.counterexample_check(6)  # 36 vertices: the closed form, checked on its graph
+    assert check.mcut_method == "formula"
+    assert check.mcut == sl.min_ncut_formula(spec, sl.generate(spec)).value
+
+
+def test_closed_form_refuses_another_graph():
+    g = sl.generate(FamilySpec.path(9))
+    for spec in (FamilySpec.path(8), FamilySpec.cycle(9)):  # another order, another name
+        with pytest.raises(DomainError, match="is not"):
+            sl.min_ncut_formula(spec, g)
+        assert sl.min_ncut(g, spec) == sl.min_ncut_brute(g)
+
+
 @pytest.mark.parametrize("spec, objectives", [(FamilySpec.roach(2, 3), 3),
                                               (FamilySpec.weighted_path(1, 2), 4), (None, 4)])
 def test_expansion_constants_adds_the_ncut_only_without_a_closed_form(monkeypatch, spec,
