@@ -2,11 +2,13 @@
 
 Bipartitions are canonicalized so that side A contains vertex 0. Index ``m``
 holds the membership of vertices 1..n-1 in its bits, so A's full bitmask is
-``1 | (m << 1)``; the last index is the improper full set, never a minimum.
+``1 | (m << 1)``. NaN ratios never compete: at the last index, the improper
+full set, every objective below is 0/0, and the pruned NCUT is NaN past
+``max_cut``. Chunk minima skip NaN (fmin), and NaN fails every ``<= limit``.
 
 Objectives, each num/den over the bipartitions (A, B) of total volume s:
 NCUT is cut(A) s / (vol A vol B), and with ``max_cut`` (the pruned search)
-a bipartition cutting more has num = inf; ISOPERIMETRIC is cut(A) / min(|A|,
+a bipartition cutting more has num = NaN; ISOPERIMETRIC is cut(A) / min(|A|,
 |B|); CHEEGER_EDGE is cut(A) / min(vol A, vol B); CHEEGER_VERTEX is
 min(bound_a, bound_b) / min(vol A, vol B), where bound_a is the volume of
 the vertices of B with a neighbour in A and bound_b swaps A and B. The
@@ -68,11 +70,12 @@ from .matrices import MatrixKind, build_matrix
 
 VOLUME_CAP = 1 << 15
 CHUNK_BITS = 16
-# The largest share of a chunk evaluated at its kept entries alone; a chunk
-# keeping more is evaluated whole. Point evaluation gathers a factor row and
-# column per entry: on a 20-vertex graph (one BLAS thread) it beat the whole
-# chunk for every objective up to 1/64 of its 2**16 entries, and lost at 1/32
-# for the vertex objective, whose boundary factors have 2n columns.
+# A chunk keeping at most this share is evaluated at its kept entries alone,
+# by a gathered factor row and column each. With one BLAS thread this beat the
+# whole 2**16-entry chunk up to 1/64 on 20 vertices, and lost at 1/32 for the
+# vertex objective (2n boundary columns). Both paths stay: bounds ran 7-11x
+# slower on 18-20-vertex random graphs with points alone, 1.8x on path(20)
+# with the vertex objective always whole, and 6-16% with kept-column matmuls.
 DENSE_SHARE = 1 / 64
 
 NCUT, ISOPERIMETRIC = "ncut", "isoperimetric"
@@ -99,28 +102,25 @@ def _factors(g: Graph, lo: int):
     za[:, k:] = np.arange(len(za))[:, None] >> np.arange(n - k) & 1
     adj = build_matrix(g, MatrixKind.ADJACENCY).values  # loops cancel out of lap and boundary
     lap, deg = np.diag(adj.sum(1)) - adj, np.array(g.degrees, dtype=float)
-    h1, l1 = np.ones((len(za), 1)), np.ones((len(ya), 1))
     vol_z, vol_y = za @ deg, ya @ deg
+    ones = np.ones((len(za), 1)), np.ones((len(ya), 1))  # a term's 1: the ones column per side
 
-    def outer(high, low):
-        return np.column_stack([high, h1]), np.column_stack([l1, low])
+    def terms(*pairs):  # the pair whose value sums high * low over its (high, low) terms
+        return tuple(np.concatenate([one if isinstance(x, int) else x.reshape(len(one), -1)
+                                     for x in side], 1) for side, one in zip(zip(*pairs), ones))
 
     def boundary(y, z):  # volume off the side (y, z) less that with no neighbour on it
         off_y, off_z = deg * (1 - y), 1 - z
-        return (np.hstack([off_z, -off_z * (z @ adj == 0)]),
-                np.hstack([off_y, off_y * (y @ adj == 0)]))
+        return terms((off_z, off_y), (-off_z * (z @ adj == 0), off_y * (y @ adj == 0)))
 
-    def cut():
-        quad_y, quad_z = ((ya @ lap) * ya).sum(1), ((za @ lap) * za).sum(1)
-        return np.column_stack([2 * za @ lap, quad_z, h1]), np.column_stack([ya, l1, quad_y])
-
-    builders = {
-        "cut": cut,
-        "vol": lambda: outer(vol_z, vol_y),
-        "size": lambda: outer(za.sum(1), ya.sum(1)),
+    builders = {  # x'Lx = y'Ly + z'Lz + 2 z'Ly for the Laplacian L and x = y + z
+        "cut": lambda: terms((2 * za @ lap, ya), (((za @ lap) * za).sum(1), 1),
+                             (1, ((ya @ lap) * ya).sum(1))),
+        "vol": lambda: terms((vol_z, 1), (1, vol_y)),
+        "size": lambda: terms((za.sum(1), 1), (1, ya.sum(1))),
         # vol(A) vol(B) = (s a - a^2) - 2 a b + (s b - b^2) for vol(A) = a + b
-        "ncut_den": lambda: (np.column_stack([vol_z * (s - vol_z), -2 * vol_z, h1]),
-                             np.column_stack([l1, vol_y, vol_y * (s - vol_y)])),
+        "ncut_den": lambda: terms((vol_z * (s - vol_z), 1), (-2 * vol_z, vol_y),
+                                  (1, vol_y * (s - vol_y))),
         "bound_a": lambda: boundary(ya, za),
         "bound_b": lambda: boundary((np.arange(n) < k) - ya, (np.arange(n) >= k) - za),
     }
@@ -128,13 +128,11 @@ def _factors(g: Graph, lo: int):
 
 
 class Chunk(NamedTuple):
-    """Bipartitions from index ``start`` on, ``last`` if they end the pass.
-    ``chunk(key, out)`` writes their values ``key`` (cut, vol, size,
-    ncut_den, bound_a or bound_b) as a (rows, 2**lo) float64 array into
-    ``out``, or a new array, from the pass's ``factor`` pair."""
+    """Bipartitions from index ``start`` on: ``chunk(key, out)`` writes their
+    values ``key`` (cut, vol, size, ncut_den, bound_a or bound_b), from the
+    pass's ``factor`` pair, into ``out`` or a new (rows, 2**lo) array."""
 
     start: int
-    last: bool
     rows: slice
     factor: Callable
 
@@ -164,8 +162,7 @@ def bipartition_arrays(g: Graph):
     _check_size(g)
     lo, high, step = _layout(g)
     factor = _factors(g, lo)
-    return (Chunk(r0 << lo, r0 + step >= high, slice(r0, r0 + step), factor)
-            for r0 in range(0, high, step))
+    return (Chunk(r0 << lo, slice(r0, r0 + step), factor) for r0 in range(0, high, step))
 
 
 def side_sizes(g: Graph) -> np.ndarray:
@@ -196,7 +193,7 @@ def _fraction(objective: str, g: Graph, values, cut, num, den, max_cut):
     if objective == NCUT:
         np.multiply(cut, g.volume, out=num)
         if max_cut is not None:
-            num[cut > max_cut] = np.inf
+            num[cut > max_cut] = np.nan
         return num, values("ncut_den", den)
     key, top = _SIDE[objective], cut
     if objective == CHEEGER_VERTEX:
@@ -227,8 +224,6 @@ def minimize(g: Graph, *objectives: str, max_cut: int | None = None):
     limits, best = [np.inf] * len(objectives), [None] * len(objectives)
     for chunk in chunks:
         cut = chunk("cut", block[0])
-        if chunk.last:
-            cut.flat[-1] = np.inf  # the improper full set, kept by no cap
         for i, objective in enumerate(objectives):
             where = _kept(cut, min(limits[i] * reach[objective],
                                    ceiling if objective == NCUT else np.inf))
@@ -242,10 +237,8 @@ def minimize(g: Graph, *objectives: str, max_cut: int | None = None):
             top, bottom = _fraction(objective, g, values, *work[:3], max_cut)
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.divide(top, bottom, out=work[3])
-            if where is None and chunk.last:
-                ratio.flat[-1] = np.inf  # the improper full set
-            low = ratio.min()
-            if low == np.inf or low > limits[i]:
+            low = np.fmin.reduce(ratio, axis=None)  # NaN only if every entry is NaN
+            if not low <= limits[i]:  # NaN, or above the running limit
                 continue
             limits[i] = min(limits[i], low * (1 + 1e-9) + 1e-300)
             hit = np.flatnonzero(ratio <= limits[i])

@@ -205,13 +205,66 @@ def test_pruned_cut_below_every_cut_of_the_first_chunk(monkeypatch, bits):
     assert en.minimize(g, en.NCUT, max_cut=1) == [(value, mask >> 1)] and cut == 1
 
 
+OBJECTIVES = (en.NCUT, en.ISOPERIMETRIC, en.CHEEGER_EDGE, en.CHEEGER_VERTEX)
+
+
+def _last_chunk_fractions(g: Graph):
+    """The last chunk of a pass, its cut weights and (num, den) per objective."""
+    last = list(en.bipartition_arrays(g))[-1]
+    cut = last("cut")
+    return last, cut, [en._fraction(objective, g, last, cut, np.empty_like(cut),
+                                    np.empty_like(cut), None) for objective in OBJECTIVES]
+
+
+@pytest.mark.parametrize("bits", [0, 3, 16])
+def test_improper_full_set_is_zero_over_zero_for_every_objective(monkeypatch, bits):
+    monkeypatch.setattr(en, "CHUNK_BITS", bits)
+    graphs = [_random_graph(seed, n, wmax) for seed, n in enumerate(range(4, 13))
+              for wmax in (3, 300)] + [sl.generate(spec) for spec in ALL_SPECS]
+    assert any(g.loops for g in graphs)
+    for g in graphs:
+        last, cut, fractions = _last_chunk_fractions(g)
+        assert last.start + cut.size == 2 ** (g.n - 1) and cut.flat[-1] == 0
+        for objective, (num, den) in zip(OBJECTIVES, fractions):
+            assert num.flat[-1] == den.flat[-1] == 0, (g.name, objective)
+            assert np.all(den.flat[:-1] > 0), (g.name, objective)  # every other one competes
+            with np.errstate(invalid="ignore"):
+                ratio = (num / den).ravel()
+            assert np.isnan(ratio[-1]) and not np.isnan(ratio[:-1]).any(), (g.name, objective)
+
+
+@pytest.mark.parametrize("bits", [0, 3, 16])
+def test_pruned_ncut_marks_larger_cuts_nan(monkeypatch, bits):
+    monkeypatch.setattr(en, "CHUNK_BITS", bits)
+    marked = 0
+    for g in [_random_graph(seed, 9, wmax) for seed in range(4) for wmax in (3, 300)] + HARD:
+        cuts_seen = sorted({cut for _mask, _size, _vol, cut in slow_sides(g)})
+        for max_cut in cuts_seen[:3]:
+            for chunk in en.bipartition_arrays(g):
+                cut = chunk("cut")
+                num, _den = en._fraction(en.NCUT, g, chunk, cut, np.empty_like(cut),
+                                         np.empty_like(cut), max_cut)
+                assert np.array_equal(np.isnan(num), cut > max_cut), (g.name, max_cut)
+                marked += np.count_nonzero(cut > max_cut)
+            value, mask, _cut = slow_min_ncut(g, max_cut) or (None, None, None)
+            if value is None:
+                with pytest.raises(SizeError):
+                    en.minimize(g, en.NCUT, max_cut=max_cut)
+            else:
+                assert en.minimize(g, en.NCUT, max_cut=max_cut) == [(value, mask >> 1)], \
+                    (g.name, max_cut)
+    assert marked > 0
+
+
 @pytest.mark.parametrize("bits", [0, 1, 2])
 def test_improper_full_set_in_last_chunk_is_never_chosen(monkeypatch, bits):
     monkeypatch.setattr(en, "CHUNK_BITS", bits)
     for g in (sl.generate(FamilySpec.path(2)), sl.generate(FamilySpec.cycle(5)),
               Graph(2, ((0, 1, 3),), ((1, 2),))):
-        chunks = list(en.bipartition_arrays(g))
-        assert chunks[-1].last and not any(c.last for c in chunks[:-1])
+        last, cut, fractions = _last_chunk_fractions(g)
+        assert last.start + cut.size == 2 ** (g.n - 1) and cut.flat[-1] == 0
+        assert all(num.flat[-1] == den.flat[-1] == 0 for num, den in fractions)
+        assert cut.size == 1 if bits == 0 else cut.size > 1  # bits 0: the improper set alone
         full = (1 << g.n) - 1
         pruned = [sl.min_ncut_pruned(g, seed) for seed in _balanced_seeds(g)]
         for report in [sl.min_ncut_brute(g), *pruned]:
@@ -224,32 +277,38 @@ def test_improper_full_set_in_last_chunk_is_never_chosen(monkeypatch, bits):
 
 @pytest.mark.parametrize("bits", [0, 2, 16])
 def test_chunk_layout_matches_index_order(monkeypatch, bits):
+    """Every factor pair's term list against its definition, on a graph with
+    loops and on one whose volume is just under VOLUME_CAP."""
     monkeypatch.setattr(en, "CHUNK_BITS", bits)
-    g = _random_graph(4, 9)
-    s, neighbours = g.volume, neighbour_sets(g)
-    keys = ("cut", "vol", "size", "ncut_den", "bound_a", "bound_b")
-    expected = []  # per index, the six values from their definitions
-    for m in range(2 ** (g.n - 1)):
-        a = {v for v in range(g.n) if en.full_mask_from_index(m) >> v & 1}
-        b = set(range(g.n)) - a
-        vol = sum(g.degrees[v] for v in a)
-        expected.append((sl.vertex_subset(g, a).cut_weight, vol, len(a), vol * (s - vol),
-                         sum(g.degrees[v] for v in b if a & neighbours[v]),
-                         sum(g.degrees[v] for v in a if b & neighbours[v])))
-    start, out = 0, None
-    for c in en.bipartition_arrays(g):
-        values = [c(key) for key in keys]
-        size = values[0].size
-        assert c.start == start and size <= 2 ** bits
-        assert [tuple(row) for row in np.column_stack([v.ravel() for v in values])] == \
-            expected[start:start + size]
-        out = np.empty_like(values[0]) if out is None else out  # one array for every chunk
-        for key, value in zip(keys, values):
-            assert c(key, out) is out and np.array_equal(out, value)
-        start += size
-    assert start == 2 ** (g.n - 1)
-    size, (bound_a, bound_b) = en.side_sizes(g), en.boundary_volumes(g)
-    assert list(zip(size, bound_a, bound_b)) == [(e[2], e[4], e[5]) for e in expected]
+    rng = np.random.default_rng(bits)
+    for g in (_random_graph(4, 9), _heavy_graph(0, en.VOLUME_CAP - 1)):
+        assert g.loops
+        s, neighbours = g.volume, neighbour_sets(g)
+        keys = ("cut", "vol", "size", "ncut_den", "bound_a", "bound_b")
+        expected = []  # per index, the six values from their definitions
+        for m in range(2 ** (g.n - 1)):
+            a = {v for v in range(g.n) if en.full_mask_from_index(m) >> v & 1}
+            b = set(range(g.n)) - a
+            vol = sum(g.degrees[v] for v in a)
+            expected.append((sl.vertex_subset(g, a).cut_weight, vol, len(a), vol * (s - vol),
+                             sum(g.degrees[v] for v in b if a & neighbours[v]),
+                             sum(g.degrees[v] for v in a if b & neighbours[v])))
+        start, out = 0, None
+        for c in en.bipartition_arrays(g):
+            values = [c(key) for key in keys]
+            size = values[0].size
+            assert c.start == start and size <= 2 ** bits
+            assert [tuple(row) for row in np.column_stack([v.ravel() for v in values])] == \
+                expected[start:start + size], g.name
+            out = np.empty_like(values[0]) if out is None else out  # one array for every chunk
+            where = np.append(rng.integers(size, size=3), size - 1)
+            for key, value in zip(keys, values):
+                assert c(key, out) is out and np.array_equal(out, value)
+                assert np.array_equal(c.at(where, key), value.flat[where]), (g.name, key)
+            start += size
+        assert start == 2 ** (g.n - 1)
+        size, (bound_a, bound_b) = en.side_sizes(g), en.boundary_volumes(g)
+        assert list(zip(size, bound_a, bound_b)) == [(e[2], e[4], e[5]) for e in expected]
 
 
 def test_one_pass_writes_every_chunk_into_the_same_arrays(monkeypatch):
