@@ -17,8 +17,8 @@ import numpy as np
 
 from .cuts import min_ncut_brute, min_ncut_formula
 from .errors import ConnectivityError, DomainError, MultiplicityError, NumericError
-from .graph import (EXHAUSTIVE_CAP, FamilySpec, Graph, VertexSubset, generate,
-                    is_automorphism, is_connected, normalized_cut, vertex_subset)
+from .graph import (EXHAUSTIVE_CAP, ROACH, WEIGHTED_PATH, FamilySpec, Graph, VertexSubset,
+                    generate, is_automorphism, is_connected, normalized_cut, vertex_subset)
 from .matrices import MatrixKind, SymmetricMatrix, build_matrix, eig_sym
 
 ZERO_TOL = 1e-9
@@ -104,7 +104,7 @@ def even_odd_blocks(n: int, k: int) -> tuple[SymmetricMatrix, SymmetricMatrix]:
     """
     if n < 1 or k < 2:
         raise DomainError(f"sector blocks need n >= 1 and k >= 2, got ({n},{k})")
-    wp = generate(FamilySpec.weighted_path(n, k))
+    wp = generate(FamilySpec(WEIGHTED_PATH, n=n, k=k))
     even = build_matrix(wp, MatrixKind.NORMALIZED)
     odd_values = np.array(even.values)
     for v, w in wp.loops:
@@ -178,7 +178,7 @@ def counterexample_check(k: int) -> CounterexampleReport:
     """
     if k < 3:
         raise DomainError("counterexample family needs k >= 3")
-    spec = FamilySpec.roach(2 * k, k)
+    spec = FamilySpec(ROACH, n=2 * k, k=k)
     g = generate(spec)
     report = spectral_cut(g)
     row = (1 << 3 * k) - 1  # the mask of one row: vertices 0..3k-1

@@ -84,9 +84,7 @@ def _family_spec(args) -> graph.FamilySpec:
     fam = args.family.replace("-", "_")
     if fam not in graph.FAMILIES:
         raise DomainError(f"unknown family {args.family!r}")
-    spec = graph.FamilySpec(fam, n=args.n, k=args.k, m=args.m, depth=args.depth)
-    spec.validate()
-    return spec
+    return graph.FamilySpec(fam, n=args.n, k=args.k, m=args.m, depth=args.depth)
 
 
 def _load_input(args, build: bool = True) -> tuple[graph.Graph | None,

@@ -210,7 +210,6 @@ def min_ncut_formula(spec: FamilySpec, g: Graph | None = None) -> CutReport:
     form applies, or when g is not spec's graph (another order or name);
     min_ncut then falls back to min_ncut_brute.
     """
-    spec.validate()
     if spec.family not in _FORMULAS:
         raise DomainError(f"no closed-form minimum for family {spec.family!r}")
     split = _FORMULAS[spec.family](spec)

@@ -187,7 +187,11 @@ FAMILIES = tuple(_FAMILY_TABLE)
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Tagged parameter record for one of the named graph families."""
+    """Tagged parameter record for one of the named graph families.
+
+    Construction raises DomainError for an unknown family, or for a parameter
+    of the family that is None or below its minimum.
+    """
 
     family: str
     n: int | None = None
@@ -195,43 +199,7 @@ class FamilySpec:
     m: int | None = None
     depth: int | None = None
 
-    @classmethod
-    def path(cls, n: int) -> "FamilySpec":
-        return cls(PATH, n=n)
-
-    @classmethod
-    def cycle(cls, n: int) -> "FamilySpec":
-        return cls(CYCLE, n=n)
-
-    @classmethod
-    def complete(cls, n: int) -> "FamilySpec":
-        return cls(COMPLETE, n=n)
-
-    @classmethod
-    def tree(cls, depth: int) -> "FamilySpec":
-        return cls(TREE, depth=depth)
-
-    @classmethod
-    def double_tree(cls, depth: int) -> "FamilySpec":
-        return cls(DOUBLE_TREE, depth=depth)
-
-    @classmethod
-    def cycle_cross_path(cls, m: int, n: int) -> "FamilySpec":
-        return cls(CYCLE_CROSS_PATH, m=m, n=n)
-
-    @classmethod
-    def roach(cls, n: int, k: int) -> "FamilySpec":
-        return cls(ROACH, n=n, k=k)
-
-    @classmethod
-    def weighted_path(cls, n: int, k: int) -> "FamilySpec":
-        return cls(WEIGHTED_PATH, n=n, k=k)
-
-    @classmethod
-    def lollipop(cls, n: int, m: int) -> "FamilySpec":
-        return cls(LOLLIPOP, n=n, m=m)
-
-    def validate(self) -> None:
+    def __post_init__(self):
         entry = _FAMILY_TABLE.get(self.family)
         if entry is None:
             raise DomainError(f"unknown family {self.family!r}")
@@ -242,16 +210,15 @@ class FamilySpec:
                 raise DomainError(f"{self.family} needs {needs} (got {self})")
 
     def label(self) -> str:
-        # an unknown family shows n and k, as roach does
-        params = _FAMILY_TABLE.get(self.family, _FAMILY_TABLE[ROACH])[0]
+        params = _FAMILY_TABLE[self.family][0]
         return f"{self.family}({','.join(str(getattr(self, p)) for p, _lo in params)})"
 
     def order(self) -> int:
-        """Vertex count of generate(self); the spec must be valid."""
+        """Vertex count of generate(self)."""
         return _FAMILY_TABLE[self.family][1](self)
 
     def edge_count(self) -> int:
-        """Edge count of generate(self), self-loops excluded; the spec must be valid."""
+        """Edge count of generate(self), self-loops excluded."""
         return _FAMILY_TABLE[self.family][2](self)
 
 
@@ -271,7 +238,6 @@ def generate(spec: FamilySpec) -> Graph:
     Raises SizeError above MAX_ORDER vertices or MAX_EDGES edges, before
     anything is built.
     """
-    spec.validate()
     f, name = spec.family, spec.label()
     # A tree's order is 2**depth: compare the depth before building that integer.
     if (spec.depth or 0) > MAX_ORDER.bit_length():
@@ -320,7 +286,7 @@ def generate(spec: FamilySpec) -> Graph:
         edges = tuple((i, i + 1, 1) for i in range(s - 1))
         loops = tuple((i, 1) for i in range(n, s))
         return Graph(s, edges, loops, name=name)
-    n, m = spec.n, spec.m  # LOLLIPOP, the last family validate() admits
+    n, m = spec.n, spec.m  # LOLLIPOP, the last family FamilySpec admits
     edges = [(i, i + 1, 1) for i in range(m - 1)]
     edges += [(m + i, m + j, 1) for i in range(n) for j in range(i + 1, n)]
     edges.append((m - 1, m, 1))

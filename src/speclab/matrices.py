@@ -194,7 +194,6 @@ class ClosedFormSpectrum:
 
 def closed_form_spectrum(spec: FamilySpec, kind: MatrixKind) -> ClosedFormSpectrum:
     """Closed-form eigenvalues (paths and cycles) and path eigenvectors."""
-    spec.validate()
     if spec.family not in (PATH, CYCLE):
         raise DomainError(f"no closed-form spectrum for family {spec.family!r}")
     n = spec.n

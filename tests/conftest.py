@@ -18,10 +18,10 @@ from speclab import DomainError, FamilySpec, Graph, chebyshev_t, chebyshev_u
 from speclab import _enumeration as en
 
 # one small instance of every family
-ALL_SPECS = [FamilySpec.path(5), FamilySpec.cycle(6), FamilySpec.complete(4),
-             FamilySpec.tree(3), FamilySpec.double_tree(3),
-             FamilySpec.cycle_cross_path(3, 2), FamilySpec.roach(2, 3),
-             FamilySpec.weighted_path(3, 2), FamilySpec.lollipop(4, 2)]
+ALL_SPECS = [FamilySpec("path", n=5), FamilySpec("cycle", n=6), FamilySpec("complete", n=4),
+             FamilySpec("tree", depth=3), FamilySpec("double_tree", depth=3),
+             FamilySpec("cycle_cross_path", m=3, n=2), FamilySpec("roach", n=2, k=3),
+             FamilySpec("weighted_path", n=3, k=2), FamilySpec("lollipop", n=4, m=2)]
 
 
 def lu_det(m: np.ndarray) -> float:

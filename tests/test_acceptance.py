@@ -21,17 +21,17 @@ from speclab import FamilySpec, MatrixKind
 def suite_specs():
     """The oracle suite: every family instance named by the contract."""
     out = []
-    out += [FamilySpec.cycle(n) for n in range(3, 17)]
-    out += [FamilySpec.path(n) for n in range(2, 17)]
-    out += [FamilySpec.complete(n) for n in range(2, 11)]
-    out += [FamilySpec.double_tree(d) for d in (2, 3)]
-    out += [FamilySpec.cycle_cross_path(m, n) for m in range(3, 11)
+    out += [FamilySpec("cycle", n=n) for n in range(3, 17)]
+    out += [FamilySpec("path", n=n) for n in range(2, 17)]
+    out += [FamilySpec("complete", n=n) for n in range(2, 11)]
+    out += [FamilySpec("double_tree", depth=d) for d in (2, 3)]
+    out += [FamilySpec("cycle_cross_path", m=m, n=n) for m in range(3, 11)
             for n in range(2, 7) if m * n <= 20]
-    out += [FamilySpec.roach(n, k) for n in range(1, 11) for k in range(2, 11)
+    out += [FamilySpec("roach", n=n, k=k) for n in range(1, 11) for k in range(2, 11)
             if n + k <= 11]
-    out += [FamilySpec.weighted_path(n, k) for n in range(1, 20) for k in range(1, 20)
+    out += [FamilySpec("weighted_path", n=n, k=k) for n in range(1, 20) for k in range(1, 20)
             if n + k <= 20 and 3 * k + 2 * n >= 11]
-    out += [FamilySpec.lollipop(n, m) for n in range(3, 18) for m in range(1, 16)
+    out += [FamilySpec("lollipop", n=n, m=m) for n in range(3, 18) for m in range(1, 16)
             if n + m <= 18]
     return out
 
@@ -62,13 +62,13 @@ def test_criterion_1_formula_equals_oracle():
 def test_criterion_2_published_cut_values():
     for n in range(3, 17):
         expected = Fraction(4, n) if n % 2 == 0 else Fraction(4 * n, n * n - 1)
-        assert sl.min_ncut_formula(FamilySpec.cycle(n)).value == expected
+        assert sl.min_ncut_formula(FamilySpec("cycle", n=n)).value == expected
     for n in range(2, 11):
-        assert sl.min_ncut_formula(FamilySpec.complete(n)).value == Fraction(n, n - 1)
+        assert sl.min_ncut_formula(FamilySpec("complete", n=n)).value == Fraction(n, n - 1)
     for n in range(2, 17):
         expected = Fraction(2, n - 1) if n % 2 == 0 else Fraction(2 * (n - 1), n * (n - 2))
-        assert sl.min_ncut_formula(FamilySpec.path(n)).value == expected
-    assert sl.min_ncut_formula(FamilySpec.double_tree(3)).value == Fraction(2, 13)
+        assert sl.min_ncut_formula(FamilySpec("path", n=n)).value == expected
+    assert sl.min_ncut_formula(FamilySpec("double_tree", depth=3)).value == Fraction(2, 13)
     example = sl.Graph(7, ((0, 1), (1, 2), (2, 0), (2, 3), (0, 3),
                            (0, 4), (2, 5), (5, 4), (6, 4), (6, 5)))
     report = sl.min_ncut_brute(example)
@@ -82,8 +82,8 @@ def test_criterion_3_closed_form_spectra_to_64():
     worst = 0.0
     count = 0
     for kind in MatrixKind:
-        for spec in ([FamilySpec.path(n) for n in range(2, 65)]
-                     + [FamilySpec.cycle(n) for n in range(3, 65)]):
+        for spec in ([FamilySpec("path", n=n) for n in range(2, 65)]
+                     + [FamilySpec("cycle", n=n) for n in range(3, 65)]):
             cf = sl.closed_form_spectrum(spec, kind)
             sp = sl.eig_sym(sl.build_matrix(sl.generate(spec), kind))
             diff = float(np.max(np.abs(cf.eigenvalues - sp.eigenvalues)))
@@ -95,7 +95,7 @@ def test_criterion_3_closed_form_spectra_to_64():
 
 
 def test_criterion_4_published_ladder_spectra():
-    full = sl.eig_sym(sl.build_matrix(sl.generate(FamilySpec.roach(2, 2)),
+    full = sl.eig_sym(sl.build_matrix(sl.generate(FamilySpec("roach", n=2, k=2)),
                                       MatrixKind.NORMALIZED)).eigenvalues
     expected = [0.0, 0.204666, 0.371333, 1.0, 1.0, 1.62867, 1.79533, 2.0]
     assert float(np.max(np.abs(full - expected))) < 1e-5
@@ -111,11 +111,11 @@ def test_criterion_4_published_ladder_spectra():
 def test_criterion_5_characteristic_polynomials():
     rng = random.Random(2024)
     for (n, k) in ((3, 3), (4, 3), (5, 4), (5, 5)):
-        wp = sl.build_matrix(sl.generate(FamilySpec.weighted_path(n, k)),
+        wp = sl.build_matrix(sl.generate(FamilySpec("weighted_path", n=n, k=k)),
                              MatrixKind.NORMALIZED)
         for lam in sl.eig_sym(wp).eigenvalues:
             assert abs(sl.weighted_path_charpoly(n, k, float(lam))) <= 1e-8
-        ladder = sl.build_matrix(sl.generate(FamilySpec.roach(n, k)),
+        ladder = sl.build_matrix(sl.generate(FamilySpec("roach", n=n, k=k)),
                                  MatrixKind.NORMALIZED)
         for lam in sl.eig_sym(ladder).eigenvalues:
             assert abs(sl.roach_charpoly(n, k, float(lam))) <= 1e-8
@@ -136,7 +136,7 @@ def test_criterion_6_lambda2_lower_bound():
     assert 0.0405 <= b3 < 0.0406
     assert 0.02185 <= b4 < 0.02186
     for k in (3, 4, 5):
-        lam2 = norm_lambda2(sl.generate(FamilySpec.weighted_path(2 * k, k)))
+        lam2 = norm_lambda2(sl.generate(FamilySpec("weighted_path", n=2 * k, k=k)))
         assert lam2 >= sl.weighted_path_lambda2_bound(k) - 1e-12
     print(f"PASS criterion 6: lambda2 lower bound holds for k=3,4,5; "
           f"k=3 -> {b3:.6f}, k=4 -> {b4:.7f} (published digits)")
@@ -151,10 +151,10 @@ def test_criterion_7_counterexample_family():
         report = sl.counterexample_check(k)
         assert report.mcut_method == "formula"
         assert report.parity == "odd" and report.top_row_cut and report.strictly_less
-    equal_case = sl.spectral_cut(sl.generate(FamilySpec.roach(4, 7)))
-    assert equal_case.value == sl.min_ncut_formula(FamilySpec.roach(4, 7)).value
-    differing = sl.spectral_cut(sl.generate(FamilySpec.roach(6, 4)))
-    assert differing.value != sl.min_ncut_formula(FamilySpec.roach(6, 4)).value
+    equal_case = sl.spectral_cut(sl.generate(FamilySpec("roach", n=4, k=7)))
+    assert equal_case.value == sl.min_ncut_formula(FamilySpec("roach", n=4, k=7)).value
+    differing = sl.spectral_cut(sl.generate(FamilySpec("roach", n=6, k=4)))
+    assert differing.value != sl.min_ncut_formula(FamilySpec("roach", n=6, k=4)).value
     print("PASS criterion 7: spectral cut strictly exceeds the minimum on the "
           "balanced ladders k=3..8 (odd, top-row); figure regressions hold")
 
@@ -252,27 +252,27 @@ GOLDEN_WEIGHTED_PATH_BRANCHES = [
 ]
 
 GOLDEN_OTHER_BRANCHES = [
-    (FamilySpec.lollipop(3, 1), "m=1", "1"),
-    (FamilySpec.lollipop(9, 1), "m=1", "37/40"),
-    (FamilySpec.lollipop(3, 2), "2<=m<=(n^2-n+4)/2", "10/21"),
-    (FamilySpec.lollipop(3, 6), "o1&m>(n^2-n+4)/2", "2/9"),
-    (FamilySpec.lollipop(8, 41), "o1&m>(n^2-n+4)/2", "2/69"),
-    (FamilySpec.lollipop(3, 7), "o2&m>(n^2-n+4)/2", "20/99"),
-    (FamilySpec.lollipop(8, 40), "o2&m>(n^2-n+4)/2", "136/4623"),
-    (FamilySpec.cycle_cross_path(3, 2), "2n>m", "2/3"),
-    (FamilySpec.cycle_cross_path(5, 9), "2n>m", "34/285"),
-    (FamilySpec.cycle_cross_path(4, 2), "2n<=m", "2/3"),
-    (FamilySpec.cycle_cross_path(20, 3), "2n<=m", "3/25"),
+    (FamilySpec("lollipop", n=3, m=1), "m=1", "1"),
+    (FamilySpec("lollipop", n=9, m=1), "m=1", "37/40"),
+    (FamilySpec("lollipop", n=3, m=2), "2<=m<=(n^2-n+4)/2", "10/21"),
+    (FamilySpec("lollipop", n=3, m=6), "o1&m>(n^2-n+4)/2", "2/9"),
+    (FamilySpec("lollipop", n=8, m=41), "o1&m>(n^2-n+4)/2", "2/69"),
+    (FamilySpec("lollipop", n=3, m=7), "o2&m>(n^2-n+4)/2", "20/99"),
+    (FamilySpec("lollipop", n=8, m=40), "o2&m>(n^2-n+4)/2", "136/4623"),
+    (FamilySpec("cycle_cross_path", m=3, n=2), "2n>m", "2/3"),
+    (FamilySpec("cycle_cross_path", m=5, n=9), "2n>m", "34/285"),
+    (FamilySpec("cycle_cross_path", m=4, n=2), "2n<=m", "2/3"),
+    (FamilySpec("cycle_cross_path", m=20, n=3), "2n<=m", "3/25"),
 ]
 
 
 def test_branch_labels_stable():
     # region-figure reproduction: the sweep rows must not flip branches
     for n, k, branch, value in GOLDEN_ROACH_BRANCHES:
-        report = sl.min_ncut_formula(FamilySpec.roach(n, k))
+        report = sl.min_ncut_formula(FamilySpec("roach", n=n, k=k))
         assert (report.branch, str(report.value)) == (branch, value), (n, k)
     for n, k, branch, value in GOLDEN_WEIGHTED_PATH_BRANCHES:
-        report = sl.min_ncut_formula(FamilySpec.weighted_path(n, k))
+        report = sl.min_ncut_formula(FamilySpec("weighted_path", n=n, k=k))
         assert (report.branch, str(report.value)) == (branch, value), (n, k)
     for spec, branch, value in GOLDEN_OTHER_BRANCHES:
         report = sl.min_ncut_formula(spec)

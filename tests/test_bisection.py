@@ -20,30 +20,30 @@ def norm_spectrum(spec):
 # ---------------------------------------------------------------------------
 
 def test_p4_splits_in_the_middle():
-    g = sl.generate(FamilySpec.path(4))
+    g = sl.generate(FamilySpec("path", n=4))
     report = sl.spectral_cut(g)
     assert set(report.positive_side.vertices()) in ({0, 1}, {2, 3})
     assert report.value == Fraction(2, 3)
-    assert report.value == sl.min_ncut_formula(FamilySpec.path(4)).value
+    assert report.value == sl.min_ncut_formula(FamilySpec("path", n=4)).value
     assert report.parity == "odd"
 
 
 def test_path_second_eigenvectors_are_odd():
     # checked empirically: reversal flips the sign of the second eigenvector
     for n in range(2, 13):
-        report = sl.spectral_cut(sl.generate(FamilySpec.path(n)))
+        report = sl.spectral_cut(sl.generate(FamilySpec("path", n=n)))
         assert report.parity == "odd"
 
 
 def test_multiplicity_refusal():
     for n in (4, 6):  # normalized cycle spectra have a double second eigenvalue
         with pytest.raises(MultiplicityError):
-            sl.spectral_cut(sl.generate(FamilySpec.cycle(n)))
+            sl.spectral_cut(sl.generate(FamilySpec("cycle", n=n)))
 
 
 def test_p3_zero_entry_grouped_with_positive_side():
     # second eigenvector of the 3-path is (+, 0, -) up to sign
-    report = sl.spectral_cut(sl.generate(FamilySpec.path(3)))
+    report = sl.spectral_cut(sl.generate(FamilySpec("path", n=3)))
     assert report.zero_count == 1
     assert report.positive_side.mask.bit_count() == 2
     assert report.value == Fraction(4, 3)
@@ -57,14 +57,14 @@ def test_disconnected_rejected():
 
 
 def test_spectral_cut_never_below_minimum():
-    specs = [FamilySpec.path(n) for n in range(2, 13)]
-    specs += [FamilySpec.cycle(n) for n in range(3, 13)]
-    specs += [FamilySpec.complete(n) for n in (2, 4, 6)]
-    specs += [FamilySpec.roach(n, k) for n in range(1, 6) for k in range(2, 6)
+    specs = [FamilySpec("path", n=n) for n in range(2, 13)]
+    specs += [FamilySpec("cycle", n=n) for n in range(3, 13)]
+    specs += [FamilySpec("complete", n=n) for n in (2, 4, 6)]
+    specs += [FamilySpec("roach", n=n, k=k) for n in range(1, 6) for k in range(2, 6)
               if n + k <= 7]
-    specs += [FamilySpec.weighted_path(n, k) for (n, k) in ((4, 3), (5, 4), (6, 3))]
-    specs += [FamilySpec.lollipop(4, 3), FamilySpec.double_tree(3),
-              FamilySpec.cycle_cross_path(3, 3)]
+    specs += [FamilySpec("weighted_path", n=n, k=k) for (n, k) in ((4, 3), (5, 4), (6, 3))]
+    specs += [FamilySpec("lollipop", n=4, m=3), FamilySpec("double_tree", depth=3),
+              FamilySpec("cycle_cross_path", m=3, n=3)]
     checked = 0
     for spec in specs:
         g = sl.generate(spec)
@@ -82,19 +82,19 @@ def test_spectral_cut_never_below_minimum():
 # ---------------------------------------------------------------------------
 
 def test_first_eigenvector_is_even():
-    g = sl.generate(FamilySpec.roach(3, 3))
-    sp = norm_spectrum(FamilySpec.roach(3, 3))
+    g = sl.generate(FamilySpec("roach", n=3, k=3))
+    sp = norm_spectrum(FamilySpec("roach", n=3, k=3))
     assert sl.classify_parity(g, g.mirror, sp.eigenvectors[:, 0]) == "even"
 
 
 def test_r63_second_eigenvector_is_odd():
-    g = sl.generate(FamilySpec.roach(6, 3))
-    sp = norm_spectrum(FamilySpec.roach(6, 3))
+    g = sl.generate(FamilySpec("roach", n=6, k=3))
+    sp = norm_spectrum(FamilySpec("roach", n=6, k=3))
     assert sl.classify_parity(g, g.mirror, sp.eigenvectors[:, 1]) == "odd"
 
 
 def test_published_r22_eigenvector_rows():
-    g = sl.generate(FamilySpec.roach(2, 2))
+    g = sl.generate(FamilySpec("roach", n=2, k=2))
     even_row = [-6.90985, 7.772, -3.17291, 1.0, -6.90985, 7.772, -3.17291, 1.0]
     odd_row = [0.707107, -1.0, 1.22474, -1.0, -0.707107, 1.0, -1.22474, 1.0]
     assert sl.classify_parity(g, g.mirror, even_row) == "even"
@@ -102,15 +102,15 @@ def test_published_r22_eigenvector_rows():
 
 
 def test_parity_neither():
-    g = sl.generate(FamilySpec.path(4))
+    g = sl.generate(FamilySpec("path", n=4))
     assert sl.classify_parity(g, g.mirror, [1.0, 0.0, 0.0, 0.0]) == "neither"
 
 
 def test_parity_domain_errors():
-    g = sl.generate(FamilySpec.path(4))
+    g = sl.generate(FamilySpec("path", n=4))
     with pytest.raises(DomainError):
         sl.classify_parity(g, (1, 0, 2, 3), [1, 0, 0, 0])  # not an automorphism
-    c5 = sl.generate(FamilySpec.cycle(5))
+    c5 = sl.generate(FamilySpec("cycle", n=5))
     rotation = tuple((i + 1) % 5 for i in range(5))  # automorphism of order 5
     with pytest.raises(DomainError):
         sl.classify_parity(c5, rotation, [1, 0, 0, 0, 0])
@@ -153,7 +153,7 @@ def test_block_spectra_union_is_ladder_spectrum(nk):
     even, odd = sl.even_odd_blocks(n, k)
     union = np.sort(np.concatenate([sl.eig_sym(even).eigenvalues,
                                     sl.eig_sym(odd).eigenvalues]))
-    full = norm_spectrum(FamilySpec.roach(n, k)).eigenvalues
+    full = norm_spectrum(FamilySpec("roach", n=n, k=k)).eigenvalues
     assert np.max(np.abs(union - full)) <= 1e-8
 
 
@@ -168,7 +168,7 @@ def test_block_reflection_relation():
 
 def test_even_block_is_weighted_path_laplacian():
     even, _ = sl.even_odd_blocks(4, 3)
-    wp = sl.build_matrix(sl.generate(FamilySpec.weighted_path(4, 3)),
+    wp = sl.build_matrix(sl.generate(FamilySpec("weighted_path", n=4, k=3)),
                          MatrixKind.NORMALIZED)
     assert np.array_equal(even.values, wp.values)
 
@@ -183,8 +183,8 @@ def test_blocks_domain():
 def test_doubled_eigenvectors_transfer():
     # (u, u) of a weighted-path eigenpair solves the ladder eigenproblem
     for (n, k) in ((3, 3), (4, 5)):
-        sp = norm_spectrum(FamilySpec.weighted_path(n, k))
-        ladder = sl.build_matrix(sl.generate(FamilySpec.roach(n, k)),
+        sp = norm_spectrum(FamilySpec("weighted_path", n=n, k=k))
+        ladder = sl.build_matrix(sl.generate(FamilySpec("roach", n=n, k=k)),
                                  MatrixKind.NORMALIZED).values
         for j in range(n + k):
             doubled = np.concatenate([sp.eigenvectors[:, j], sp.eigenvectors[:, j]])
@@ -193,16 +193,16 @@ def test_doubled_eigenvectors_transfer():
 
 def test_even_second_eigenvector_shares_lambda2():
     # R_{4,7} bisects evenly; its lambda2 equals the weighted path's
-    g = sl.generate(FamilySpec.roach(4, 7))
+    g = sl.generate(FamilySpec("roach", n=4, k=7))
     report = sl.spectral_cut(g)
     assert report.parity == "even"
-    lam2_path = norm_spectrum(FamilySpec.weighted_path(4, 7)).lambda2
+    lam2_path = norm_spectrum(FamilySpec("weighted_path", n=4, k=7)).lambda2
     assert abs(report.lambda2 - lam2_path) <= 1e-8
 
 
 def test_weighted_path_fiedler_sign_pattern_contiguous():
     for (n, k) in ((3, 3), (4, 3), (5, 4), (6, 3), (4, 7)):
-        report = sl.spectral_cut(sl.generate(FamilySpec.weighted_path(n, k)))
+        report = sl.spectral_cut(sl.generate(FamilySpec("weighted_path", n=n, k=k)))
         verts = sorted(report.positive_side.vertices())
         is_prefix = verts == list(range(len(verts)))
         is_suffix = verts == list(range(n + k - len(verts), n + k))
@@ -211,7 +211,7 @@ def test_weighted_path_fiedler_sign_pattern_contiguous():
 
 def test_path_spectra_all_simple():
     for n in range(2, 41):
-        vals = sl.eig_sym(sl.build_matrix(sl.generate(FamilySpec.path(n)),
+        vals = sl.eig_sym(sl.build_matrix(sl.generate(FamilySpec("path", n=n)),
                                           MatrixKind.NORMALIZED)).eigenvalues
         assert np.min(np.diff(vals)) > 1e-8
 
@@ -222,7 +222,8 @@ def test_path_spectra_all_simple():
 
 def test_indicator_identity_suite():
     rng = random.Random(41)
-    for spec in (FamilySpec.path(6), FamilySpec.roach(2, 3), FamilySpec.lollipop(4, 2)):
+    for spec in (FamilySpec("path", n=6), FamilySpec("roach", n=2, k=3),
+                 FamilySpec("lollipop", n=4, m=2)):
         g = sl.generate(spec)
         for _ in range(20):
             mask = rng.randrange(1, 2 ** g.n - 1)
@@ -233,7 +234,7 @@ def test_indicator_identity_suite():
 
 
 def test_indicator_balanced_subset_is_sign_vector():
-    g = sl.generate(FamilySpec.cycle(6))
+    g = sl.generate(FamilySpec("cycle", n=6))
     check = sl.indicator_identity_check(g, [0, 1, 2])
     assert check.ncut == sl.normalized_cut(g, [0, 1, 2])
     # equal volumes force the (1,...,1,-1,...,-1) pattern
@@ -243,7 +244,7 @@ def test_indicator_balanced_subset_is_sign_vector():
 
 def test_indicator_identity_r33_random_orthogonality():
     rng = random.Random(47)
-    g = sl.generate(FamilySpec.roach(3, 3))
+    g = sl.generate(FamilySpec("roach", n=3, k=3))
     for _ in range(50):
         mask = rng.randrange(1, 2 ** g.n - 1)
         check = sl.indicator_identity_check(g, sl.subset_from_mask(g, mask))
@@ -283,17 +284,17 @@ def test_counterexample_domain():
 
 
 def test_figure_regressions():
-    r47 = sl.spectral_cut(sl.generate(FamilySpec.roach(4, 7)))
-    assert r47.value == sl.min_ncut_formula(FamilySpec.roach(4, 7)).value
-    r64 = sl.spectral_cut(sl.generate(FamilySpec.roach(6, 4)))
-    assert r64.value != sl.min_ncut_formula(FamilySpec.roach(6, 4)).value
+    r47 = sl.spectral_cut(sl.generate(FamilySpec("roach", n=4, k=7)))
+    assert r47.value == sl.min_ncut_formula(FamilySpec("roach", n=4, k=7)).value
+    r64 = sl.spectral_cut(sl.generate(FamilySpec("roach", n=6, k=4)))
+    assert r64.value != sl.min_ncut_formula(FamilySpec("roach", n=6, k=4)).value
 
 
 def test_lambda2_ordering_for_balanced_ladders():
     for k in (3, 4):
-        ladder = norm_spectrum(FamilySpec.roach(2 * k, k)).lambda2
-        plain = norm_spectrum(FamilySpec.path(4 * k)).lambda2
-        weighted = norm_spectrum(FamilySpec.weighted_path(2 * k, k)).lambda2
+        ladder = norm_spectrum(FamilySpec("roach", n=2 * k, k=k)).lambda2
+        plain = norm_spectrum(FamilySpec("path", n=4 * k)).lambda2
+        weighted = norm_spectrum(FamilySpec("weighted_path", n=2 * k, k=k)).lambda2
         assert ladder < plain - 1e-10
         assert plain < weighted - 1e-10
 
@@ -310,12 +311,12 @@ def test_region_is_the_antenna_cut_branches():
     region = {"c2:k=2&n>=2", "c2:k=3&n>=3", "c2:3|n&2|k&K1<=n"}
     for n in range(1, 200):
         for k in range(2, 200):
-            branch = sl.min_ncut_formula(FamilySpec.roach(n, k)).branch
+            branch = sl.min_ncut_formula(FamilySpec("roach", n=n, k=k)).branch
             assert sl.in_disagreement_region(n, k) == (branch in region), (n, k)
 
 
 def _cuts_differ(n, k):
-    spec = FamilySpec.roach(n, k)
+    spec = FamilySpec("roach", n=n, k=k)
     return sl.min_ncut_formula(spec).value < sl.spectral_cut(sl.generate(spec)).value
 
 

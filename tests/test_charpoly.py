@@ -160,12 +160,12 @@ def test_pnk_vanishes_at_zero():
 
 
 def test_pnk_vanishes_at_spectrum():
-    for lam in eigvals(FamilySpec.weighted_path(4, 3)):
+    for lam in eigvals(FamilySpec("weighted_path", n=4, k=3)):
         assert abs(sl.weighted_path_charpoly(4, 3, float(lam))) <= 1e-8
 
 
 def test_pnk_sign_changes_bracket_spectrum():
-    vals = eigvals(FamilySpec.weighted_path(6, 3))
+    vals = eigvals(FamilySpec("weighted_path", n=6, k=3))
     for lam in vals:
         lo, hi = float(lam) - 1e-6, float(lam) + 1e-6
         flo = sl.weighted_path_charpoly(6, 3, lo)
@@ -183,7 +183,7 @@ def test_pnk_domain():
 @pytest.mark.parametrize("nk", [(3, 3), (4, 3), (5, 4)])
 def test_pnk_matches_dense_determinant(nk):
     n, k = nk
-    m = norm_lap(FamilySpec.weighted_path(n, k))
+    m = norm_lap(FamilySpec("weighted_path", n=n, k=k))
     rng = random.Random(17)
     for _ in range(20):
         lam = rng.uniform(-1.0, 3.0)
@@ -199,7 +199,7 @@ def test_pnk_matches_dense_determinant(nk):
 @pytest.mark.parametrize("nk", [(3, 3), (4, 3), (5, 5)])
 def test_product_vanishes_on_ladder_spectrum(nk):
     n, k = nk
-    for lam in eigvals(FamilySpec.roach(n, k)):
+    for lam in eigvals(FamilySpec("roach", n=n, k=k)):
         assert abs(sl.roach_charpoly(n, k, float(lam))) <= 1e-8
 
 
@@ -214,7 +214,7 @@ def test_odd_factor_at_two_and_zero():
 @pytest.mark.parametrize("nk", [(3, 3), (4, 3), (5, 4)])
 def test_factorization_matches_dense_determinant(nk):
     n, k = nk
-    m = norm_lap(FamilySpec.roach(n, k))
+    m = norm_lap(FamilySpec("roach", n=n, k=k))
     rng = random.Random(23)
     for _ in range(20):
         lam = rng.uniform(-1.0, 3.0)
@@ -226,7 +226,7 @@ def test_factorization_matches_dense_determinant(nk):
 def test_path_charpoly_closed_form():
     rng = random.Random(29)
     for n in range(4, 11):
-        m = norm_lap(FamilySpec.path(n))
+        m = norm_lap(FamilySpec("path", n=n))
         for _ in range(10):
             lam = rng.uniform(-1.0, 3.0)
             dd = lu_det(lam * np.eye(n) - m)
@@ -248,7 +248,7 @@ def test_lambda2_bound_digits():
 
 def test_lambda2_bound_holds():
     for k in (3, 4, 5):
-        lam2 = eigvals(FamilySpec.weighted_path(2 * k, k))[1]
+        lam2 = eigvals(FamilySpec("weighted_path", n=2 * k, k=k))[1]
         assert lam2 >= sl.weighted_path_lambda2_bound(k) - 1e-12
 
 
@@ -262,7 +262,7 @@ def test_lambda2_bound_domain():
 # ---------------------------------------------------------------------------
 
 def test_bracket_p43_roots():
-    vals = eigvals(FamilySpec.weighted_path(4, 3))
+    vals = eigvals(FamilySpec("weighted_path", n=4, k=3))
     brackets = sl.bracket_roots(lambda x: sl.weighted_path_charpoly(4, 3, x), 2000)
     assert len(brackets) == 7
     mids = [0.5 * (a + b) for a, b in brackets]
@@ -320,7 +320,7 @@ def test_normalization_out_of_range_raises_numeric_error():
 
 def test_bracket_ladder_product_roots():
     n, k = 6, 3
-    vals = eigvals(FamilySpec.roach(n, k))
+    vals = eigvals(FamilySpec("roach", n=n, k=k))
     brackets = sl.bracket_roots(lambda x: sl.roach_charpoly(n, k, x), 4000)
     mids = [0.5 * (a + b) for a, b in brackets]
     # every located root is an eigenvalue

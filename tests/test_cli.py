@@ -511,7 +511,7 @@ def _any_argv(draw) -> list[str]:
 @pytest.fixture(scope="module")
 def contract_files(tmp_path_factory):
     d = tmp_path_factory.mktemp("contract")
-    (d / "g.json").write_text(sl.to_json(sl.generate(sl.FamilySpec.roach(2, 2))))
+    (d / "g.json").write_text(sl.to_json(sl.generate(sl.FamilySpec("roach", n=2, k=2))))
     (d / "bad.json").write_text('{"name": ')
     return {"@GRAPH": str(d / "g.json"), "@BAD": str(d / "bad.json"), "@DIR": str(d),
             "@MISSING": str(d / "missing" / "x.json"), "@OUT": str(d / "out.json")}

@@ -21,13 +21,13 @@ from conftest import slow_cheeger_vertex, slow_edge_connectivity, slow_min_ncut
 # ---------------------------------------------------------------------------
 
 def test_brute_c4():
-    report = sl.min_ncut_brute(sl.generate(FamilySpec.cycle(4)))
+    report = sl.min_ncut_brute(sl.generate(FamilySpec("cycle", n=4)))
     assert report.value == 1
     assert report.witness.vertices() == (0, 1)  # adjacent pair, lowest mask
 
 
 def test_brute_k3():
-    assert sl.min_ncut_brute(sl.generate(FamilySpec.complete(3))).value == Fraction(3, 2)
+    assert sl.min_ncut_brute(sl.generate(FamilySpec("complete", n=3))).value == Fraction(3, 2)
 
 
 def test_brute_example_graph(ncut_example_graph):
@@ -39,9 +39,9 @@ def test_brute_example_graph(ncut_example_graph):
 
 def test_brute_matches_slow_reference():
     rng = random.Random(13)
-    specs = [FamilySpec.roach(2, 3), FamilySpec.lollipop(4, 3),
-             FamilySpec.weighted_path(4, 4), FamilySpec.double_tree(3),
-             FamilySpec.cycle_cross_path(3, 3)]
+    specs = [FamilySpec("roach", n=2, k=3), FamilySpec("lollipop", n=4, m=3),
+             FamilySpec("weighted_path", n=4, k=4), FamilySpec("double_tree", depth=3),
+             FamilySpec("cycle_cross_path", m=3, n=3)]
     for spec in specs:
         g = sl.generate(spec)
         value, mask, cut = slow_min_ncut(g)
@@ -79,7 +79,7 @@ def test_brute_matches_slow_reference_property(data):
 def test_brute_tie_break_is_lowest_mask():
     # every complete-graph bipartition of the same sizes ties; the witness
     # must be the lexicographically smallest set containing vertex 1
-    report = sl.min_ncut_brute(sl.generate(FamilySpec.complete(6)))
+    report = sl.min_ncut_brute(sl.generate(FamilySpec("complete", n=6)))
     assert report.witness.vertices() == (0,)
 
 
@@ -91,7 +91,7 @@ def test_brute_rejects_disconnected():
 
 def test_brute_size_cap():
     with pytest.raises(SizeError):
-        sl.min_ncut_brute(sl.generate(FamilySpec.path(25)))
+        sl.min_ncut_brute(sl.generate(FamilySpec("path", n=25)))
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +99,7 @@ def test_brute_size_cap():
 # ---------------------------------------------------------------------------
 
 def test_pruned_p8_unit_cut():
-    g = sl.generate(FamilySpec.path(8))
+    g = sl.generate(FamilySpec("path", n=8))
     report = sl.min_ncut_pruned(g, sl.vertex_subset(g, range(4)))
     assert report.value == Fraction(2, 7)
     assert report.branch == "cut<=1"
@@ -107,7 +107,7 @@ def test_pruned_p8_unit_cut():
 
 
 def test_pruned_roach_cut_two():
-    g = sl.generate(FamilySpec.roach(3, 4))
+    g = sl.generate(FamilySpec("roach", n=3, k=4))
     seed = sl.vertex_subset(g, [*range(4), *range(7, 11)])  # both rows up to rung 1
     assert seed.cut_weight == 2
     report = sl.min_ncut_pruned(g, seed)
@@ -116,7 +116,7 @@ def test_pruned_roach_cut_two():
 
 
 def test_pruned_rejects_unbalanced_seed():
-    g = sl.generate(FamilySpec.path(8))
+    g = sl.generate(FamilySpec("path", n=8))
     with pytest.raises(DomainError):
         sl.min_ncut_pruned(g, sl.vertex_subset(g, [0]))  # vol 1 vs 13
 
@@ -126,12 +126,12 @@ def test_pruned_rejects_unbalanced_seed():
 # ---------------------------------------------------------------------------
 
 def test_formula_path_examples():
-    assert sl.min_ncut_formula(FamilySpec.path(5)).value == Fraction(8, 15)
-    assert sl.min_ncut_formula(FamilySpec.path(8)).value == Fraction(2, 7)
+    assert sl.min_ncut_formula(FamilySpec("path", n=5)).value == Fraction(8, 15)
+    assert sl.min_ncut_formula(FamilySpec("path", n=8)).value == Fraction(2, 7)
 
 
 def test_formula_roach_6_4():
-    report = sl.min_ncut_formula(FamilySpec.roach(6, 4))
+    report = sl.min_ncut_formula(FamilySpec("roach", n=6, k=4))
     assert report.value == Fraction(4, 33) == Fraction(44, 363)
     assert report.branch == "c2:3|n&2|k&K1<=n"
     # threshold K1 = 1 - 1/sqrt(2) - 3k/2 + 3k/sqrt(2) ~ 2.778 <= 6
@@ -139,15 +139,15 @@ def test_formula_roach_6_4():
 
 
 def test_formula_double_tree():
-    assert sl.min_ncut_formula(FamilySpec.double_tree(3)).value == Fraction(2, 13)
+    assert sl.min_ncut_formula(FamilySpec("double_tree", depth=3)).value == Fraction(2, 13)
 
 
 def test_formula_double_tree_depth_cap():
     cap = sl.cuts.MAX_CLOSED_FORM_DEPTH
-    report = sl.min_ncut_formula(FamilySpec.double_tree(cap))
+    report = sl.min_ncut_formula(FamilySpec("double_tree", depth=cap))
     assert report.value == Fraction(2, 2 ** (cap + 1) - 3) and report.witness is None
     with pytest.raises(SizeError):
-        sl.min_ncut_formula(FamilySpec.double_tree(cap + 1))
+        sl.min_ncut_formula(FamilySpec("double_tree", depth=cap + 1))
 
 
 def test_ladder_split_wins_is_c4_below_c2():
@@ -163,46 +163,46 @@ def test_ladder_split_wins_is_c4_below_c2():
 
 
 def test_formula_lollipop_10_2():
-    report = sl.min_ncut_formula(FamilySpec.lollipop(10, 2))
+    report = sl.min_ncut_formula(FamilySpec("lollipop", n=10, m=2))
     assert report.value == Fraction(94, 273)
     assert report.branch == "2<=m<=(n^2-n+4)/2"
 
 
 def test_formula_cycle_and_complete():
-    assert sl.min_ncut_formula(FamilySpec.cycle(4)).value == 1
-    assert sl.min_ncut_formula(FamilySpec.cycle(7)).value == Fraction(28, 48)
-    assert sl.min_ncut_formula(FamilySpec.complete(3)).value == Fraction(3, 2)
+    assert sl.min_ncut_formula(FamilySpec("cycle", n=4)).value == 1
+    assert sl.min_ncut_formula(FamilySpec("cycle", n=7)).value == Fraction(28, 48)
+    assert sl.min_ncut_formula(FamilySpec("complete", n=3)).value == Fraction(3, 2)
 
 
 def test_formula_witness_achieves_value():
-    for spec in (FamilySpec.roach(4, 7), FamilySpec.weighted_path(6, 9),
-                 FamilySpec.lollipop(4, 12), FamilySpec.cycle_cross_path(6, 2)):
+    for spec in (FamilySpec("roach", n=4, k=7), FamilySpec("weighted_path", n=6, k=9),
+                 FamilySpec("lollipop", n=4, m=12), FamilySpec("cycle_cross_path", m=6, n=2)):
         report = sl.min_ncut_formula(spec)
         g = sl.generate(spec)
         assert sl.normalized_cut(g, [v for v in report.witness.vertices()]) == report.value
 
 
 def test_formula_domain_errors():
-    for spec in (FamilySpec.weighted_path(1, 1), FamilySpec.weighted_path(2, 2),
-                 FamilySpec.path(1), FamilySpec.complete(1),
-                 FamilySpec.cycle_cross_path(3, 1), FamilySpec.tree(3)):
+    for spec in (FamilySpec("weighted_path", n=1, k=1), FamilySpec("weighted_path", n=2, k=2),
+                 FamilySpec("path", n=1), FamilySpec("complete", n=1),
+                 FamilySpec("cycle_cross_path", m=3, n=1), FamilySpec("tree", depth=3)):
         with pytest.raises(DomainError):
             sl.min_ncut_formula(spec)
 
 
 def oracle_specs():
     out = []
-    out += [FamilySpec.cycle(n) for n in range(3, 13)]
-    out += [FamilySpec.path(n) for n in range(2, 13)]
-    out += [FamilySpec.complete(n) for n in range(2, 9)]
-    out += [FamilySpec.double_tree(d) for d in (2, 3)]
-    out += [FamilySpec.cycle_cross_path(m, n) for m in range(3, 9)
+    out += [FamilySpec("cycle", n=n) for n in range(3, 13)]
+    out += [FamilySpec("path", n=n) for n in range(2, 13)]
+    out += [FamilySpec("complete", n=n) for n in range(2, 9)]
+    out += [FamilySpec("double_tree", depth=d) for d in (2, 3)]
+    out += [FamilySpec("cycle_cross_path", m=m, n=n) for m in range(3, 9)
             for n in range(2, 6) if m * n <= 18]
-    out += [FamilySpec.roach(n, k) for n in range(1, 8) for k in range(2, 8)
+    out += [FamilySpec("roach", n=n, k=k) for n in range(1, 8) for k in range(2, 8)
             if n + k <= 9]
-    out += [FamilySpec.weighted_path(n, k) for n in range(1, 14) for k in range(1, 14)
+    out += [FamilySpec("weighted_path", n=n, k=k) for n in range(1, 14) for k in range(1, 14)
             if n + k <= 14 and 3 * k + 2 * n >= 11]
-    out += [FamilySpec.lollipop(n, m) for n in range(3, 10) for m in range(1, 10)
+    out += [FamilySpec("lollipop", n=n, m=m) for n in range(3, 10) for m in range(1, 10)
             if n + m <= 12]
     return out
 
@@ -222,7 +222,7 @@ def test_sweep_roach_grid():
     # small instances cross-checked exhaustively
     for (n, k), row in by_key.items():
         if 2 * (n + k) <= 16:
-            assert row.value == sl.min_ncut_brute(sl.generate(FamilySpec.roach(n, k))).value
+            assert row.value == sl.min_ncut_brute(sl.generate(FamilySpec("roach", n=n, k=k))).value
 
 
 def test_sweep_weighted_path_corollary():
@@ -281,22 +281,24 @@ def test_sweep_gnuplot_dump():
 # ---------------------------------------------------------------------------
 
 def test_min_ncut_takes_the_formula_inside_its_domain():
-    for spec in (FamilySpec.roach(6, 3), FamilySpec.path(9), FamilySpec.weighted_path(4, 3)):
+    for spec in (FamilySpec("roach", n=6, k=3), FamilySpec("path", n=9),
+                 FamilySpec("weighted_path", n=4, k=3)):
         assert sl.min_ncut(sl.generate(spec), spec) == sl.min_ncut_formula(spec)
 
 
 def test_min_ncut_falls_back_to_brute_force():
-    spec = FamilySpec.weighted_path(1, 1)  # 3k + 2n < 11: outside the closed form
+    spec = FamilySpec("weighted_path", n=1, k=1)  # 3k + 2n < 11: outside the closed form
     g = sl.generate(spec)
     assert sl.min_ncut(g, spec) == sl.min_ncut_brute(g)
-    g = sl.generate(FamilySpec.roach(6, 3))
+    g = sl.generate(FamilySpec("roach", n=6, k=3))
     report = sl.min_ncut(g)  # no spec
     assert report == sl.min_ncut_brute(g) and report.method == "brute_force"
 
 
 def test_closed_form_checks_its_witness_on_the_callers_graph(monkeypatch):
-    specs = (FamilySpec.roach(6, 3), FamilySpec.path(9), FamilySpec.cycle_cross_path(4, 3),
-             FamilySpec.lollipop(4, 5), FamilySpec.double_tree(3))
+    specs = (FamilySpec("roach", n=6, k=3), FamilySpec("path", n=9),
+             FamilySpec("cycle_cross_path", m=4, n=3), FamilySpec("lollipop", n=4, m=5),
+             FamilySpec("double_tree", depth=3))
     graphs = {spec: sl.generate(spec) for spec in specs}
     expected = {spec: sl.min_ncut_formula(spec) for spec in specs}
     monkeypatch.setattr(cuts, "generate", None)  # the closed forms may build no graph
@@ -305,25 +307,26 @@ def test_closed_form_checks_its_witness_on_the_callers_graph(monkeypatch):
         assert report == expected[spec] and report.witness.graph is g
         assert sl.min_ncut(g, spec) == report
         assert cuts.expansion_constants(g, spec)[3] == report
-    spec = FamilySpec.roach(12, 6)
+    spec = FamilySpec("roach", n=12, k=6)
     check = sl.counterexample_check(6)  # 36 vertices: the closed form, checked on its graph
     assert check.mcut_method == "formula"
     assert check.mcut == sl.min_ncut_formula(spec, sl.generate(spec)).value
 
 
 def test_closed_form_refuses_another_graph():
-    g = sl.generate(FamilySpec.path(9))
-    for spec in (FamilySpec.path(8), FamilySpec.cycle(9)):  # another order, another name
+    g = sl.generate(FamilySpec("path", n=9))
+    for spec in (FamilySpec("path", n=8), FamilySpec("cycle", n=9)):  # another order, another name
         with pytest.raises(DomainError, match="is not"):
             sl.min_ncut_formula(spec, g)
         assert sl.min_ncut(g, spec) == sl.min_ncut_brute(g)
 
 
-@pytest.mark.parametrize("spec, objectives", [(FamilySpec.roach(2, 3), 3),
-                                              (FamilySpec.weighted_path(1, 2), 4), (None, 4)])
+@pytest.mark.parametrize("spec, objectives", [(FamilySpec("roach", n=2, k=3), 3),
+                                              (FamilySpec("weighted_path", n=1, k=2), 4),
+                                              (None, 4)])
 def test_expansion_constants_adds_the_ncut_only_without_a_closed_form(monkeypatch, spec,
                                                                         objectives):
-    g = sl.generate(spec or FamilySpec.roach(2, 3))
+    g = sl.generate(spec or FamilySpec("roach", n=2, k=3))
     passes = []
     minimize = en.minimize
     monkeypatch.setattr(en, "minimize",
@@ -339,21 +342,22 @@ def test_expansion_constants_adds_the_ncut_only_without_a_closed_form(monkeypatc
 # ---------------------------------------------------------------------------
 
 def test_isoperimetric_c4():
-    assert sl.isoperimetric_number(sl.generate(FamilySpec.cycle(4))) == 1
+    assert sl.isoperimetric_number(sl.generate(FamilySpec("cycle", n=4))) == 1
 
 
 def test_cheeger_edge_p2_and_k4():
-    assert sl.cheeger_edge(sl.generate(FamilySpec.path(2))) == 1
-    assert sl.cheeger_edge(sl.generate(FamilySpec.complete(4))) == Fraction(2, 3)
+    assert sl.cheeger_edge(sl.generate(FamilySpec("path", n=2))) == 1
+    assert sl.cheeger_edge(sl.generate(FamilySpec("complete", n=4))) == Fraction(2, 3)
 
 
 def test_cheeger_vertex_c4():
-    assert sl.cheeger_vertex(sl.generate(FamilySpec.cycle(4))) == 1
+    assert sl.cheeger_vertex(sl.generate(FamilySpec("cycle", n=4))) == 1
 
 
 def test_cheeger_vertex_matches_slow_reference():
     rng = random.Random(31)
-    for spec in (FamilySpec.path(6), FamilySpec.lollipop(4, 2), FamilySpec.roach(1, 3)):
+    for spec in (FamilySpec("path", n=6), FamilySpec("lollipop", n=4, m=2),
+                 FamilySpec("roach", n=1, k=3)):
         g = sl.generate(spec)
         assert sl.cheeger_vertex(g) == slow_cheeger_vertex(g)
     for _ in range(5):
@@ -371,8 +375,9 @@ def test_cheeger_vertex_matches_slow_reference():
 
 def test_mcut_connectivity_lower_bound():
     # Mcut >= 4 kappa' / (max degree * |V|)
-    for spec in (FamilySpec.cycle(8), FamilySpec.complete(5), FamilySpec.roach(2, 3),
-                 FamilySpec.lollipop(4, 3), FamilySpec.double_tree(3)):
+    for spec in (FamilySpec("cycle", n=8), FamilySpec("complete", n=5),
+                 FamilySpec("roach", n=2, k=3), FamilySpec("lollipop", n=4, m=3),
+                 FamilySpec("double_tree", depth=3)):
         g = sl.generate(spec)
         mcut = sl.min_ncut_brute(g).value
         kappa = slow_edge_connectivity(g)
@@ -380,7 +385,7 @@ def test_mcut_connectivity_lower_bound():
 
 
 def test_mcut_dominates_lambda2():
-    for spec in (FamilySpec.cycle(9), FamilySpec.path(7), FamilySpec.roach(2, 3)):
+    for spec in (FamilySpec("cycle", n=9), FamilySpec("path", n=7), FamilySpec("roach", n=2, k=3)):
         g = sl.generate(spec)
         lam2 = sl.eig_sym(sl.build_matrix(g, MatrixKind.NORMALIZED)).lambda2
         assert lam2 <= float(sl.min_ncut_brute(g).value) + 1e-9
@@ -388,6 +393,6 @@ def test_mcut_dominates_lambda2():
 
 def test_regular_lower_bound_on_cycles():
     for n in range(3, 17):
-        value = sl.min_ncut_formula(FamilySpec.cycle(n)).value
+        value = sl.min_ncut_formula(FamilySpec("cycle", n=n)).value
         bound = Fraction(4, n) if n % 2 == 0 else Fraction(4 * n, n * n - 1)
         assert value >= bound

@@ -24,17 +24,24 @@ from conftest import (ALL_SPECS, edge_connectivity, neighbour_sets, slow_cheeger
 def _random_graph(seed: int, n: int, wmax: int = 3) -> Graph:
     rng = random.Random(seed)
     edges = {(rng.randrange(v), v): rng.randint(1, wmax) for v in range(1, n)}
-    while len(edges) < n + n // 2:
+    while len(edges) < min(n + n // 2, n * (n - 1) // 2):
         u, v = sorted(rng.sample(range(n), 2))
         edges[(u, v)] = rng.randint(1, wmax)
     loops = tuple((v, rng.randint(1, 2)) for v in range(n) if rng.random() < 0.2)
     return Graph(n, tuple((u, v, w) for (u, v), w in edges.items()), loops, name=f"r{seed}")
 
 
-GRAPHS = [sl.generate(FamilySpec.cycle(8)), sl.generate(FamilySpec.path(9)),
-          sl.generate(FamilySpec.roach(2, 3)), sl.generate(FamilySpec.weighted_path(6, 4)),
-          sl.generate(FamilySpec.lollipop(4, 5)), sl.generate(FamilySpec.complete(8)),
+GRAPHS = [sl.generate(FamilySpec("cycle", n=8)), sl.generate(FamilySpec("path", n=9)),
+          sl.generate(FamilySpec("roach", n=2, k=3)),
+          sl.generate(FamilySpec("weighted_path", n=6, k=4)),
+          sl.generate(FamilySpec("lollipop", n=4, m=5)), sl.generate(FamilySpec("complete", n=8)),
           _random_graph(1, 8), _random_graph(2, 11), _random_graph(3, 12)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_random_graph_stops_at_the_complete_graph(n):
+    g = _random_graph(0, n)  # K_2 and K_3 have fewer than n + n//2 edges
+    assert len(g.edges) == n * (n - 1) // 2 and sl.is_connected(g)
 
 
 @pytest.fixture(params=[1, 3])
@@ -78,7 +85,7 @@ def test_every_functional_matches_oracles_across_chunks(g, chunk_bits):
 
 def test_tied_minima_in_different_chunks_keep_the_lowest_index(monkeypatch):
     monkeypatch.setattr(en, "CHUNK_BITS", 2)
-    g = sl.generate(FamilySpec.cycle(8))
+    g = sl.generate(FamilySpec("cycle", n=8))
     s = g.volume
     values = {mask: Fraction(cut * s, vol * (s - vol)) for mask, _, vol, cut in slow_sides(g)}
     best = min(values.values())
@@ -127,11 +134,12 @@ def _relabelled_path(order, loops=()) -> Graph:
 # K_n keeps every entry under its cap. On the path ending in vertex 1, whose loop
 # balances the volumes, cutting 1 off alone is the unique optimum, index
 # 2**(n-1) - 2 of the last chunk; the other paths put vertex 0 last or in the middle.
-HARD = [sl.generate(FamilySpec.complete(8)), sl.generate(FamilySpec.complete(9)),
+HARD = [sl.generate(FamilySpec("complete", n=8)), sl.generate(FamilySpec("complete", n=9)),
         _relabelled_path([0, 2, 3, 4, 5, 6, 7, 8, 9, 1], loops=((1, 16),)),
         _relabelled_path([1, 2, 3, 4, 5, 6, 7, 8, 9, 0]),
         _relabelled_path([1, 2, 3, 4, 5, 0, 6, 7, 8, 9]),
-        sl.generate(FamilySpec.cycle(8)), sl.generate(FamilySpec.cycle_cross_path(4, 2))]
+        sl.generate(FamilySpec("cycle", n=8)),
+        sl.generate(FamilySpec("cycle_cross_path", m=4, n=2))]
 
 
 @pytest.mark.parametrize("share", [0, en.DENSE_SHARE, 1 / 4, 1])
@@ -158,7 +166,7 @@ def test_cut_filter_hard_cases_match_oracles(monkeypatch, bits, share):
 def test_complete_graphs_fall_back_to_dense_chunks(monkeypatch, bits):
     monkeypatch.setattr(en, "CHUNK_BITS", bits)
     calls = _spy_kept(monkeypatch)
-    g = sl.generate(FamilySpec.complete(9))
+    g = sl.generate(FamilySpec("complete", n=9))
     assert en.minimize(g, en.NCUT) == [(Fraction(9, 8), 0)]  # every bipartition ties
     assert calls[0] == (np.inf, None) and len(calls) == 2 ** (8 - bits)
     assert all(cap < np.inf and where is None for cap, where in calls[1:])
@@ -259,7 +267,7 @@ def test_pruned_ncut_marks_larger_cuts_nan(monkeypatch, bits):
 @pytest.mark.parametrize("bits", [0, 1, 2])
 def test_improper_full_set_in_last_chunk_is_never_chosen(monkeypatch, bits):
     monkeypatch.setattr(en, "CHUNK_BITS", bits)
-    for g in (sl.generate(FamilySpec.path(2)), sl.generate(FamilySpec.cycle(5)),
+    for g in (sl.generate(FamilySpec("path", n=2)), sl.generate(FamilySpec("cycle", n=5)),
               Graph(2, ((0, 1, 3),), ((1, 2),))):
         last, cut, fractions = _last_chunk_fractions(g)
         assert last.start + cut.size == 2 ** (g.n - 1) and cut.flat[-1] == 0

@@ -1,5 +1,7 @@
 """Graph construction, generators, exact cut arithmetic, and interchange."""
 
+import dataclasses
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -60,13 +62,13 @@ def test_loop_counts_once_in_degree():
 # ---------------------------------------------------------------------------
 
 def test_cycle4():
-    g = sl.generate(FamilySpec.cycle(4))
+    g = sl.generate(FamilySpec("cycle", n=4))
     assert g.n == 4 and len(g.edges) == 4
     assert set(g.degrees) == {2} and g.volume == 8
 
 
 def test_roach_counts():
-    g = sl.generate(FamilySpec.roach(5, 5))
+    g = sl.generate(FamilySpec("roach", n=5, k=5))
     assert g.n == 20
     assert g.volume == 46 == 6 * 5 + 4 * 5 - 4
 
@@ -74,52 +76,53 @@ def test_roach_counts():
 def test_roach_volume_formula():
     for n in range(1, 7):
         for k in range(2, 7):
-            g = sl.generate(FamilySpec.roach(n, k))
+            g = sl.generate(FamilySpec("roach", n=n, k=k))
             assert g.volume == 6 * k + 4 * n - 4
 
 
 def test_double_tree_counts():
-    g = sl.generate(FamilySpec.double_tree(3))
+    g = sl.generate(FamilySpec("double_tree", depth=3))
     assert g.n == 14
     assert g.volume == 26 == 2 ** 5 - 6
 
 
 @pytest.mark.parametrize("depth", range(2, 7))
 def test_double_tree_size_and_volume(depth):
-    g = sl.generate(FamilySpec.double_tree(depth))
+    g = sl.generate(FamilySpec("double_tree", depth=depth))
     assert g.n == 2 ** (depth + 1) - 2
     assert g.volume == 2 ** (depth + 2) - 6
 
 
 def test_weighted_path_degrees():
-    g = sl.generate(FamilySpec.weighted_path(4, 3))
+    g = sl.generate(FamilySpec("weighted_path", n=4, k=3))
     assert g.degrees == (1, 2, 2, 2, 3, 3, 2)
 
 
 def test_tree_is_a_tree():
-    g = sl.generate(FamilySpec.tree(4))
+    g = sl.generate(FamilySpec("tree", depth=4))
     assert g.n == 15 and len(g.edges) == 14
     assert sl.is_connected(g)
 
 
 def test_generator_domain_errors():
-    for spec in (FamilySpec.cycle(2), FamilySpec.roach(0, 2), FamilySpec.roach(1, 1),
-                 FamilySpec.lollipop(2, 1), FamilySpec.weighted_path(1, 0),
-                 FamilySpec.path(0), FamilySpec.cycle_cross_path(2, 3),
-                 FamilySpec("nonsense")):
+    for params in (dict(family="cycle", n=2), dict(family="roach", n=0, k=2),
+                   dict(family="roach", n=1, k=1), dict(family="lollipop", n=2, m=1),
+                   dict(family="weighted_path", n=1, k=0), dict(family="path", n=0),
+                   dict(family="cycle_cross_path", m=2, n=3), dict(family="nonsense")):
         with pytest.raises(DomainError):
-            sl.generate(spec)
+            sl.generate(FamilySpec(**params))
 
 
-ORDER_SPECS = ([FamilySpec.path(n) for n in range(1, 9)]
-               + [FamilySpec.cycle(n) for n in range(3, 9)]
-               + [FamilySpec.complete(n) for n in range(1, 9)]
-               + [FamilySpec.tree(d) for d in range(1, 7)]
-               + [FamilySpec.double_tree(d) for d in range(1, 7)]
-               + [FamilySpec.cycle_cross_path(m, n) for m in range(3, 7) for n in range(1, 6)]
-               + [FamilySpec.roach(n, k) for n in range(1, 7) for k in range(2, 7)]
-               + [FamilySpec.weighted_path(n, k) for n in range(1, 7) for k in range(1, 7)]
-               + [FamilySpec.lollipop(n, m) for n in range(3, 8) for m in range(1, 7)])
+ORDER_SPECS = ([FamilySpec("path", n=n) for n in range(1, 9)]
+               + [FamilySpec("cycle", n=n) for n in range(3, 9)]
+               + [FamilySpec("complete", n=n) for n in range(1, 9)]
+               + [FamilySpec("tree", depth=d) for d in range(1, 7)]
+               + [FamilySpec("double_tree", depth=d) for d in range(1, 7)]
+               + [FamilySpec("cycle_cross_path", m=m, n=n)
+                  for m in range(3, 7) for n in range(1, 6)]
+               + [FamilySpec("roach", n=n, k=k) for n in range(1, 7) for k in range(2, 7)]
+               + [FamilySpec("weighted_path", n=n, k=k) for n in range(1, 7) for k in range(1, 7)]
+               + [FamilySpec("lollipop", n=n, m=m) for n in range(3, 8) for m in range(1, 7)])
 
 
 def test_order_and_edge_count_match_generate():
@@ -129,38 +132,75 @@ def test_order_and_edge_count_match_generate():
         assert (spec.order(), spec.edge_count()) == (g.n, len(g.edges)), spec.label()
 
 
+def _spec_repr(family, **params) -> str:
+    """repr of the FamilySpec these arguments would build."""
+    fields = {"n": None, "k": None, "m": None, "depth": None, **params}
+    return f"FamilySpec(family={family!r}, {', '.join(f'{f}={v!r}' for f, v in fields.items())})"
+
+
 @pytest.mark.parametrize("spec, message", [
-    (FamilySpec.path(0), "path needs n >= 1"),
-    (FamilySpec.cycle(2), "cycle needs n >= 3"),
-    (FamilySpec.complete(None), "complete needs n >= 1"),
-    (FamilySpec.tree(0), "tree needs depth >= 1"),
-    (FamilySpec.double_tree(None), "double_tree needs depth >= 1"),
-    (FamilySpec.cycle_cross_path(3, 0), "cycle_cross_path needs m >= 3 and n >= 1"),
-    (FamilySpec("roach", n=1), "roach needs n >= 1 and k >= 2"),
-    (FamilySpec.weighted_path(0, 1), "weighted_path needs n >= 1 and k >= 1"),
-    (FamilySpec.lollipop(3, 0), "lollipop needs n >= 3 and m >= 1"),
+    (dict(family="path", n=0), "path needs n >= 1"),
+    (dict(family="cycle", n=2), "cycle needs n >= 3"),
+    (dict(family="complete", n=None), "complete needs n >= 1"),
+    (dict(family="tree", depth=0), "tree needs depth >= 1"),
+    (dict(family="double_tree", depth=None), "double_tree needs depth >= 1"),
+    (dict(family="cycle_cross_path", m=3, n=0), "cycle_cross_path needs m >= 3 and n >= 1"),
+    (dict(family="roach", n=1), "roach needs n >= 1 and k >= 2"),
+    (dict(family="weighted_path", n=0, k=1), "weighted_path needs n >= 1 and k >= 1"),
+    (dict(family="lollipop", n=3, m=0), "lollipop needs n >= 3 and m >= 1"),
 ])
 def test_validate_messages(spec, message):
     with pytest.raises(DomainError) as info:
-        spec.validate()
-    assert str(info.value) == f"{message} (got {spec})"
+        FamilySpec(**spec)
+    assert str(info.value) == f"{message} (got {_spec_repr(**spec)})"
+
+
+# each family's parameters in label order, with their minimums
+MINIMUMS = {"path": {"n": 1}, "cycle": {"n": 3}, "complete": {"n": 1}, "tree": {"depth": 1},
+            "double_tree": {"depth": 1}, "cycle_cross_path": {"m": 3, "n": 1},
+            "roach": {"n": 1, "k": 2}, "weighted_path": {"n": 1, "k": 1},
+            "lollipop": {"n": 3, "m": 1}}
+
+
+@pytest.mark.parametrize("family", sl.FAMILIES)
+def test_construction_admits_exactly_the_valid_parameters(family):
+    assert set(MINIMUMS) == set(sl.FAMILIES)
+    lows = MINIMUMS[family]
+    needs = " and ".join(f"{p} >= {low}" for p, low in lows.items())
+    for values in itertools.product(*[(None, low - 1, low, low + 1) for low in lows.values()]):
+        params = dict(zip(lows, values))
+        if any(v is None or v < lows[p] for p, v in params.items()):
+            with pytest.raises(DomainError) as info:
+                FamilySpec(family, **params)
+            assert str(info.value) == f"{family} needs {needs} (got {_spec_repr(family, **params)})"
+            continue
+        spec = FamilySpec(family, **params)
+        g = sl.generate(spec)
+        label = f"{family}({','.join(map(str, values))})"
+        assert (spec.order(), spec.edge_count(), spec.label()) == (g.n, len(g.edges), g.name)
+        assert g.name == label
+        for p, low in lows.items():
+            with pytest.raises(DomainError, match=f"^{family} needs "):
+                dataclasses.replace(spec, **{p: low - 1})
 
 
 def test_labels():
     assert [s.label() for s in ALL_SPECS] == [
         "path(5)", "cycle(6)", "complete(4)", "tree(3)", "double_tree(3)",
         "cycle_cross_path(3,2)", "roach(2,3)", "weighted_path(3,2)", "lollipop(4,2)"]
-    assert FamilySpec("nonsense", n=1).label() == "nonsense(1,None)"
+    with pytest.raises(DomainError) as info:
+        FamilySpec("nonsense", n=1)
+    assert str(info.value) == "unknown family 'nonsense'"
 
 
 def test_generation_budget():
-    for spec in (FamilySpec.tree(40), FamilySpec.double_tree(10 ** 12),
-                 FamilySpec.path(sl.graph.MAX_ORDER + 1),
-                 FamilySpec.complete(1025), FamilySpec.roach(10 ** 9, 10 ** 9)):
+    for spec in (FamilySpec("tree", depth=40), FamilySpec("double_tree", depth=10 ** 12),
+                 FamilySpec("path", n=sl.graph.MAX_ORDER + 1),
+                 FamilySpec("complete", n=1025), FamilySpec("roach", n=10 ** 9, k=10 ** 9)):
         with pytest.raises(SizeError, match="generation budget"):
             sl.generate(spec)
-    assert FamilySpec.tree(17).order() <= sl.graph.MAX_ORDER
-    assert FamilySpec.complete(1024).edge_count() <= sl.graph.MAX_EDGES
+    assert FamilySpec("tree", depth=17).order() <= sl.graph.MAX_ORDER
+    assert FamilySpec("complete", n=1024).edge_count() <= sl.graph.MAX_EDGES
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +208,12 @@ def test_generation_budget():
 # ---------------------------------------------------------------------------
 
 def test_product_c3_p2():
-    g = sl.generate(FamilySpec.cycle_cross_path(3, 2))
+    g = sl.generate(FamilySpec("cycle_cross_path", m=3, n=2))
     assert g.n == 6 and set(g.degrees) == {3} and g.volume == 18
 
 
 def test_product_c4_p3_edge_count():
-    g = sl.generate(FamilySpec.cycle_cross_path(4, 3))
+    g = sl.generate(FamilySpec("cycle_cross_path", m=4, n=3))
     assert g.n == 12 and len(g.edges) == 20
 
 
@@ -186,7 +226,7 @@ def test_cycle_cross_path_edge_order():
             path = [(v, v + 1) for v in range(n - 1)]
             expected = [(u * n + a, u * n + b, 1) for u in range(m) for a, b in path]
             expected += [(a * n + v, b * n + v, 1) for a, b in cycle for v in range(n)]
-            g = sl.generate(FamilySpec.cycle_cross_path(m, n))
+            g = sl.generate(FamilySpec("cycle_cross_path", m=m, n=n))
             assert (g.n, list(g.edges), g.loops) == (m * n, expected, ())
 
 
@@ -206,12 +246,12 @@ def test_ncut_example_case1(ncut_example_graph):
 
 
 def test_ncut_c4_singleton():
-    g = sl.generate(FamilySpec.cycle(4))
+    g = sl.generate(FamilySpec("cycle", n=4))
     assert sl.normalized_cut(g, [0]) == Fraction(4, 3)
 
 
 def test_ncut_rejects_improper_subsets():
-    g = sl.generate(FamilySpec.cycle(4))
+    g = sl.generate(FamilySpec("cycle", n=4))
     with pytest.raises(DomainError):
         sl.normalized_cut(g, range(4))
     with pytest.raises(DomainError):
@@ -219,8 +259,8 @@ def test_ncut_rejects_improper_subsets():
 
 
 def test_subset_for_other_graph_rejected():
-    g1 = sl.generate(FamilySpec.cycle(4))
-    g2 = sl.generate(FamilySpec.cycle(4))
+    g1 = sl.generate(FamilySpec("cycle", n=4))
+    g2 = sl.generate(FamilySpec("cycle", n=4))
     a = sl.vertex_subset(g1, [0])
     with pytest.raises(DomainError):
         sl.normalized_cut(g2, a)
@@ -229,7 +269,7 @@ def test_subset_for_other_graph_rejected():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=2 ** 14 - 2))
 def test_volume_additivity_and_identity(mask):
-    g = sl.generate(FamilySpec.roach(3, 4))  # 14 vertices
+    g = sl.generate(FamilySpec("roach", n=3, k=4))  # 14 vertices
     a = sl.subset_from_mask(g, mask)
     b_vol = g.volume - a.volume
     assert a.volume + b_vol == g.volume
@@ -241,7 +281,7 @@ def test_volume_additivity_and_identity(mask):
 
 def test_ncut_positive_and_bounded():
     rng = random.Random(7)
-    for spec in (FamilySpec.lollipop(5, 4), FamilySpec.roach(2, 4)):
+    for spec in (FamilySpec("lollipop", n=5, m=4), FamilySpec("roach", n=2, k=4)):
         g = sl.generate(spec)
         min_deg = min(g.degrees)
         for _ in range(50):
@@ -252,7 +292,7 @@ def test_ncut_positive_and_bounded():
 
 
 def test_subset_capacity_is_64():
-    g = sl.generate(FamilySpec.path(65))
+    g = sl.generate(FamilySpec("path", n=65))
     with pytest.raises(SizeError):
         sl.vertex_subset(g, [0])
 
@@ -262,9 +302,9 @@ def test_subset_capacity_is_64():
 # ---------------------------------------------------------------------------
 
 def test_edge_connectivity_examples():
-    assert edge_connectivity(sl.generate(FamilySpec.cycle(6))) == 2
-    assert edge_connectivity(sl.generate(FamilySpec.complete(5))) == 4
-    assert edge_connectivity(sl.generate(FamilySpec.cycle_cross_path(4, 3))) == 3
+    assert edge_connectivity(sl.generate(FamilySpec("cycle", n=6))) == 2
+    assert edge_connectivity(sl.generate(FamilySpec("complete", n=5))) == 4
+    assert edge_connectivity(sl.generate(FamilySpec("cycle_cross_path", m=4, n=3))) == 3
 
 
 def test_edge_connectivity_disconnected_is_zero():
@@ -274,7 +314,7 @@ def test_edge_connectivity_disconnected_is_zero():
 
 def test_edge_connectivity_size_cap():
     with pytest.raises(SizeError):
-        edge_connectivity(sl.generate(FamilySpec.path(25)))
+        edge_connectivity(sl.generate(FamilySpec("path", n=25)))
 
 
 def test_ncut_defined_on_disconnected_graph():
@@ -289,23 +329,23 @@ def test_ncut_defined_on_disconnected_graph():
 # ---------------------------------------------------------------------------
 
 def test_path_reversal_is_automorphism():
-    g = sl.generate(FamilySpec.path(6))
+    g = sl.generate(FamilySpec("path", n=6))
     assert sl.is_automorphism(g, [5 - i for i in range(6)])
     assert g.mirror is not None and sl.is_automorphism(g, g.mirror)
 
 
 def test_roach_swap_is_automorphism():
-    g = sl.generate(FamilySpec.roach(3, 4))
+    g = sl.generate(FamilySpec("roach", n=3, k=4))
     assert sl.is_automorphism(g, g.mirror)
 
 
 def test_transposition_is_not_automorphism():
-    g = sl.generate(FamilySpec.path(4))
+    g = sl.generate(FamilySpec("path", n=4))
     assert not sl.is_automorphism(g, [1, 0, 2, 3])
 
 
 def test_non_bijection_rejected():
-    g = sl.generate(FamilySpec.path(3))
+    g = sl.generate(FamilySpec("path", n=3))
     with pytest.raises(DomainError):
         sl.is_automorphism(g, [0, 0, 2])
 
@@ -350,7 +390,7 @@ def test_json_round_trip(spec):
 
 
 def test_json_is_one_based():
-    g = sl.generate(FamilySpec.weighted_path(1, 1))
+    g = sl.generate(FamilySpec("weighted_path", n=1, k=1))
     doc = sl.to_json_dict(g)
     assert doc["edges"] == [[1, 2, 1]]
     assert doc["loops"] == [[2, 1]]
@@ -365,7 +405,7 @@ def test_json_is_one_based():
     lambda d: d["loops"].append([1, 1.5]),
 ])
 def test_schema_violations(mutate):
-    doc = sl.to_json_dict(sl.generate(FamilySpec.path(4)))
+    doc = sl.to_json_dict(sl.generate(FamilySpec("path", n=4)))
     mutate(doc)
     with pytest.raises(SchemaError):
         sl.from_json_dict(doc)
@@ -388,7 +428,7 @@ def test_duplicate_edge_in_document_is_schema_error():
 
 
 def test_dot_export():
-    g = sl.generate(FamilySpec.weighted_path(2, 1))
+    g = sl.generate(FamilySpec("weighted_path", n=2, k=1))
     dot = sl.to_dot(g)
     assert dot.startswith('graph "weighted_path(2,1)"')
     assert "1 -- 2;" in dot and '3 -- 3 [label="1"];' in dot

@@ -24,7 +24,7 @@ def spectrum_of(spec, kind):
 # ---------------------------------------------------------------------------
 
 def test_p4_matrix_table():
-    g = sl.generate(FamilySpec.path(4))
+    g = sl.generate(FamilySpec("path", n=4))
     adj = sl.build_matrix(g, MatrixKind.ADJACENCY).values
     assert np.array_equal(adj, np.array([[0, 1, 0, 0], [1, 0, 1, 0],
                                          [0, 1, 0, 1], [0, 0, 1, 0]], dtype=float))
@@ -39,14 +39,14 @@ def test_p4_matrix_table():
 
 
 def test_weighted_path_normalized_diagonal():
-    g = sl.generate(FamilySpec.weighted_path(4, 3))
+    g = sl.generate(FamilySpec("weighted_path", n=4, k=3))
     m = sl.build_matrix(g, MatrixKind.NORMALIZED).values
     assert np.diag(m) == pytest.approx([1, 1, 1, 1, 2 / 3, 2 / 3, 1 / 2], abs=1e-15)
     assert m[3, 4] == pytest.approx(-1.0 / math.sqrt(6.0), abs=1e-16)
 
 
 def test_difference_rows_sum_to_zero_without_loops():
-    for spec in (FamilySpec.cycle(5), FamilySpec.lollipop(4, 3)):
+    for spec in (FamilySpec("cycle", n=5), FamilySpec("lollipop", n=4, m=3)):
         m = sl.build_matrix(sl.generate(spec), MatrixKind.DIFFERENCE).values
         assert np.max(np.abs(m.sum(axis=1))) == 0.0
 
@@ -63,7 +63,7 @@ def _random_weighted_graph(seed: int) -> Graph:
 
 
 def test_matrices_exactly_symmetric():
-    graphs = [sl.generate(spec) for spec in [*ALL_SPECS, FamilySpec.roach(3, 3)]]
+    graphs = [sl.generate(spec) for spec in [*ALL_SPECS, FamilySpec("roach", n=3, k=3)]]
     for g in graphs + [_random_weighted_graph(seed) for seed in range(60)]:
         for kind in KINDS:
             m = sl.build_matrix(g, kind).values
@@ -88,7 +88,7 @@ def test_symmetric_matrix_rejects_asymmetry():
 # ---------------------------------------------------------------------------
 
 def test_eig_p2_difference():
-    sp = spectrum_of(FamilySpec.path(2), MatrixKind.DIFFERENCE)
+    sp = spectrum_of(FamilySpec("path", n=2), MatrixKind.DIFFERENCE)
     assert sp.eigenvalues == pytest.approx([0.0, 2.0], abs=1e-12)
 
 
@@ -98,13 +98,13 @@ def test_eig_identity():
 
 
 def test_roach22_eigenvalues_match_published_list():
-    sp = spectrum_of(FamilySpec.roach(2, 2), MatrixKind.NORMALIZED)
+    sp = spectrum_of(FamilySpec("roach", n=2, k=2), MatrixKind.NORMALIZED)
     expected = [0.0, 0.204666, 0.371333, 1.0, 1.0, 1.62867, 1.79533, 2.0]
     assert np.max(np.abs(sp.eigenvalues - np.array(expected))) < 1e-5
 
 
 def test_spectrum_invariants():
-    for spec in (FamilySpec.roach(3, 4), FamilySpec.lollipop(5, 3)):
+    for spec in (FamilySpec("roach", n=3, k=4), FamilySpec("lollipop", n=5, m=3)):
         for kind in KINDS:
             g = sl.generate(spec)
             m = sl.build_matrix(g, kind)
@@ -116,16 +116,16 @@ def test_spectrum_invariants():
 
 
 def test_eig_deterministic():
-    m = sl.build_matrix(sl.generate(FamilySpec.roach(4, 3)), MatrixKind.NORMALIZED)
+    m = sl.build_matrix(sl.generate(FamilySpec("roach", n=4, k=3)), MatrixKind.NORMALIZED)
     a, b = sl.eig_sym(m), sl.eig_sym(m)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
 
 def test_lambda2_simplicity_gap():
-    assert spectrum_of(FamilySpec.path(5), MatrixKind.NORMALIZED).lambda2_is_simple()
+    assert spectrum_of(FamilySpec("path", n=5), MatrixKind.NORMALIZED).lambda2_is_simple()
     # 1 - cos(2 pi k / 4) hits 1 twice on the 4-cycle
-    assert not spectrum_of(FamilySpec.cycle(4), MatrixKind.NORMALIZED).lambda2_is_simple()
+    assert not spectrum_of(FamilySpec("cycle", n=4), MatrixKind.NORMALIZED).lambda2_is_simple()
 
 
 # ---------------------------------------------------------------------------
@@ -133,37 +133,37 @@ def test_lambda2_simplicity_gap():
 # ---------------------------------------------------------------------------
 
 def test_cycle4_adjacency_closed_form():
-    cf = sl.closed_form_spectrum(FamilySpec.cycle(4), MatrixKind.ADJACENCY)
+    cf = sl.closed_form_spectrum(FamilySpec("cycle", n=4), MatrixKind.ADJACENCY)
     assert cf.eigenvalues == pytest.approx([-2.0, 0.0, 0.0, 2.0], abs=1e-12)
 
 
 def test_path4_normalized_closed_form():
-    cf = sl.closed_form_spectrum(FamilySpec.path(4), MatrixKind.NORMALIZED)
+    cf = sl.closed_form_spectrum(FamilySpec("path", n=4), MatrixKind.NORMALIZED)
     assert cf.eigenvalues == pytest.approx([0.0, 0.5, 1.5, 2.0], abs=1e-12)
 
 
 def test_path2_signless_closed_form():
-    cf = sl.closed_form_spectrum(FamilySpec.path(2), MatrixKind.SIGNLESS)
+    cf = sl.closed_form_spectrum(FamilySpec("path", n=2), MatrixKind.SIGNLESS)
     assert cf.eigenvalues == pytest.approx([0.0, 2.0], abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
 def test_closed_forms_match_numeric(kind):
     for n in range(2, 22):
-        cf = sl.closed_form_spectrum(FamilySpec.path(n), kind)
-        sp = spectrum_of(FamilySpec.path(n), kind)
+        cf = sl.closed_form_spectrum(FamilySpec("path", n=n), kind)
+        sp = spectrum_of(FamilySpec("path", n=n), kind)
         assert np.max(np.abs(cf.eigenvalues - sp.eigenvalues)) <= 1e-9
     for n in range(3, 22):
-        cf = sl.closed_form_spectrum(FamilySpec.cycle(n), kind)
-        sp = spectrum_of(FamilySpec.cycle(n), kind)
+        cf = sl.closed_form_spectrum(FamilySpec("cycle", n=n), kind)
+        sp = spectrum_of(FamilySpec("cycle", n=n), kind)
         assert np.max(np.abs(cf.eigenvalues - sp.eigenvalues)) <= 1e-9
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
 def test_path_closed_form_eigenvectors(kind):
     for n in range(2, 16):
-        m = sl.build_matrix(sl.generate(FamilySpec.path(n)), kind).values
-        cf = sl.closed_form_spectrum(FamilySpec.path(n), kind)
+        m = sl.build_matrix(sl.generate(FamilySpec("path", n=n)), kind).values
+        cf = sl.closed_form_spectrum(FamilySpec("path", n=n), kind)
         for j in range(n):
             u = cf.eigenvectors[:, j]
             assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
@@ -171,17 +171,18 @@ def test_path_closed_form_eigenvectors(kind):
 
 
 def test_path_eigenvectors_are_built_on_first_read():
-    cf = sl.closed_form_spectrum(FamilySpec.path(30000), MatrixKind.NORMALIZED)
+    cf = sl.closed_form_spectrum(FamilySpec("path", n=30000), MatrixKind.NORMALIZED)
     assert cf.eigenvalues.shape == (30000,) and "eigenvectors" not in vars(cf)
-    small = sl.closed_form_spectrum(FamilySpec.path(5), MatrixKind.NORMALIZED)
+    small = sl.closed_form_spectrum(FamilySpec("path", n=5), MatrixKind.NORMALIZED)
     assert small.eigenvectors is small.eigenvectors and small.eigenvectors.shape == (5, 5)
-    assert sl.closed_form_spectrum(FamilySpec.cycle(5), MatrixKind.NORMALIZED).eigenvectors is None
+    cycle = sl.closed_form_spectrum(FamilySpec("cycle", n=5), MatrixKind.NORMALIZED)
+    assert cycle.eigenvectors is None
 
 
 def test_dense_matrices_capped_before_allocating(monkeypatch):
     big = sl.matrices.MAX_DENSE_ORDER + 1
-    g = sl.generate(FamilySpec.path(big))
-    cf = sl.closed_form_spectrum(FamilySpec.path(big), MatrixKind.NORMALIZED)
+    g = sl.generate(FamilySpec("path", n=big))
+    cf = sl.closed_form_spectrum(FamilySpec("path", n=big), MatrixKind.NORMALIZED)
     monkeypatch.setattr(sl.matrices, "np", None)  # any array work would raise
     with pytest.raises(sl.SizeError):
         sl.build_matrix(g, MatrixKind.ADJACENCY)
@@ -191,18 +192,19 @@ def test_dense_matrices_capped_before_allocating(monkeypatch):
 
 def test_closed_form_spectra_capped_at_generation_budget():
     with pytest.raises(sl.SizeError):
-        sl.closed_form_spectrum(FamilySpec.cycle(sl.graph.MAX_ORDER + 1), MatrixKind.ADJACENCY)
-    assert sl.closed_form_spectrum(FamilySpec.cycle(sl.graph.MAX_ORDER),
+        sl.closed_form_spectrum(FamilySpec("cycle", n=sl.graph.MAX_ORDER + 1), MatrixKind.ADJACENCY)
+    assert sl.closed_form_spectrum(FamilySpec("cycle", n=sl.graph.MAX_ORDER),
                                    MatrixKind.ADJACENCY).eigenvalues.shape == (sl.graph.MAX_ORDER,)
 
 
 def test_closed_form_domain_errors():
     # trees have no n: the family is refused before any size check reads it
-    for spec in (FamilySpec.complete(4), FamilySpec.tree(3), FamilySpec.double_tree(3)):
+    for spec in (FamilySpec("complete", n=4), FamilySpec("tree", depth=3),
+                 FamilySpec("double_tree", depth=3)):
         with pytest.raises(DomainError, match="no closed-form spectrum"):
             sl.closed_form_spectrum(spec, MatrixKind.ADJACENCY)
     with pytest.raises(DomainError):
-        sl.closed_form_spectrum(FamilySpec.path(1), MatrixKind.ADJACENCY)
+        sl.closed_form_spectrum(FamilySpec("path", n=1), MatrixKind.ADJACENCY)
 
 
 def test_cycle_adjacency_pairing():
@@ -215,15 +217,15 @@ def test_cycle_adjacency_pairing():
 
 def test_regular_graph_rescaling():
     # normalized eigenvalues are difference eigenvalues divided by the degree
-    for spec, r in ((FamilySpec.cycle(7), 2), (FamilySpec.complete(6), 5)):
+    for spec, r in ((FamilySpec("cycle", n=7), 2), (FamilySpec("complete", n=6), 5)):
         diff = spectrum_of(spec, MatrixKind.DIFFERENCE).eigenvalues
         norm = spectrum_of(spec, MatrixKind.NORMALIZED).eigenvalues
         assert np.max(np.abs(diff / r - norm)) <= 1e-10
 
 
 def test_rayleigh_identity():
-    for spec in (FamilySpec.roach(2, 3), FamilySpec.lollipop(4, 2),
-                 FamilySpec.weighted_path(3, 3)):
+    for spec in (FamilySpec("roach", n=2, k=3), FamilySpec("lollipop", n=4, m=2),
+                 FamilySpec("weighted_path", n=3, k=3)):
         g = sl.generate(spec)
         sp = spectrum_of(spec, MatrixKind.NORMALIZED)
         d = np.array(g.degrees, dtype=float)
@@ -236,7 +238,7 @@ def test_rayleigh_identity():
 
 
 def test_automorphism_transfer():
-    g = sl.generate(FamilySpec.roach(3, 3))
+    g = sl.generate(FamilySpec("roach", n=3, k=3))
     m = sl.build_matrix(g, MatrixKind.NORMALIZED).values
     sp = sl.eig_sym(sl.build_matrix(g, MatrixKind.NORMALIZED))
     perm = list(g.mirror)
@@ -273,7 +275,7 @@ def test_circulant_residual_random_rows():
 
 def test_random_walk_form_shares_spectrum():
     # D^{-1} (D - W) is similar to the degree-normalized Laplacian
-    for spec in (FamilySpec.weighted_path(3, 3), FamilySpec.lollipop(4, 2)):
+    for spec in (FamilySpec("weighted_path", n=3, k=3), FamilySpec("lollipop", n=4, m=2)):
         g = sl.generate(spec)
         lap = sl.build_matrix(g, MatrixKind.DIFFERENCE).values
         walk = lap / np.array(g.degrees, dtype=float)[:, None]
