@@ -15,15 +15,17 @@ the vertices of B with a neighbour in A and bound_b swaps A and B. The
 smaller share min(x, t - x) is t/2 - |x - t/2|, exact on integers.
 
 Memory does not grow with the 2**(n-1) indices: a chunk holds at most
-2**CHUNK_BITS of them. The side indicator x = y + z splits into a low part y
-(vertices 0..lo) and a high part z (the rest); a chunk is rows r0..r1-1 of
-the table whose entry (r, c) is index ``(r << lo) | c``. Each value is a sum
-of high-factor times low-factor products, hence one matrix product per
-chunk: the cut weight is x'Lx = y'Ly + z'Lz + 2 z'Ly for the Laplacian L,
-volumes and sizes are outer sums, vol A vol B = vol(A) (s - vol(A)) is a
-rank-3 sum of the two parts' volumes, and the boundary volume sums deg(v)
-[v in B] (1 - [no neighbour of v in A]) over v, each indicator a low one
-times a high one. A factor pair is built the first time a pass asks for it.
+2**CHUNK_BITS of them. The side indicator x = (y, z) splits into a low part y
+(vertices 0..lo, k = lo + 1 of them) and a high part z (the other n - k); a
+chunk is rows r0..r1-1 of the table whose entry (r, c) is index
+``(r << lo) | c``. Each value is a sum of high-factor times low-factor
+products, hence one matrix product per chunk over the pair's columns: the
+cut weight is x'Lx = y'L[:k, :k]y + z'L[k:, k:]z + 2 z'L[k:, :k]y for the
+Laplacian L (k + 2 columns), volumes and sizes are outer sums (2), vol A vol
+B = vol(A) (s - vol(A)) is a rank-3 sum of the two parts' volumes (3), and
+the boundary volume is vol B, an outer sum, less deg(v) [v in B] [no
+neighbour of v in A] summed over v, each indicator a low one times a high
+one (n + 2). A factor pair is built the first time a pass asks for it.
 The factors are integers and every partial sum is at most max(4s, s^2) <
 2**30, since s < VOLUME_CAP = 2**15: the float64 products are exact in any
 summation order, and num and den are integers whose int64 products fit.
@@ -71,11 +73,13 @@ from .matrices import MatrixKind, build_matrix
 VOLUME_CAP = 1 << 15
 CHUNK_BITS = 16
 # A chunk keeping at most this share is evaluated at its kept entries alone,
-# by a gathered factor row and column each. With one BLAS thread this beat the
-# whole 2**16-entry chunk up to 1/64 on 20 vertices, and lost at 1/32 for the
-# vertex objective (2n boundary columns). Both paths stay: bounds ran 7-11x
-# slower on 18-20-vertex random graphs with points alone, 1.8x on path(20)
-# with the vertex objective always whole, and 6-16% with kept-column matmuls.
+# by a gathered factor row and column each. With one BLAS thread, on path(20)
+# and a random 20-vertex graph, that took 0.2-0.45x the time of the whole
+# 2**16-entry chunk at 1/64, 0.55-0.75x at 1/32 and 0.7-1.5x at 1/16, for Ncut
+# and the vertex objective (n + 2 boundary columns) alike. Both paths stay:
+# bounds ran 7-11x slower on 18-20-vertex random graphs with points alone, 1.8x
+# on path(20) with the vertex objective always whole, and 6-16% with kept-column
+# matmuls.
 DENSE_SHARE = 1 / 64
 
 NCUT, ISOPERIMETRIC = "ncut", "isoperimetric"
@@ -97,12 +101,11 @@ def _factors(g: Graph, lo: int):
     """factor(key) -> (high, low) with value[r, c] = high[r] @ low[c]; each
     pair is built when a pass first asks for it."""
     n, k, s = g.n, lo + 1, g.volume
-    ya, za = np.zeros((1 << lo, n)), np.zeros((1 << (n - k), n))
-    ya[:, :k] = (np.arange(1 << lo)[:, None] << 1 | 1) >> np.arange(k) & 1
-    za[:, k:] = np.arange(len(za))[:, None] >> np.arange(n - k) & 1
+    ya = ((np.arange(1 << lo)[:, None] << 1 | 1) >> np.arange(k) & 1).astype(float)
+    za = (np.arange(1 << (n - k))[:, None] >> np.arange(n - k) & 1).astype(float)
     adj = build_matrix(g, MatrixKind.ADJACENCY).values  # loops cancel out of lap and boundary
     lap, deg = np.diag(adj.sum(1)) - adj, np.array(g.degrees, dtype=float)
-    vol_z, vol_y = za @ deg, ya @ deg
+    vol_z, vol_y = za @ deg[k:], ya @ deg[:k]
     ones = np.ones((len(za), 1)), np.ones((len(ya), 1))  # a term's 1: the ones column per side
 
     def terms(*pairs):  # the pair whose value sums high * low over its (high, low) terms
@@ -110,19 +113,21 @@ def _factors(g: Graph, lo: int):
                                      for x in side], 1) for side, one in zip(zip(*pairs), ones))
 
     def boundary(y, z):  # volume off the side (y, z) less that with no neighbour on it
-        off_y, off_z = deg * (1 - y), 1 - z
-        return terms((off_z, off_y), (-off_z * (z @ adj == 0), off_y * (y @ adj == 0)))
+        low, high = deg * (y @ adj[:k] == 0), -1.0 * (z @ adj[k:] == 0)
+        low[:, :k] *= 1 - y  # v off the side: 1 - y_v below k, 1 - z_v from k on
+        high[:, k:] *= 1 - z
+        return terms((s - z @ deg[k:], 1), (1, -(y @ deg[:k])), (high, low))
 
-    builders = {  # x'Lx = y'Ly + z'Lz + 2 z'Ly for the Laplacian L and x = y + z
-        "cut": lambda: terms((2 * za @ lap, ya), (((za @ lap) * za).sum(1), 1),
-                             (1, ((ya @ lap) * ya).sum(1))),
+    builders = {  # x'Lx = y'L[:k, :k]y + z'L[k:, k:]z + 2 z'L[k:, :k]y for x = (y, z)
+        "cut": lambda: terms((2 * za @ lap[k:, :k], ya), (((za @ lap[k:, k:]) * za).sum(1), 1),
+                             (1, ((ya @ lap[:k, :k]) * ya).sum(1))),
         "vol": lambda: terms((vol_z, 1), (1, vol_y)),
         "size": lambda: terms((za.sum(1), 1), (1, ya.sum(1))),
         # vol(A) vol(B) = (s a - a^2) - 2 a b + (s b - b^2) for vol(A) = a + b
         "ncut_den": lambda: terms((vol_z * (s - vol_z), 1), (-2 * vol_z, vol_y),
                                   (1, vol_y * (s - vol_y))),
         "bound_a": lambda: boundary(ya, za),
-        "bound_b": lambda: boundary((np.arange(n) < k) - ya, (np.arange(n) >= k) - za),
+        "bound_b": lambda: boundary(1 - ya, 1 - za),
     }
     return functools.cache(lambda key: builders[key]())
 

@@ -190,7 +190,8 @@ class FamilySpec:
     """Tagged parameter record for one of the named graph families.
 
     Construction raises DomainError for an unknown family, or for a parameter
-    of the family that is None or below its minimum.
+    of the family that is None, not an int (a bool is not one), or below its
+    minimum.
     """
 
     family: str
@@ -205,6 +206,8 @@ class FamilySpec:
             raise DomainError(f"unknown family {self.family!r}")
         for name, low in entry[0]:
             value = getattr(self, name)
+            if value is not None and type(value) is not int:
+                raise DomainError(f"{self.family} needs an integer {name} (got {self})")
             if value is None or value < low:
                 needs = " and ".join(f"{p} >= {lo}" for p, lo in entry[0])
                 raise DomainError(f"{self.family} needs {needs} (got {self})")

@@ -283,6 +283,47 @@ def test_improper_full_set_in_last_chunk_is_never_chosen(monkeypatch, bits):
         assert sl.cheeger_vertex(g) == slow_cheeger_vertex(g) > 0
 
 
+KEYS = ("cut", "vol", "size", "ncut_den", "bound_a", "bound_b")
+
+
+def _definitions(g: Graph) -> list[tuple]:
+    """Per index, the values KEYS from their definitions, in pure Python; the
+    last index, the improper full set, has cut, ncut_den and boundaries 0."""
+    s, degrees, neighbours = g.volume, g.degrees, neighbour_sets(g)
+    expected = []
+    for mask, size, vol, cut in slow_sides(g):
+        a = {v for v in range(g.n) if mask >> v & 1}
+        b = set(range(g.n)) - a
+        expected.append((cut, vol, size, vol * (s - vol),
+                         sum(degrees[v] for v in b if a & neighbours[v]),
+                         sum(degrees[v] for v in a if b & neighbours[v])))
+    return expected + [(0, s, g.n, 0, 0, 0)]
+
+
+@pytest.mark.parametrize("bits", [0, 3, 16])
+def test_factor_pairs_match_every_bipartition_at_unpadded_widths(monkeypatch, bits):
+    """Every factor key at every index against its definition, and each pair's
+    width: the low half holds vertices 0..lo and the high half the rest, so the
+    cut pair has k + 2 columns and each boundary pair n + 2, for k = lo + 1."""
+    monkeypatch.setattr(en, "CHUNK_BITS", bits)
+    graphs = [_random_graph(seed, n, wmax) for seed, n in enumerate(range(4, 13))
+              for wmax in (3, 300)] + [sl.generate(spec) for spec in ALL_SPECS]
+    assert any(g.loops for g in graphs)
+    for g in graphs:
+        lo = en._layout(g)[0]
+        k = lo + 1
+        widths = {"cut": k + 2, "vol": 2, "size": 2, "ncut_den": 3,
+                  "bound_a": g.n + 2, "bound_b": g.n + 2}
+        chunks = list(en.bipartition_arrays(g))
+        for key in KEYS:
+            high, low = chunks[0].factor(key)
+            assert high.shape == (2 ** (g.n - k), widths[key]), (g.name, key)
+            assert low.shape == (2 ** lo, widths[key]), (g.name, key)
+        values = np.concatenate([np.column_stack([c(key).ravel() for key in KEYS])
+                                 for c in chunks])
+        assert [tuple(row) for row in values.astype(np.int64).tolist()] == _definitions(g), g.name
+
+
 @pytest.mark.parametrize("bits", [0, 2, 16])
 def test_chunk_layout_matches_index_order(monkeypatch, bits):
     """Every factor pair's term list against its definition, on a graph with
@@ -291,26 +332,17 @@ def test_chunk_layout_matches_index_order(monkeypatch, bits):
     rng = np.random.default_rng(bits)
     for g in (_random_graph(4, 9), _heavy_graph(0, en.VOLUME_CAP - 1)):
         assert g.loops
-        s, neighbours = g.volume, neighbour_sets(g)
-        keys = ("cut", "vol", "size", "ncut_den", "bound_a", "bound_b")
-        expected = []  # per index, the six values from their definitions
-        for m in range(2 ** (g.n - 1)):
-            a = {v for v in range(g.n) if en.full_mask_from_index(m) >> v & 1}
-            b = set(range(g.n)) - a
-            vol = sum(g.degrees[v] for v in a)
-            expected.append((sl.vertex_subset(g, a).cut_weight, vol, len(a), vol * (s - vol),
-                             sum(g.degrees[v] for v in b if a & neighbours[v]),
-                             sum(g.degrees[v] for v in a if b & neighbours[v])))
+        expected = _definitions(g)
         start, out = 0, None
         for c in en.bipartition_arrays(g):
-            values = [c(key) for key in keys]
+            values = [c(key) for key in KEYS]
             size = values[0].size
             assert c.start == start and size <= 2 ** bits
             assert [tuple(row) for row in np.column_stack([v.ravel() for v in values])] == \
                 expected[start:start + size], g.name
             out = np.empty_like(values[0]) if out is None else out  # one array for every chunk
             where = np.append(rng.integers(size, size=3), size - 1)
-            for key, value in zip(keys, values):
+            for key, value in zip(KEYS, values):
                 assert c(key, out) is out and np.array_equal(out, value)
                 assert np.array_equal(c.at(where, key), value.flat[where]), (g.name, key)
             start += size

@@ -184,6 +184,19 @@ def test_construction_admits_exactly_the_valid_parameters(family):
                 dataclasses.replace(spec, **{p: low - 1})
 
 
+@pytest.mark.parametrize("bad", [2.5, "5", True])
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.family)
+def test_parameters_that_are_not_ints_are_refused(spec, bad):
+    assert {s.family for s in ALL_SPECS} == set(sl.FAMILIES)
+    params = {p: v for p in ("n", "k", "m", "depth") if (v := getattr(spec, p)) is not None}
+    for name in params:
+        wrong = {**params, name: bad}
+        with pytest.raises(DomainError) as info:
+            FamilySpec(spec.family, **wrong)
+        assert str(info.value) == \
+            f"{spec.family} needs an integer {name} (got {_spec_repr(spec.family, **wrong)})"
+
+
 def test_labels():
     assert [s.label() for s in ALL_SPECS] == [
         "path(5)", "cycle(6)", "complete(4)", "tree(3)", "double_tree(3)",
