@@ -1,10 +1,10 @@
 """Spectral bisection of the normalized Laplacian and its counterexamples.
 
 The spectral cut takes the eigenvector of the second-smallest eigenvalue
-(assumed simple), canonicalizes its sign so the first significantly nonzero
-entry is positive, and splits the vertices on the sign pattern with
-zero entries joining the positive side. On the two-row ladder families this
-is compared against the exact minimum cut.
+(assumed simple), canonicalizes its sign so the first entry whose sign the
+solver's residual certifies is positive, and splits the vertices on the sign
+pattern with uncertified entries joining the positive side. On the two-row
+ladder families this is compared against the exact minimum cut.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .graph import (EXHAUSTIVE_CAP, ROACH, WEIGHTED_PATH, FamilySpec, Graph, Ver
                     generate, is_automorphism, is_connected, normalized_cut, vertex_subset)
 from .matrices import MatrixKind, SymmetricMatrix, build_matrix, eig_sym
 
-ZERO_TOL = 1e-9
 PARITY_TOL = 1e-6
 
 EVEN = "even"
@@ -40,36 +39,41 @@ class BisectionReport:
     value: Fraction
     parity: str
     alt_value: Fraction | None = None
-    zero_count: int = 0
+    zero_count: int = 0  # entries whose sign the residual bound cannot certify
 
 
 def spectral_cut(g: Graph) -> BisectionReport:
     """Bipartition of g by the sign pattern of the second eigenvector.
 
-    The parity is classified under the generator-supplied mirror when the
-    graph carries one. When zero entries exist, the opposite-orientation cut
-    value is also reported, since the sign convention silently decides which
-    side absorbs them.
+    By Davis and Kahan (SIAM J. Numer. Anal. 7, 1970), the computed unit u lies
+    within tol = sqrt(2) |r| / delta of a true unit eigenvector, for the largest
+    residual r and the distance delta from lambda2 to lambda1 and lambda3. So
+    an entry with |u_i| > tol has its true sign, and the others count as zero.
+    When zero entries exist, the opposite-orientation cut value is also
+    reported, since the sign convention decides which side absorbs them. The
+    parity is classified under the generator-supplied mirror, if the graph has one.
     """
     if not is_connected(g):
         raise ConnectivityError("spectral cut needs a connected graph")
     if g.n < 2:
         raise DomainError("spectral cut needs at least two vertices")
+    vertex_subset(g, ())  # SizeError above SUBSET_CAPACITY, before the dense solve
     spectrum = eig_sym(build_matrix(g, MatrixKind.NORMALIZED))
     if not spectrum.lambda2_is_simple():
         raise MultiplicityError(f"second eigenvalue is not simple (gap {spectrum.gap:.3e}); "
                                 "spectral cut undefined")
-    u = spectrum.eigenvectors[:, 1]
-    significant = np.flatnonzero(np.abs(u) > ZERO_TOL)
+    lam, u = spectrum.eigenvalues, spectrum.eigenvectors[:, 1]
+    tol = math.sqrt(2.0) * spectrum.residual / min(lam[1] - lam[0], spectrum.gap)
+    significant = np.flatnonzero(np.abs(u) > tol)
     if significant.size == 0:
         raise NumericError("second eigenvector is numerically zero")
-    u = -u if u[significant[0]] < 0 else u  # the first significant entry is positive
-    zeros = int(np.count_nonzero(np.abs(u) <= ZERO_TOL))
-    side = vertex_subset(g, [int(i) for i in np.flatnonzero(u >= -ZERO_TOL)])
+    u = -u if u[significant[0]] < 0 else u  # the first certified entry is positive
+    zeros = int(np.count_nonzero(np.abs(u) <= tol))
+    side = vertex_subset(g, [int(i) for i in np.flatnonzero(u >= -tol)])
     value = normalized_cut(g, side)
     alt = None
     if zeros:
-        other = vertex_subset(g, [int(i) for i in np.flatnonzero(u <= ZERO_TOL)])
+        other = vertex_subset(g, [int(i) for i in np.flatnonzero(u <= tol)])
         alt = normalized_cut(g, other)
     parity = NO_AUTOMORPHISM if g.mirror is None else classify_parity(g, g.mirror, u)
     return BisectionReport(spectrum.lambda2, spectrum.gap, side, value, parity, alt, zeros)

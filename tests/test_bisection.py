@@ -1,5 +1,7 @@
 """Spectral bisection, parity classification, sector blocks, counterexamples."""
 
+import io
+import json
 import math
 import random
 from fractions import Fraction
@@ -8,7 +10,8 @@ import numpy as np
 import pytest
 
 import speclab as sl
-from speclab import (DomainError, FamilySpec, MatrixKind, MultiplicityError)
+from speclab import (DomainError, FamilySpec, MatrixKind, MultiplicityError, SizeError,
+                     bisection, cli)
 
 
 def norm_spectrum(spec):
@@ -54,6 +57,71 @@ def test_disconnected_rejected():
     g = sl.Graph(4, ((0, 1, 1), (2, 3, 1)))
     with pytest.raises(sl.ConnectivityError):
         sl.spectral_cut(g)
+
+
+# ladders whose second eigenvector has entries below 1e-9 in size that the
+# residual bound still certifies: their spectral cut is the row cut
+RESIDUAL_CERTIFIED_ROWS = {(16, 14): Fraction(7, 18), (17, 14): Fraction(14, 37),
+                           (17, 15): Fraction(30, 77), (18, 14): Fraction(7, 19)}
+
+
+@pytest.mark.parametrize("nk", sorted(RESIDUAL_CERTIFIED_ROWS))
+def test_lcut_prints_the_row_cut_when_the_residual_certifies_every_sign(nk):
+    n, k = nk
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(["lcut", "--family", "roach", "--n", str(n), "--k", str(k)], out, err) == 0
+    doc = json.loads(out.getvalue())
+    value = RESIDUAL_CERTIFIED_ROWS[nk]
+    assert doc["lcut"] == {"num": value.numerator, "den": value.denominator,
+                           "float": pytest.approx(float(value))}
+    assert doc["positive_side"] == list(range(1, n + k + 1))
+    assert doc["zero_count"] == 0 and "alt_orientation_lcut" not in doc
+
+
+def _roach_specs_within_cap():
+    return [FamilySpec("roach", n=n, k=k) for n in range(1, 31) for k in range(2, 33 - n)]
+
+
+def test_odd_ladder_vectors_split_the_rows_with_every_sign_certified():
+    # an odd second eigenvector is (v, -v) on the two rows, for v the lowest
+    # eigenvector of the odd sector block (lambda1 = 0 is even); that block is
+    # irreducible with nonpositive off-diagonals, so by Perron-Frobenius v > 0
+    checked = 0
+    for spec in _roach_specs_within_cap():
+        try:
+            report = sl.spectral_cut(sl.generate(spec))
+        except MultiplicityError:
+            continue
+        if report.parity != "odd":
+            continue
+        row = (1 << spec.n + spec.k) - 1
+        assert report.positive_side.mask in (row, row << spec.n + spec.k), spec.label()
+        assert report.zero_count == 0, spec.label()
+        checked += 1
+    assert checked >= 200
+
+
+def test_sign_certificate_is_tighter_than_1e9_within_the_cap():
+    specs = _roach_specs_within_cap()
+    specs += [FamilySpec("weighted_path", n=n, k=k) for n in range(1, 64)
+              for k in range(1, 65 - n)]
+    for spec in specs:
+        sp = norm_spectrum(spec)
+        if sp.lambda2_is_simple():
+            lam = sp.eigenvalues
+            bound = math.sqrt(2.0) * sp.residual / min(lam[1] - lam[0], sp.gap)
+            assert bound <= 1e-9, spec.label()
+
+
+def test_oversized_graphs_are_refused_before_the_dense_solve(monkeypatch):
+    def build_matrix(*_args):
+        raise AssertionError("build_matrix called on an oversized graph")
+
+    monkeypatch.setattr(bisection, "build_matrix", build_matrix)
+    with pytest.raises(SizeError):
+        sl.spectral_cut(sl.generate(FamilySpec("path", n=65)))
+    with pytest.raises(SizeError):
+        sl.counterexample_check(11)  # roach(22, 11) has 66 vertices
 
 
 def test_spectral_cut_never_below_minimum():
