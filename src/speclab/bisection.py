@@ -1,7 +1,7 @@
 """Spectral bisection of the normalized Laplacian and its counterexamples.
 
 The spectral cut takes the eigenvector of the second-smallest eigenvalue
-(assumed simple), canonicalizes its sign so the first entry whose sign the
+(certified simple), canonicalizes its sign so the first entry whose sign the
 solver's residual certifies is positive, and splits the vertices on the sign
 pattern with uncertified entries joining the positive side. On the two-row
 ladder families this is compared against the exact minimum cut.
@@ -21,11 +21,8 @@ from .graph import (EXHAUSTIVE_CAP, ROACH, WEIGHTED_PATH, FamilySpec, Graph, Ver
                     generate, is_automorphism, is_connected, normalized_cut, vertex_subset)
 from .matrices import MatrixKind, SymmetricMatrix, build_matrix, eig_sym
 
-PARITY_TOL = 1e-6
-
 EVEN = "even"
 ODD = "odd"
-NEITHER = "neither"
 NO_AUTOMORPHISM = "no_automorphism"
 
 
@@ -45,25 +42,30 @@ class BisectionReport:
 def spectral_cut(g: Graph) -> BisectionReport:
     """Bipartition of g by the sign pattern of the second eigenvector.
 
-    By Davis and Kahan (SIAM J. Numer. Anal. 7, 1970), the computed unit u lies
-    within tol = sqrt(2) |r| / delta of a true unit eigenvector, for the largest
-    residual r and the distance delta from lambda2 to lambda1 and lambda3. So
-    an entry with |u_i| > tol has its true sign, and the others count as zero.
-    When zero entries exist, the opposite-orientation cut value is also
-    reported, since the sign convention decides which side absorbs them. The
-    parity is classified under the generator-supplied mirror, if the graph has one.
+    lambda2 is simple when lambda3 - lambda2 exceeds twice the spectrum's
+    error radius. By Davis and Kahan (SIAM J. Numer. Anal. 7, 1970), the
+    computed unit u then lies within tol = sqrt(2) |r| / delta of a true unit
+    eigenvector x, for the largest residual r and the exact gap's lower bound
+    delta = min(lambda2 - lambda1, lambda3 - lambda2) - 2 radius. So entries
+    with |u_i| > tol have their true signs; the others count as zero, and the
+    other orientation's cut value is reported too, since the sign convention
+    decides which side absorbs them. Under the generator-supplied mirror P,
+    P x = +-x, and u . P u is within 2 tol + tol^2 of that sign.
     """
     if not is_connected(g):
         raise ConnectivityError("spectral cut needs a connected graph")
     if g.n < 2:
         raise DomainError("spectral cut needs at least two vertices")
     vertex_subset(g, ())  # SizeError above SUBSET_CAPACITY, before the dense solve
+    if g.mirror is not None and not is_automorphism(g, g.mirror):
+        raise DomainError("mirror is not an automorphism of the graph")
     spectrum = eig_sym(build_matrix(g, MatrixKind.NORMALIZED))
     if not spectrum.lambda2_is_simple():
         raise MultiplicityError(f"second eigenvalue is not simple (gap {spectrum.gap:.3e}); "
                                 "spectral cut undefined")
     lam, u = spectrum.eigenvalues, spectrum.eigenvectors[:, 1]
-    tol = math.sqrt(2.0) * spectrum.residual / min(lam[1] - lam[0], spectrum.gap)
+    delta = min(lam[1] - lam[0], spectrum.gap) - 2 * spectrum.radius
+    tol = math.sqrt(2.0) * spectrum.residual / delta if delta > 0 else math.inf
     significant = np.flatnonzero(np.abs(u) > tol)
     if significant.size == 0:
         raise NumericError("second eigenvector is numerically zero")
@@ -75,28 +77,12 @@ def spectral_cut(g: Graph) -> BisectionReport:
     if zeros:
         other = vertex_subset(g, [int(i) for i in np.flatnonzero(u <= tol)])
         alt = normalized_cut(g, other)
-    parity = NO_AUTOMORPHISM if g.mirror is None else classify_parity(g, g.mirror, u)
+    parity = NO_AUTOMORPHISM
+    if g.mirror is not None:
+        if 2 * tol + tol * tol >= 1:
+            raise NumericError("parity of the second eigenvector is not certified")
+        parity = EVEN if u @ u[list(g.mirror)] > 0 else ODD
     return BisectionReport(spectrum.lambda2, spectrum.gap, side, value, parity, alt, zeros)
-
-
-def classify_parity(g: Graph, perm, u) -> str:
-    """Classify a vector as even/odd under an involutive automorphism."""
-    perm = tuple(perm)
-    if not is_automorphism(g, perm):
-        raise DomainError("permutation is not an automorphism")
-    if any(perm[perm[i]] != i for i in range(g.n)):
-        raise DomainError("automorphism must have order 2")
-    v = np.asarray(u, dtype=float)
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        raise DomainError("cannot classify the zero vector")
-    v = v / norm
-    pv = v[list(perm)]
-    if np.linalg.norm(v - pv) <= PARITY_TOL:
-        return EVEN
-    if np.linalg.norm(v + pv) <= PARITY_TOL:
-        return ODD
-    return NEITHER
 
 
 def even_odd_blocks(n: int, k: int) -> tuple[SymmetricMatrix, SymmetricMatrix]:

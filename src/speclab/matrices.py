@@ -1,4 +1,5 @@
-"""Matrix builders, a dense symmetric eigensolver, and closed-form spectra.
+"""Matrix builders, a dense symmetric eigensolver that bounds its own
+eigenvalue error, and closed-form spectra.
 
 Four matrices are associated with a weighted graph: the adjacency matrix W,
 the difference Laplacian D - W, the degree-normalized Laplacian
@@ -22,7 +23,6 @@ from .graph import CYCLE, MAX_ORDER, PATH, FamilySpec, Graph
 
 RESIDUAL_TOL = 1e-9
 ORTHO_TOL = 1e-9
-SIMPLE_GAP_TOL = 1e-8
 MAX_DENSE_ORDER = 1 << 12  # largest n x n float64 matrix built (128 MB)
 
 
@@ -66,6 +66,9 @@ def build_matrix(g: Graph, kind: MatrixKind) -> SymmetricMatrix:
     n = g.n
     if n > MAX_DENSE_ORDER:
         raise SizeError(f"dense matrices are capped at order {MAX_DENSE_ORDER}, got {n}")
+    if kind is MatrixKind.NORMALIZED and 0 in g.degrees:
+        raise DomainError(f"vertex {g.degrees.index(0) + 1} has degree 0; "
+                          "normalized Laplacian undefined")
     w = np.zeros((n, n))
     for u, v, wt in g.edges:
         w[u, v] = w[v, u] = wt
@@ -79,10 +82,6 @@ def build_matrix(g: Graph, kind: MatrixKind) -> SymmetricMatrix:
     elif kind is MatrixKind.SIGNLESS:
         m = np.diag(deg) + w
     elif kind is MatrixKind.NORMALIZED:
-        if min(g.degrees) <= 0:
-            bad = g.degrees.index(0)
-            raise DomainError(
-                f"vertex {bad + 1} has degree 0; normalized Laplacian undefined")
         scale = 1.0 / np.sqrt(deg)
         m = 0.0 - w * np.outer(scale, scale)  # 0.0 - keeps zero entries +0.0
         np.fill_diagonal(m, 1.0 - np.diag(w) / deg)
@@ -93,11 +92,12 @@ def build_matrix(g: Graph, kind: MatrixKind) -> SymmetricMatrix:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Full eigendecomposition with ascending eigenvalues and residual bound."""
+    """Full eigendecomposition: ascending eigenvalues, residual, error radius."""
 
     eigenvalues: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray = field(repr=False)
     residual: float
+    radius: float
 
     @property
     def order(self) -> int:
@@ -115,27 +115,40 @@ class Spectrum:
         return float(self.eigenvalues[2] - self.eigenvalues[1]) if self.order > 2 else math.inf
 
     def lambda2_is_simple(self) -> bool:
-        """Gap test: lambda3 - lambda2 must clear a relative threshold."""
-        if self.order <= 2:
-            return self.order == 2
-        return self.gap > SIMPLE_GAP_TOL * max(1.0, abs(float(self.eigenvalues[2])))
+        """Certified: the exact lambda2 and lambda3 lie in disjoint intervals."""
+        return self.order >= 2 and self.gap > 2 * self.radius
 
 
 def eig_sym(m: SymmetricMatrix) -> Spectrum:
-    """Eigendecomposition of a symmetric matrix, validated against residuals."""
+    """Eigendecomposition of a symmetric matrix, validated against residuals.
+
+    The radius bounds |lambda_i - mu_i| for every i, with mu the ascending
+    eigenvalues of the exact matrix that m rounds. By Kahan's residual theorem
+    (1967), the ordered pairing is off by at most ||R||_2 / sigma_min(V), for
+    R = m V - V diag(lambda) and sigma_min(V)^2 >= 1 - ||V'V - I||_2. With
+    u = eps / 2 and scale = n max(1, |m|), the numerator adds to the computed
+    ||R||_F the rounding of R, gamma_{n+2} (|m| |V| + |V| |diag(lambda)|)
+    entrywise, at most 2(n + 3) u scale ||V||_F, and that of m, 8u max(1, |m|)
+    per entry (build_matrix's normalized Laplacian: 7u relative off the
+    diagonal, 3u on it). Twice the sum at ||V||_F = sqrt(n) covers the rest.
+    """
     try:
         vals, vecs = np.linalg.eigh(m.values)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed to converge: {exc}") from exc
-    residual = float(np.max(np.linalg.norm(m.values @ vecs - vecs * vals, axis=0))) \
-        if m.order else 0.0
-    scale = max(1.0, float(np.max(np.abs(m.values)))) * max(1, m.order)
+    n = m.order
+    columns = np.linalg.norm(m.values @ vecs - vecs * vals, axis=0)
+    residual = float(np.max(columns)) if n else 0.0
+    scale = max(1.0, float(np.max(np.abs(m.values)))) * max(1, n)
     if residual > RESIDUAL_TOL * scale:
         raise NumericError("eigendecomposition residual above tolerance")
-    ortho = float(np.max(np.abs(vecs.T @ vecs - np.eye(m.order))))
+    ortho = float(np.max(np.abs(vecs.T @ vecs - np.eye(n))))
     if ortho > ORTHO_TOL:
         raise NumericError("eigenvectors are not orthonormal")
-    return Spectrum(vals, vecs, residual)
+    eps = float(np.finfo(float).eps)
+    rounding = 2 * (n + 7) * math.sqrt(n) * eps * scale  # of R and of m, doubled
+    sigma = math.sqrt(1 - n * (ortho + (n + 2) * eps))  # at most sigma_min(V)
+    return Spectrum(vals, vecs, residual, (float(np.linalg.norm(columns)) + rounding) / sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from speclab import DomainError, FamilySpec, Graph, chebyshev_t, chebyshev_u
+from speclab import DomainError, FamilySpec, Graph, chebyshev_t, chebyshev_u, is_automorphism
 from speclab import _enumeration as en
 
 # one small instance of every family
@@ -27,6 +27,21 @@ ALL_SPECS = [FamilySpec("path", n=5), FamilySpec("cycle", n=6), FamilySpec("comp
 def lu_det(m: np.ndarray) -> float:
     """Dense determinant via LU with partial pivoting (test-only oracle)."""
     return float(np.linalg.det(np.asarray(m, dtype=float)))
+
+
+def slow_parity(g: Graph, perm, u) -> str:
+    """Parity of a vector under an order-2 automorphism by distance: "even" or
+    "odd" when the unit vector is within 1e-6 of its mirror image or of that
+    image's negation, "neither" otherwise."""
+    assert is_automorphism(g, perm) and all(perm[perm[i]] == i for i in range(g.n))
+    v = np.asarray(u, dtype=float)
+    v = v / np.linalg.norm(v)
+    pv = v[list(perm)]
+    if np.linalg.norm(v - pv) <= 1e-6:
+        return "even"
+    if np.linalg.norm(v + pv) <= 1e-6:
+        return "odd"
+    return "neither"
 
 
 def slow_sides(g: Graph):

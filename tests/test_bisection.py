@@ -13,6 +13,8 @@ import speclab as sl
 from speclab import (DomainError, FamilySpec, MatrixKind, MultiplicityError, SizeError,
                      bisection, cli)
 
+from conftest import slow_parity
+
 
 def norm_spectrum(spec):
     return sl.eig_sym(sl.build_matrix(sl.generate(spec), MatrixKind.NORMALIZED))
@@ -152,38 +154,77 @@ def test_spectral_cut_never_below_minimum():
 def test_first_eigenvector_is_even():
     g = sl.generate(FamilySpec("roach", n=3, k=3))
     sp = norm_spectrum(FamilySpec("roach", n=3, k=3))
-    assert sl.classify_parity(g, g.mirror, sp.eigenvectors[:, 0]) == "even"
+    assert slow_parity(g, g.mirror, sp.eigenvectors[:, 0]) == "even"
 
 
 def test_r63_second_eigenvector_is_odd():
-    g = sl.generate(FamilySpec("roach", n=6, k=3))
-    sp = norm_spectrum(FamilySpec("roach", n=6, k=3))
-    assert sl.classify_parity(g, g.mirror, sp.eigenvectors[:, 1]) == "odd"
+    assert sl.spectral_cut(sl.generate(FamilySpec("roach", n=6, k=3))).parity == "odd"
 
 
 def test_published_r22_eigenvector_rows():
     g = sl.generate(FamilySpec("roach", n=2, k=2))
     even_row = [-6.90985, 7.772, -3.17291, 1.0, -6.90985, 7.772, -3.17291, 1.0]
     odd_row = [0.707107, -1.0, 1.22474, -1.0, -0.707107, 1.0, -1.22474, 1.0]
-    assert sl.classify_parity(g, g.mirror, even_row) == "even"
-    assert sl.classify_parity(g, g.mirror, odd_row) == "odd"
-
-
-def test_parity_neither():
-    g = sl.generate(FamilySpec("path", n=4))
-    assert sl.classify_parity(g, g.mirror, [1.0, 0.0, 0.0, 0.0]) == "neither"
+    assert slow_parity(g, g.mirror, even_row) == "even"
+    assert slow_parity(g, g.mirror, odd_row) == "odd"
 
 
 def test_parity_domain_errors():
     g = sl.generate(FamilySpec("path", n=4))
+    swapped = sl.Graph(g.n, g.edges, mirror=(1, 0, 2, 3))  # not an automorphism
     with pytest.raises(DomainError):
-        sl.classify_parity(g, (1, 0, 2, 3), [1, 0, 0, 0])  # not an automorphism
-    c5 = sl.generate(FamilySpec("cycle", n=5))
-    rotation = tuple((i + 1) % 5 for i in range(5))  # automorphism of order 5
-    with pytest.raises(DomainError):
-        sl.classify_parity(c5, rotation, [1, 0, 0, 0, 0])
-    with pytest.raises(DomainError):
-        sl.classify_parity(g, g.mirror, [0.0, 0.0, 0.0, 0.0])
+        sl.spectral_cut(swapped)
+
+
+def _mirrored_specs_within_cap():
+    specs = [FamilySpec("path", n=n) for n in range(2, 65)]
+    specs += [FamilySpec("double_tree", depth=d) for d in range(1, 6)]
+    return specs + _roach_specs_within_cap()
+
+
+def test_parity_is_the_slow_rule_on_every_mirrored_instance_within_the_cap():
+    specs = _mirrored_specs_within_cap()
+    assert len(specs) == 533
+    for spec in specs:
+        g = sl.generate(spec)
+        vector = norm_spectrum(spec).eigenvectors[:, 1]
+        assert sl.spectral_cut(g).parity == slow_parity(g, g.mirror, vector), spec.label()
+
+
+def _cycle_file(tmp_path, n, weight, heavy):
+    edges = [[1, 2, weight + heavy]] + [[i, i + 1, weight] for i in range(2, n)] + [[1, n, weight]]
+    path = tmp_path / f"c{n}.json"
+    path.write_text(json.dumps({"name": f"c{n}", "n": n, "edges": edges, "loops": []}))
+    return str(path)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_lcut_certifies_a_cycle_gap_of_about_1e10(tmp_path, n):
+    # one edge heavier by 1 in 2**30 splits the cycle's double lambda2 by about 1e-10
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(["lcut", "--graph", _cycle_file(tmp_path, n, 1 << 30, 1)], out, err) == 0
+    doc = json.loads(out.getvalue())
+    assert doc["gap"] < 2e-10
+    assert doc["positive_side"] == [1, 2, 3, n] and doc["zero_count"] == 0
+
+
+@pytest.mark.parametrize("weight", [1, 1 << 30])
+def test_uniform_c8_has_no_spectral_cut(tmp_path, weight):
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(["lcut", "--graph", _cycle_file(tmp_path, 8, weight, 0)], out, err) == 2
+    assert json.loads(err.getvalue())["error"] == "MultiplicityError"
+
+
+def test_uncertified_lambda2_minus_lambda1_exits_70(tmp_path):
+    # two triangles of weight 2**52 joined by a weight-1 edge: lambda2 is about
+    # 1e-16, so lambda2 - lambda1 does not clear twice the radius
+    w = 1 << 52
+    edges = [[1, 2, w], [2, 3, w], [1, 3, w], [4, 5, w], [5, 6, w], [4, 6, w], [3, 4, 1]]
+    path = tmp_path / "weak.json"
+    path.write_text(json.dumps({"name": "weak", "n": 6, "edges": edges, "loops": []}))
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(["lcut", "--graph", str(path)], out, err) == 70
+    assert json.loads(err.getvalue())["error"] == "NumericError"
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,20 @@ def test_normalized_needs_positive_degrees():
     with pytest.raises(DomainError):
         sl.build_matrix(isolated, MatrixKind.NORMALIZED)
     sl.build_matrix(isolated, MatrixKind.DIFFERENCE)  # other kinds still fine
+    # refused before the 128 MB matrix is allocated: a star with one isolated
+    # vertex at the dense cap, and the edgeless graph of the same order
+    n = sl.matrices.MAX_DENSE_ORDER
+    star = Graph(n, tuple((0, v, 1) for v in range(1, n - 1)))
+    for g, bad in ((star, n), (Graph(n, ()), 1)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=f"^vertex {bad} has degree 0; normalized "
+                                                  "Laplacian undefined$"):
+                sl.build_matrix(g, MatrixKind.NORMALIZED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_symmetric_matrix_rejects_asymmetry():
@@ -152,11 +167,11 @@ def test_closed_forms_match_numeric(kind):
     for n in range(2, 22):
         cf = sl.closed_form_spectrum(FamilySpec("path", n=n), kind)
         sp = spectrum_of(FamilySpec("path", n=n), kind)
-        assert np.max(np.abs(cf.eigenvalues - sp.eigenvalues)) <= 1e-9
+        assert np.max(np.abs(cf.eigenvalues - sp.eigenvalues)) <= sp.radius <= 1e-11
     for n in range(3, 22):
         cf = sl.closed_form_spectrum(FamilySpec("cycle", n=n), kind)
         sp = spectrum_of(FamilySpec("cycle", n=n), kind)
-        assert np.max(np.abs(cf.eigenvalues - sp.eigenvalues)) <= 1e-9
+        assert np.max(np.abs(cf.eigenvalues - sp.eigenvalues)) <= sp.radius <= 1e-11
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
