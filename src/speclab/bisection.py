@@ -4,7 +4,9 @@ The spectral cut takes the eigenvector of the second-smallest eigenvalue
 (certified simple), canonicalizes its sign so the first entry whose sign the
 solver's residual certifies is positive, and splits the vertices on the sign
 pattern with uncertified entries joining the positive side. On the two-row
-ladder families this is compared against the exact minimum cut.
+ladder families this is compared against the exact minimum cut; there the
+verdict needs no eigenvector, only exact inertia counts of the two sector
+blocks (see counterexample_check).
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ from fractions import Fraction
 import numpy as np
 
 from .cuts import min_ncut_brute, min_ncut_formula
-from .errors import ConnectivityError, DomainError, MultiplicityError, NumericError
-from .graph import (EXHAUSTIVE_CAP, ROACH, WEIGHTED_PATH, FamilySpec, Graph, VertexSubset,
+from .errors import (ConnectivityError, DomainError, MultiplicityError, NumericError,
+                     SizeError)
+from .graph import (EXHAUSTIVE_CAP, ROACH, SUBSET_CAPACITY, FamilySpec, Graph, VertexSubset,
                     generate, is_automorphism, is_connected, normalized_cut, vertex_subset)
-from .matrices import MatrixKind, SymmetricMatrix, build_matrix, eig_sym
+from .matrices import MAX_DENSE_ORDER, MatrixKind, SymmetricMatrix, build_matrix, eig_sym
 
 EVEN = "even"
 ODD = "odd"
@@ -85,6 +88,33 @@ def spectral_cut(g: Graph) -> BisectionReport:
     return BisectionReport(spectrum.lambda2, spectrum.gap, side, value, parity, alt, zeros)
 
 
+def _sector_pencils(n: int, k: int) -> tuple[list[int], list[int], list[int]]:
+    """Degrees d and the even and odd diagonals of roach(n, k)'s sector pencils.
+
+    A sector is the integer tridiagonal D - W_s with off-diagonal -1 and
+    diagonal d_i -+ 1 (even -, odd +) on the rung vertices i >= n, d_i
+    elsewhere; (D - W_s) x = lambda D x has the block's spectrum.
+    """
+    if type(n) is not int or type(k) is not int or n < 1 or k < 2:
+        raise DomainError(f"sector blocks need n >= 1 and k >= 2, got ({n},{k})")
+    if n + k > MAX_DENSE_ORDER:
+        raise SizeError(f"dense matrices are capped at order {MAX_DENSE_ORDER}, got {n + k}")
+    rung = [int(i >= n) for i in range(n + k)]
+    deg = [1 + (0 < i < n + k - 1) + r for i, r in enumerate(rung)]  # path degree + rung
+    return deg, [d - r for d, r in zip(deg, rung)], [d + r for d, r in zip(deg, rung)]
+
+
+def _sector_block(deg: list[int], diag: list[int]) -> np.ndarray:
+    """D^{-1/2} (D - W_s) D^{-1/2}, rounded entry for entry as build_matrix rounds it."""
+    d = np.array(deg, dtype=float)
+    scale = 1.0 / np.sqrt(d)
+    m = np.zeros((d.size, d.size))
+    i = np.arange(d.size - 1)
+    m[i, i + 1] = m[i + 1, i] = 0.0 - scale[:-1] * scale[1:]
+    np.fill_diagonal(m, 1.0 + (np.array(diag, dtype=float) - d) / d)
+    return m
+
+
 def even_odd_blocks(n: int, k: int) -> tuple[SymmetricMatrix, SymmetricMatrix]:
     """Even and odd sector blocks of the two-row ladder's normalized Laplacian.
 
@@ -92,14 +122,41 @@ def even_odd_blocks(n: int, k: int) -> tuple[SymmetricMatrix, SymmetricMatrix]:
     odd block shifts the loop-tail diagonal from 1 - 1/d to 1 + 1/d. Their
     spectra together form the full ladder spectrum.
     """
-    if n < 1 or k < 2:
-        raise DomainError(f"sector blocks need n >= 1 and k >= 2, got ({n},{k})")
-    wp = generate(FamilySpec(WEIGHTED_PATH, n=n, k=k))
-    even = build_matrix(wp, MatrixKind.NORMALIZED)
-    odd_values = np.array(even.values)
-    for v, w in wp.loops:
-        odd_values[v, v] = 1.0 + w / wp.degrees[v]
-    return even, SymmetricMatrix(odd_values)
+    deg, even, odd = _sector_pencils(n, k)
+    return SymmetricMatrix(_sector_block(deg, even)), SymmetricMatrix(_sector_block(deg, odd))
+
+
+def sturm_count(deg: list[int], diag: list[int], p: int, q: int) -> int | None:
+    """Eigenvalues below p/q (q > 0) of the pencil (tridiag(-1, diag, -1), diag(deg)).
+
+    The leading minors of q (D - W_s) - p D follow M_i = t_i M_{i-1} - q^2 M_{i-2}
+    with t_i = q diag_i - p deg_i, exactly in Python ints; by Sylvester's law
+    of inertia the sign changes of M_0 = 1, M_1, ... count the negative
+    pivots, hence the eigenvalues below p/q. None when a minor is zero: then
+    p/q is an eigenvalue of a leading block and the count needs another point.
+    """
+    count, prev, cur, qq = 0, 0, 1, q * q
+    for t, d in zip(diag, deg):
+        prev, cur = cur, (q * t - p * d) * cur - qq * prev
+        if cur == 0:
+            return None
+        count += (cur < 0) != (prev < 0)
+    return count
+
+
+def _separate(lo: float, hi: float, pencils) -> tuple[int, ...]:
+    """Each pencil's count below one dyadic p/q in (lo, hi) that no leading
+    minor vanishes at: the grid point of spacing at most (hi - lo)/8 nearest
+    the midpoint, else the next ones out, all inside the interval."""
+    if not 0.0 <= lo < hi < math.inf:
+        raise NumericError("ladder verdict not certified")
+    q = 1 << max(0, 4 - math.frexp(hi - lo)[1])  # hi - lo >= 2**(exponent - 1) >= 8 / q
+    mid = round(Fraction(0.5 * (lo + hi)) * q)
+    for p in (mid, mid + 1, mid - 1, mid + 2, mid - 2, mid + 3, mid - 3):
+        counts = tuple(sturm_count(deg, diag, p, q) for deg, diag in pencils)
+        if None not in counts:
+            return counts
+    raise NumericError("ladder verdict not certified")
 
 
 @dataclass(frozen=True)
@@ -156,6 +213,18 @@ class CounterexampleReport:
     strictly_less: bool
 
 
+def counterexample_spec(k: int) -> FamilySpec:
+    """roach(2k, k), refused before anything is built: DomainError below k = 3,
+    SizeError above the subset capacity (k >= 11)."""
+    if k < 3:
+        raise DomainError("counterexample family needs k >= 3")
+    spec = FamilySpec(ROACH, n=2 * k, k=k)
+    if spec.order() > SUBSET_CAPACITY:
+        raise SizeError(f"subset capacity is {SUBSET_CAPACITY} vertices, "
+                        f"graph has {spec.order()}")
+    return spec
+
+
 def counterexample_check(k: int) -> CounterexampleReport:
     """Verify the balanced ladder family splits spectrally along the rungs.
 
@@ -165,15 +234,32 @@ def counterexample_check(k: int) -> CounterexampleReport:
     exhaustive up to EXHAUSTIVE_CAP vertices (k <= 4) and closed-form above.
     min_ncut would take the closed form for every k; the exhaustive search
     is kept on purpose, because ``mcut_method`` is printed.
-    """
-    if k < 3:
-        raise DomainError("counterexample family needs k >= 3")
-    spec = FamilySpec(ROACH, n=2 * k, k=k)
-    g = generate(spec)
-    report = spectral_cut(g)
-    row = (1 << 3 * k) - 1  # the mask of one row: vertices 0..3k-1
-    top_row_cut = report.positive_side.mask in (row, row << 3 * k)
-    mcut = min_ncut_brute(g) if 6 * k <= EXHAUSTIVE_CAP else min_ncut_formula(spec, g)
-    return CounterexampleReport(k, mcut.value, mcut.method, report.value, report.lambda2,
-                                report.parity, top_row_cut, mcut.value < report.value)
 
+    The spectral verdict is certified from the two sector pencils, whose
+    spectra together are the ladder's. Float eigenvalues of the blocks only
+    place dyadic separators 0 < tau < lambda1(odd) < sigma < lambda2(even);
+    exact counts (sturm_count) then show that the even sector has one
+    eigenvalue below sigma (its 0) and the odd sector none below tau and one
+    below sigma. So lambda2 of the ladder is the odd block's lambda1, simple
+    and in (tau, sigma). The odd block is irreducible with nonpositive
+    off-diagonals, so by Perron-Frobenius that eigenvector is positive, and
+    the ladder's is (v, -v) with v > 0: the odd spectral cut is exactly the
+    row 0..3k-1, with no uncertified entry. NumericError when the counts
+    certify nothing. lambda2 is the odd block's lowest float eigenvalue.
+    """
+    spec = counterexample_spec(k)
+    g = generate(spec)
+    row = vertex_subset(g, range(3 * k))
+    deg, even, odd = _sector_pencils(2 * k, k)
+    try:
+        lam = float(np.linalg.eigvalsh(_sector_block(deg, odd))[0])
+        lam2_even = float(np.linalg.eigvalsh(_sector_block(deg, even))[1])
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigensolver failed to converge: {exc}") from exc
+    if (_separate(0.0, lam, [(deg, odd)]) != (0,)
+            or _separate(lam, lam2_even, [(deg, even), (deg, odd)]) != (1, 1)):
+        raise NumericError("ladder verdict not certified")
+    lcut = normalized_cut(g, row)
+    mcut = min_ncut_brute(g) if 6 * k <= EXHAUSTIVE_CAP else min_ncut_formula(spec, g)
+    return CounterexampleReport(k, mcut.value, mcut.method, lcut, lam, ODD, True,
+                                mcut.value < lcut)

@@ -322,6 +322,8 @@ def _cmd_bounds(args):
 
 def _cmd_counterexample(args):
     krange = _parse_range(args.k_range)
+    for k in krange:  # refuse the whole range first; every k >= 11 is refused, so this stops soon
+        bisection.counterexample_spec(k)
     reports = [bisection.counterexample_check(k) for k in krange]
     return {"results": [{
         "k": r.k, "mcut": _rat(r.mcut), "mcut_method": r.mcut_method,

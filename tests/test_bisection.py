@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import speclab as sl
-from speclab import (DomainError, FamilySpec, MatrixKind, MultiplicityError, SizeError,
-                     bisection, cli)
+from speclab import (DomainError, FamilySpec, MatrixKind, MultiplicityError, NumericError,
+                     SizeError, bisection, cli)
 
 from conftest import slow_parity
 
@@ -289,6 +289,61 @@ def test_blocks_domain():
         sl.even_odd_blocks(1, 1)
 
 
+def test_blocks_are_bitwise_the_dense_weighted_path_and_its_loop_tail_rule():
+    # the even block is the weighted path's normalized Laplacian; the odd block
+    # replaces each loop vertex's diagonal 1 - w/d by 1 + w/d
+    for n in range(1, 63):
+        for k in range(2, 65 - n):
+            wp = sl.generate(FamilySpec("weighted_path", n=n, k=k))
+            even = sl.build_matrix(wp, MatrixKind.NORMALIZED).values
+            odd = even.copy()
+            for v, w in wp.loops:
+                odd[v, v] = 1.0 + w / wp.degrees[v]
+            blocks = sl.even_odd_blocks(n, k)
+            assert blocks[0].values.tobytes() == even.tobytes(), (n, k)
+            assert blocks[1].values.tobytes() == odd.tobytes(), (n, k)
+
+
+def _block_counts(n, k, sigma):
+    """Dense eigenvalues below sigma of the even and odd blocks of roach(n, k)."""
+    return tuple(int(np.count_nonzero(np.linalg.eigvalsh(b.values) < sigma))
+                 for b in sl.even_odd_blocks(n, k))
+
+
+def test_sturm_counts_equal_dense_counts_within_the_cap():
+    rng = random.Random(20)
+    checked = 0
+    for spec in _roach_specs_within_cap():
+        deg, *diags = bisection._sector_pencils(spec.n, spec.k)
+        vals = np.concatenate([np.linalg.eigvalsh(b.values)
+                               for b in sl.even_odd_blocks(spec.n, spec.k)])
+        for _ in range(3):
+            p, q = rng.randrange(-(1 << 16), 9 << 16), 1 << 22  # sigma in (-1/64, 9/4)
+            if np.min(np.abs(vals - p / q)) < 1e-6:
+                continue
+            assert tuple(bisection.sturm_count(deg, diag, p, q) for diag in diags) \
+                == _block_counts(spec.n, spec.k, p / q), (spec.label(), p)
+            checked += 1
+    assert checked >= 1300
+
+
+def test_a_zero_leading_minor_moves_the_separator():
+    # sigma = 1/2 is an eigenvalue of a leading block: of the odd block of
+    # roach(10, 5) and of the even block of roach(6, 3)
+    for (n, k), sector in (((10, 5), 2), ((6, 3), 1)):
+        pencil = bisection._sector_pencils(n, k)
+        deg, diag = pencil[0], pencil[sector]
+        assert bisection.sturm_count(deg, diag, 1, 2) is None
+        # the grid of (0.45, 0.55) has spacing 1/128 and starts at 64/128 = 1/2
+        (count,) = bisection._separate(0.45, 0.55, [(deg, diag)])
+        assert count == bisection.sturm_count(deg, diag, 65, 128)
+        assert count == _block_counts(n, k, 65 / 128)[sector - 1]
+    for k in range(3, 11):  # sigma = 1 hits both blocks of every R(2k, k)
+        deg, even, odd = bisection._sector_pencils(2 * k, k)
+        assert bisection.sturm_count(deg, even, 1, 1) is None
+        assert bisection.sturm_count(deg, odd, 1, 1) is None
+
+
 def test_doubled_eigenvectors_transfer():
     # (u, u) of a weighted-path eigenpair solves the ladder eigenproblem
     for (n, k) in ((3, 3), (4, 5)):
@@ -390,6 +445,41 @@ def test_counterexample_k5_formula():
 def test_counterexample_domain():
     with pytest.raises(DomainError):
         sl.counterexample_check(2)
+
+
+def test_counterexample_verdict_equals_the_dense_spectral_cut():
+    for k in range(3, 11):
+        report = sl.counterexample_check(k)
+        dense = sl.spectral_cut(sl.generate(FamilySpec("roach", n=2 * k, k=k)))
+        assert report.lcut == dense.value and report.parity == dense.parity == "odd"
+        assert report.top_row_cut and dense.positive_side.mask == (1 << 3 * k) - 1
+        assert dense.zero_count == 0
+        assert abs(report.lambda2 - dense.lambda2) <= 1e-12
+
+
+def test_counterexample_check_needs_no_dense_spectral_cut(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("dense spectral path called")
+
+    for name in ("spectral_cut", "build_matrix", "eig_sym"):
+        monkeypatch.setattr(bisection, name, refuse)
+    for k in range(3, 11):
+        assert sl.counterexample_check(k).top_row_cut
+
+
+def test_a_wrong_float_lambda1_is_refused_not_certified(monkeypatch):
+    # lambda-hat becomes the odd block's second eigenvalue (the odd block is the
+    # one whose last diagonal entry is 1 + 1/2)
+    eigvalsh = np.linalg.eigvalsh
+
+    def second_first(a):
+        vals = eigvalsh(a)
+        return np.roll(vals, -1) if a[-1, -1] > 1.0 else vals
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", second_first)
+    for k in range(3, 11):
+        with pytest.raises(NumericError, match="not certified"):
+            sl.counterexample_check(k)
 
 
 def test_figure_regressions():

@@ -146,6 +146,31 @@ def test_counterexample_command():
     assert result["strictly_less"] and result["parity"] == "odd"
 
 
+def test_counterexample_lambda2_is_the_first_qnk_root():
+    out = invoke(["counterexample", "--k-range", "3:10"])[1]
+    for row in json.loads(out)["results"]:
+        k = row["k"]
+        roots = invoke(["charpoly", "--which", "qnk", "--n", str(2 * k), "--k", str(k),
+                        "--roots"])[1]
+        first = roots.split('"roots": [', 1)[1].split(",", 1)[0]
+        assert f'"lambda2": {first},' in out, k
+
+
+def test_counterexample_range_is_refused_before_any_k_is_computed(monkeypatch):
+    def min_ncut_brute(_g):
+        raise AssertionError("a k was computed")
+
+    monkeypatch.setattr(sl.bisection, "min_ncut_brute", min_ncut_brute)
+    for k_range, doc in (("3:11", {"error": "SizeError",
+                                   "message": "subset capacity is 64 vertices, graph has 66"}),
+                         ("3:" + str(10 ** 20), {"error": "SizeError",
+                          "message": "subset capacity is 64 vertices, graph has 66"}),
+                         ("2:11", {"error": "DomainError",
+                                   "message": "counterexample family needs k >= 3"})):
+        code, out, err = invoke(["counterexample", "--k-range", k_range])
+        assert (code, out) == (2, "") and _one_json_line(err) == doc
+
+
 # ---------------------------------------------------------------------------
 # exit codes and determinism
 # ---------------------------------------------------------------------------
