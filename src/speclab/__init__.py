@@ -3,8 +3,8 @@ characteristic polynomials, exact minimum normalized cuts, and spectral
 bisection, with exact-rational cut arithmetic throughout."""
 
 from .bisection import (BisectionReport, CounterexampleReport, IndicatorIdentity,
-                        counterexample_check, even_odd_blocks,
-                        indicator_identity_check, spectral_cut)
+                        counterexample_check, indicator_identity_check,
+                        sector_block, sector_eigenvalues, spectral_cut)
 from .charpoly import (bracket_roots, chebyshev_pair, chebyshev_t, chebyshev_u,
                        normalized_path_charpoly, roach_charpoly,
                        roach_odd_charpoly, tail_poly_even, tail_poly_odd,

@@ -5,8 +5,8 @@ The spectral cut takes the eigenvector of the second-smallest eigenvalue
 solver's residual certifies is positive, and splits the vertices on the sign
 pattern with uncertified entries joining the positive side. On the two-row
 ladder families this is compared against the exact minimum cut; there the
-verdict needs no eigenvector, only exact inertia counts of the two sector
-blocks (see counterexample_check).
+verdict needs no eigenvector, only one float solve of a sector block and exact
+inertia counts of the two sector pencils (see counterexample_check).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .errors import (ConnectivityError, DomainError, MultiplicityError, NumericE
                      SizeError)
 from .graph import (EXHAUSTIVE_CAP, ROACH, SUBSET_CAPACITY, FamilySpec, Graph, VertexSubset,
                     generate, is_automorphism, is_connected, normalized_cut, vertex_subset)
-from .matrices import MAX_DENSE_ORDER, MatrixKind, SymmetricMatrix, build_matrix, eig_sym
+from .matrices import MAX_DENSE_ORDER, MatrixKind, build_matrix, eig_sym, normalized_laplacian
 
 EVEN = "even"
 ODD = "odd"
@@ -88,8 +88,8 @@ def spectral_cut(g: Graph) -> BisectionReport:
     return BisectionReport(spectrum.lambda2, spectrum.gap, side, value, parity, alt, zeros)
 
 
-def _sector_pencils(n: int, k: int) -> tuple[list[int], list[int], list[int]]:
-    """Degrees d and the even and odd diagonals of roach(n, k)'s sector pencils.
+def sector_pencil(n: int, k: int, sector: str) -> tuple[list[int], list[int]]:
+    """Degrees d and diagonal of one sector pencil of roach(n, k), EVEN or ODD.
 
     A sector is the integer tridiagonal D - W_s with off-diagonal -1 and
     diagonal d_i -+ 1 (even -, odd +) on the rung vertices i >= n, d_i
@@ -99,31 +99,27 @@ def _sector_pencils(n: int, k: int) -> tuple[list[int], list[int], list[int]]:
         raise DomainError(f"sector blocks need n >= 1 and k >= 2, got ({n},{k})")
     if n + k > MAX_DENSE_ORDER:
         raise SizeError(f"dense matrices are capped at order {MAX_DENSE_ORDER}, got {n + k}")
+    if sector not in (EVEN, ODD):
+        raise DomainError(f"unknown sector {sector!r}; expected {EVEN} or {ODD}")
     rung = [int(i >= n) for i in range(n + k)]
     deg = [1 + (0 < i < n + k - 1) + r for i, r in enumerate(rung)]  # path degree + rung
-    return deg, [d - r for d, r in zip(deg, rung)], [d + r for d, r in zip(deg, rung)]
+    return deg, [d + (r if sector == ODD else -r) for d, r in zip(deg, rung)]
 
 
-def _sector_block(deg: list[int], diag: list[int]) -> np.ndarray:
-    """D^{-1/2} (D - W_s) D^{-1/2}, rounded entry for entry as build_matrix rounds it."""
-    d = np.array(deg, dtype=float)
-    scale = 1.0 / np.sqrt(d)
-    m = np.zeros((d.size, d.size))
-    i = np.arange(d.size - 1)
-    m[i, i + 1] = m[i + 1, i] = 0.0 - scale[:-1] * scale[1:]
-    np.fill_diagonal(m, 1.0 + (np.array(diag, dtype=float) - d) / d)
-    return m
+def sector_block(n: int, k: int, sector: str) -> np.ndarray:
+    """D^{-1/2} (D - W_s) D^{-1/2}: normalized_laplacian of the unit path with loop
+    weights d_i - diag_i. The even block is bitwise the weighted path's."""
+    deg, diag = sector_pencil(n, k, sector)
+    w = np.diag(np.subtract(deg, diag, dtype=float)) + np.eye(n + k, k=1) + np.eye(n + k, k=-1)
+    return normalized_laplacian(w, np.array(deg, dtype=float))
 
 
-def even_odd_blocks(n: int, k: int) -> tuple[SymmetricMatrix, SymmetricMatrix]:
-    """Even and odd sector blocks of the two-row ladder's normalized Laplacian.
-
-    The even block equals the normalized Laplacian of the weighted path; the
-    odd block shifts the loop-tail diagonal from 1 - 1/d to 1 + 1/d. Their
-    spectra together form the full ladder spectrum.
-    """
-    deg, even, odd = _sector_pencils(n, k)
-    return SymmetricMatrix(_sector_block(deg, even)), SymmetricMatrix(_sector_block(deg, odd))
+def sector_eigenvalues(n: int, k: int, sector: str) -> np.ndarray:
+    """Ascending float eigenvalues of one sector block."""
+    try:
+        return np.linalg.eigvalsh(sector_block(n, k, sector))
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigensolver failed to converge: {exc}") from exc
 
 
 def sturm_count(deg: list[int], diag: list[int], p: int, q: int) -> int | None:
@@ -236,28 +232,28 @@ def counterexample_check(k: int) -> CounterexampleReport:
     is kept on purpose, because ``mcut_method`` is printed.
 
     The spectral verdict is certified from the two sector pencils, whose
-    spectra together are the ladder's. Float eigenvalues of the blocks only
-    place dyadic separators 0 < tau < lambda1(odd) < sigma < lambda2(even);
-    exact counts (sturm_count) then show that the even sector has one
-    eigenvalue below sigma (its 0) and the odd sector none below tau and one
-    below sigma. So lambda2 of the ladder is the odd block's lambda1, simple
-    and in (tau, sigma). The odd block is irreducible with nonpositive
-    off-diagonals, so by Perron-Frobenius that eigenvector is positive, and
-    the ladder's is (v, -v) with v > 0: the odd spectral cut is exactly the
-    row 0..3k-1, with no uncertified entry. NumericError when the counts
-    certify nothing. lambda2 is the odd block's lowest float eigenvalue.
+    spectra together are the ladder's. By the ladder's bipartite symmetry about
+    1 (Chung, Spectral Graph Theory, 1997, Lemma 1.8), odd = F (2I - even) F
+    for F the alternating-sign diagonal. So one float solve of the odd block
+    gives lambda1(odd), its least value (the lambda2 reported), and
+    lambda2(even), 2 minus its second-largest. These only place dyadic
+    separators 0 < tau < lambda1(odd) < sigma < lambda2(even); exact counts
+    (sturm_count) then show that the even sector has one eigenvalue below sigma
+    (its 0) and the odd sector none below tau and one below sigma. So lambda2
+    of the ladder is the odd block's lambda1, simple and in (tau, sigma). The
+    odd block is irreducible with nonpositive off-diagonals, so by
+    Perron-Frobenius that eigenvector is positive, and the ladder's is (v, -v)
+    with v > 0: the odd spectral cut is exactly the row 0..3k-1, with no
+    uncertified entry. NumericError when the counts certify nothing.
     """
     spec = counterexample_spec(k)
     g = generate(spec)
     row = vertex_subset(g, range(3 * k))
-    deg, even, odd = _sector_pencils(2 * k, k)
-    try:
-        lam = float(np.linalg.eigvalsh(_sector_block(deg, odd))[0])
-        lam2_even = float(np.linalg.eigvalsh(_sector_block(deg, even))[1])
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigensolver failed to converge: {exc}") from exc
-    if (_separate(0.0, lam, [(deg, odd)]) != (0,)
-            or _separate(lam, lam2_even, [(deg, even), (deg, odd)]) != (1, 1)):
+    vals = sector_eigenvalues(2 * k, k, ODD)
+    lam, lam2_even = float(vals[0]), 2.0 - float(vals[-2])
+    even, odd = sector_pencil(2 * k, k, EVEN), sector_pencil(2 * k, k, ODD)
+    if (_separate(0.0, lam, [odd]) != (0,)
+            or _separate(lam, lam2_even, [even, odd]) != (1, 1)):
         raise NumericError("ladder verdict not certified")
     lcut = normalized_cut(g, row)
     mcut = min_ncut_brute(g) if 6 * k <= EXHAUSTIVE_CAP else min_ncut_formula(spec, g)

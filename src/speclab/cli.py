@@ -258,9 +258,10 @@ def _cmd_compare(args):
             "lcut_positive_side": _vertices_1based(lcut.positive_side)}
 
 
-# --which -> the sector factors it names: 0 the even one (p_nk), 1 the odd one (q_nk)
-_SECTORS = {"pnk": (0,), "qnk": (1,), "product": (0, 1)}
-_SECTOR_CHARPOLYS = (charpoly.weighted_path_charpoly, charpoly.roach_odd_charpoly)
+# --which -> its characteristic polynomial and the sectors whose eigenvalues are its roots
+_SECTORS = {"pnk": (charpoly.weighted_path_charpoly, (bisection.EVEN,)),
+            "qnk": (charpoly.roach_odd_charpoly, (bisection.ODD,)),
+            "product": (charpoly.roach_charpoly, (bisection.EVEN, bisection.ODD))}
 
 
 def _cmd_charpoly(args):
@@ -270,18 +271,14 @@ def _cmd_charpoly(args):
     if args.lam is not None and not math.isfinite(args.lam):
         raise _UsageError(f"--lam must be finite, got {args.lam}")
     charpoly.normalization(n, k)
-    doc, sectors = {"which": args.which, "n": n, "k": k}, _SECTORS[args.which]
+    doc, (poly, sectors) = {"which": args.which, "n": n, "k": k}, _SECTORS[args.which]
     if args.lam is not None:
-        value = math.prod(_SECTOR_CHARPOLYS[s](n, k, args.lam) for s in sectors)
+        value = poly(n, k, args.lam)
         if not math.isfinite(value):
             raise NumericError(f"polynomial evaluation overflowed at lambda={args.lam}")
         doc.update({"lambda": _fmt(args.lam), "value": _fmt(value)})
-    else:  # the roots are the eigenvalues of the sector blocks whose charpoly this is
-        blocks = bisection.even_odd_blocks(n, k)
-        try:
-            roots = np.sort(np.concatenate([np.linalg.eigvalsh(blocks[s].values) for s in sectors]))
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"eigensolver failed to converge: {exc}") from exc
+    else:
+        roots = np.sort(np.concatenate([bisection.sector_eigenvalues(n, k, s) for s in sectors]))
         doc.update({"interval": [0, 2], "roots": [_fmt(x) for x in np.clip(roots, 0.0, 2.0)],
                     "count": len(roots)})
     return doc

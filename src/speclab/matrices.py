@@ -82,12 +82,18 @@ def build_matrix(g: Graph, kind: MatrixKind) -> SymmetricMatrix:
     elif kind is MatrixKind.SIGNLESS:
         m = np.diag(deg) + w
     elif kind is MatrixKind.NORMALIZED:
-        scale = 1.0 / np.sqrt(deg)
-        m = 0.0 - w * np.outer(scale, scale)  # 0.0 - keeps zero entries +0.0
-        np.fill_diagonal(m, 1.0 - np.diag(w) / deg)
+        m = normalized_laplacian(w, deg)
     else:
         raise DomainError(f"unknown matrix kind {kind!r}")
     return SymmetricMatrix(m)
+
+
+def normalized_laplacian(w: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """I - D^{-1/2} W D^{-1/2}, diagonal 1 - w_ii/d_i, rounded as eig_sym assumes."""
+    scale = 1.0 / np.sqrt(deg)
+    m = 0.0 - w * np.outer(scale, scale)  # 0.0 - keeps zero entries +0.0
+    np.fill_diagonal(m, 1.0 - np.diag(w) / deg)
+    return m
 
 
 @dataclass(frozen=True)
@@ -129,8 +135,8 @@ def eig_sym(m: SymmetricMatrix) -> Spectrum:
     u = eps / 2 and scale = n max(1, |m|), the numerator adds to the computed
     ||R||_F the rounding of R, gamma_{n+2} (|m| |V| + |V| |diag(lambda)|)
     entrywise, at most 2(n + 3) u scale ||V||_F, and that of m, 8u max(1, |m|)
-    per entry (build_matrix's normalized Laplacian: 7u relative off the
-    diagonal, 3u on it). Twice the sum at ||V||_F = sqrt(n) covers the rest.
+    per entry (normalized_laplacian: 7u relative off the diagonal, 3u on it).
+    Twice the sum at ||V||_F = sqrt(n) covers the rest.
     """
     try:
         vals, vecs = np.linalg.eigh(m.values)

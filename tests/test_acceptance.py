@@ -16,6 +16,7 @@ import numpy as np
 
 import speclab as sl
 from speclab import FamilySpec, MatrixKind
+from speclab.bisection import EVEN, ODD
 
 
 def suite_specs():
@@ -99,7 +100,7 @@ def test_criterion_4_published_ladder_spectra():
                                       MatrixKind.NORMALIZED)).eigenvalues
     expected = [0.0, 0.204666, 0.371333, 1.0, 1.0, 1.62867, 1.79533, 2.0]
     assert float(np.max(np.abs(full - expected))) < 1e-5
-    even, odd = sl.even_odd_blocks(2, 2)
+    even, odd = (sl.SymmetricMatrix(sl.sector_block(2, 2, s)) for s in (EVEN, ODD))
     assert float(np.max(np.abs(sl.eig_sym(even).eigenvalues
                                - [0.0, 0.371333, 1.0, 1.79533]))) < 1e-5
     assert float(np.max(np.abs(sl.eig_sym(odd).eigenvalues

@@ -11,7 +11,8 @@ import pytest
 
 import speclab as sl
 from speclab import (DomainError, FamilySpec, MatrixKind, MultiplicityError, NumericError,
-                     SizeError, bisection, cli)
+                     SizeError, SymmetricMatrix, bisection, cli)
+from speclab.bisection import EVEN, ODD
 
 from conftest import slow_parity
 
@@ -232,7 +233,7 @@ def test_uncertified_lambda2_minus_lambda1_exits_70(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_blocks_2_2_match_published_matrices():
-    even, odd = sl.even_odd_blocks(2, 2)
+    even, odd = (sl.sector_block(2, 2, s) for s in (EVEN, ODD))
     s2, s6 = 1 / math.sqrt(2), 1 / math.sqrt(6)
     p_expected = np.array([
         [1, -s2, 0, 0],
@@ -244,12 +245,12 @@ def test_blocks_2_2_match_published_matrices():
         [-s2, 1, -s6, 0],
         [0, -s6, 4 / 3, -s6],
         [0, 0, -s6, 3 / 2]])
-    assert np.max(np.abs(even.values - p_expected)) <= 1e-15
-    assert np.max(np.abs(odd.values - q_expected)) <= 1e-15
+    assert np.max(np.abs(even - p_expected)) <= 1e-15
+    assert np.max(np.abs(odd - q_expected)) <= 1e-15
 
 
 def test_block_eigenvalues_2_2():
-    even, odd = sl.even_odd_blocks(2, 2)
+    even, odd = (SymmetricMatrix(sl.sector_block(2, 2, s)) for s in (EVEN, ODD))
     assert np.max(np.abs(sl.eig_sym(even).eigenvalues
                          - [0.0, 0.371333, 1.0, 1.79533])) < 1e-5
     assert np.max(np.abs(sl.eig_sym(odd).eigenvalues
@@ -259,7 +260,7 @@ def test_block_eigenvalues_2_2():
 @pytest.mark.parametrize("nk", [(2, 2), (3, 3), (5, 4)])
 def test_block_spectra_union_is_ladder_spectrum(nk):
     n, k = nk
-    even, odd = sl.even_odd_blocks(n, k)
+    even, odd = (SymmetricMatrix(sl.sector_block(n, k, s)) for s in (EVEN, ODD))
     union = np.sort(np.concatenate([sl.eig_sym(even).eigenvalues,
                                     sl.eig_sym(odd).eigenvalues]))
     full = norm_spectrum(FamilySpec("roach", n=n, k=k)).eigenvalues
@@ -269,24 +270,39 @@ def test_block_spectra_union_is_ladder_spectrum(nk):
 def test_block_reflection_relation():
     # odd block = F^{-1} (2I - even block) F with F the alternating-sign diagonal
     for (n, k) in ((2, 2), (4, 3)):
-        even, odd = sl.even_odd_blocks(n, k)
+        even, odd = (sl.sector_block(n, k, s) for s in (EVEN, ODD))
         f = np.diag([(-1.0) ** i for i in range(n + k)])
-        assert np.max(np.abs(odd.values
-                             - f @ (2 * np.eye(n + k) - even.values) @ f)) <= 1e-12
+        assert np.max(np.abs(odd - f @ (2 * np.eye(n + k) - even) @ f)) <= 1e-12
 
 
 def test_even_block_is_weighted_path_laplacian():
-    even, _ = sl.even_odd_blocks(4, 3)
+    even = sl.sector_block(4, 3, EVEN)
     wp = sl.build_matrix(sl.generate(FamilySpec("weighted_path", n=4, k=3)),
                          MatrixKind.NORMALIZED)
-    assert np.array_equal(even.values, wp.values)
+    assert np.array_equal(even, wp.values)
 
 
 def test_blocks_domain():
-    with pytest.raises(DomainError):
-        sl.even_odd_blocks(0, 2)
-    with pytest.raises(DomainError):
-        sl.even_odd_blocks(1, 1)
+    for sector in (EVEN, ODD):
+        with pytest.raises(DomainError):
+            sl.sector_block(0, 2, sector)
+        with pytest.raises(DomainError):
+            sl.sector_block(1, 1, sector)
+
+
+def test_sector_routines_refuse_bad_parameters_and_unknown_sectors():
+    for fn in (bisection.sector_pencil, sl.sector_block, sl.sector_eigenvalues):
+        for args in ((0, 2, EVEN), (1, 1, ODD), (3, 3, "mixed"), (3, 3, 1)):
+            with pytest.raises(DomainError):
+                fn(*args)
+
+
+def test_even_spectrum_is_two_minus_the_odd_spectrum_within_the_cap():
+    # the ladder is bipartite: blockwise, odd = F (2I - even) F
+    for spec in _roach_specs_within_cap():
+        even = sl.sector_eigenvalues(spec.n, spec.k, EVEN)
+        odd = sl.sector_eigenvalues(spec.n, spec.k, ODD)
+        assert np.max(np.abs(even - (2.0 - odd[::-1]))) <= 1e-12, spec.label()
 
 
 def test_blocks_are_bitwise_the_dense_weighted_path_and_its_loop_tail_rule():
@@ -299,24 +315,24 @@ def test_blocks_are_bitwise_the_dense_weighted_path_and_its_loop_tail_rule():
             odd = even.copy()
             for v, w in wp.loops:
                 odd[v, v] = 1.0 + w / wp.degrees[v]
-            blocks = sl.even_odd_blocks(n, k)
-            assert blocks[0].values.tobytes() == even.tobytes(), (n, k)
-            assert blocks[1].values.tobytes() == odd.tobytes(), (n, k)
+            assert sl.sector_block(n, k, EVEN).tobytes() == even.tobytes(), (n, k)
+            assert sl.sector_block(n, k, ODD).tobytes() == odd.tobytes(), (n, k)
 
 
 def _block_counts(n, k, sigma):
     """Dense eigenvalues below sigma of the even and odd blocks of roach(n, k)."""
-    return tuple(int(np.count_nonzero(np.linalg.eigvalsh(b.values) < sigma))
-                 for b in sl.even_odd_blocks(n, k))
+    return tuple(int(np.count_nonzero(np.linalg.eigvalsh(sl.sector_block(n, k, s)) < sigma))
+                 for s in (EVEN, ODD))
 
 
 def test_sturm_counts_equal_dense_counts_within_the_cap():
     rng = random.Random(20)
     checked = 0
     for spec in _roach_specs_within_cap():
-        deg, *diags = bisection._sector_pencils(spec.n, spec.k)
-        vals = np.concatenate([np.linalg.eigvalsh(b.values)
-                               for b in sl.even_odd_blocks(spec.n, spec.k)])
+        deg = bisection.sector_pencil(spec.n, spec.k, EVEN)[0]
+        diags = [bisection.sector_pencil(spec.n, spec.k, s)[1] for s in (EVEN, ODD)]
+        vals = np.concatenate([np.linalg.eigvalsh(sl.sector_block(spec.n, spec.k, s))
+                               for s in (EVEN, ODD)])
         for _ in range(3):
             p, q = rng.randrange(-(1 << 16), 9 << 16), 1 << 22  # sigma in (-1/64, 9/4)
             if np.min(np.abs(vals - p / q)) < 1e-6:
@@ -330,16 +346,15 @@ def test_sturm_counts_equal_dense_counts_within_the_cap():
 def test_a_zero_leading_minor_moves_the_separator():
     # sigma = 1/2 is an eigenvalue of a leading block: of the odd block of
     # roach(10, 5) and of the even block of roach(6, 3)
-    for (n, k), sector in (((10, 5), 2), ((6, 3), 1)):
-        pencil = bisection._sector_pencils(n, k)
-        deg, diag = pencil[0], pencil[sector]
+    for (n, k), sector in (((10, 5), ODD), ((6, 3), EVEN)):
+        deg, diag = bisection.sector_pencil(n, k, sector)
         assert bisection.sturm_count(deg, diag, 1, 2) is None
         # the grid of (0.45, 0.55) has spacing 1/128 and starts at 64/128 = 1/2
         (count,) = bisection._separate(0.45, 0.55, [(deg, diag)])
         assert count == bisection.sturm_count(deg, diag, 65, 128)
-        assert count == _block_counts(n, k, 65 / 128)[sector - 1]
+        assert count == _block_counts(n, k, 65 / 128)[(EVEN, ODD).index(sector)]
     for k in range(3, 11):  # sigma = 1 hits both blocks of every R(2k, k)
-        deg, even, odd = bisection._sector_pencils(2 * k, k)
+        (deg, even), (_, odd) = (bisection.sector_pencil(2 * k, k, s) for s in (EVEN, ODD))
         assert bisection.sturm_count(deg, even, 1, 1) is None
         assert bisection.sturm_count(deg, odd, 1, 1) is None
 
@@ -482,6 +497,38 @@ def test_a_wrong_float_lambda1_is_refused_not_certified(monkeypatch):
             sl.counterexample_check(k)
 
 
+def test_counterexample_check_solves_one_block_per_k(monkeypatch):
+    eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for k in range(3, 11):
+        calls.clear()
+        sl.counterexample_check(k)
+        assert calls == [(3 * k, 3 * k)], k
+
+
+def test_a_wrong_float_upper_end_is_refused_not_certified(monkeypatch):
+    # lambda2(even) is read as 2 minus the odd block's vals[-2]; reading vals[-3]
+    # instead moves the upper end past lambda2(even), and the counts refuse it
+    eigvalsh = np.linalg.eigvalsh
+
+    def third_for_second(a):
+        vals = eigvalsh(a)
+        if a[-1, -1] > 1.0:
+            vals = vals.copy()
+            vals[-2] = vals[-3]
+        return vals
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", third_for_second)
+    for k in range(3, 11):
+        with pytest.raises(NumericError, match="not certified"):
+            sl.counterexample_check(k)
+
+
 def test_figure_regressions():
     r47 = sl.spectral_cut(sl.generate(FamilySpec("roach", n=4, k=7)))
     assert r47.value == sl.min_ncut_formula(FamilySpec("roach", n=4, k=7)).value
@@ -527,3 +574,17 @@ def test_region_check_holds():
 def test_region_check_non_member():
     # roach(1, 2) lies outside the region, and there the two cuts agree
     assert not sl.in_disagreement_region(1, 2) and not _cuts_differ(1, 2)
+
+
+def test_region_claim_over_the_whole_subset_cap():
+    # the closed form is never above the spectral cut, and strictly below it on
+    # every member of the region; outside it the cuts may still differ
+    members = 0
+    for spec in _roach_specs_within_cap():
+        mcut = sl.min_ncut_formula(spec).value
+        lcut = sl.spectral_cut(sl.generate(spec)).value
+        assert mcut <= lcut, spec.label()
+        if sl.in_disagreement_region(spec.n, spec.k):
+            assert mcut < lcut, spec.label()
+            members += 1
+    assert members == 95
