@@ -15,6 +15,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -69,30 +70,35 @@ def build_matrix(g: Graph, kind: MatrixKind) -> SymmetricMatrix:
     if kind is MatrixKind.NORMALIZED and 0 in g.degrees:
         raise DomainError(f"vertex {g.degrees.index(0) + 1} has degree 0; "
                           "normalized Laplacian undefined")
+    deg = np.array(g.degrees, dtype=float)
+    if kind is MatrixKind.NORMALIZED:
+        edges, loops = (np.fromiter(chain.from_iterable(rows), np.int64, width * len(rows))
+                        .reshape(-1, width).T for rows, width in ((g.edges, 3), (g.loops, 2)))
+        return SymmetricMatrix(normalized_laplacian(n, edges, loops, deg))
     w = np.zeros((n, n))
     for u, v, wt in g.edges:
         w[u, v] = w[v, u] = wt
     for v, wt in g.loops:
         w[v, v] = wt
-    deg = np.array(g.degrees, dtype=float)
     if kind is MatrixKind.ADJACENCY:
         m = w
     elif kind is MatrixKind.DIFFERENCE:
         m = np.diag(deg) - w
     elif kind is MatrixKind.SIGNLESS:
         m = np.diag(deg) + w
-    elif kind is MatrixKind.NORMALIZED:
-        m = normalized_laplacian(w, deg)
     else:
         raise DomainError(f"unknown matrix kind {kind!r}")
     return SymmetricMatrix(m)
 
 
-def normalized_laplacian(w: np.ndarray, deg: np.ndarray) -> np.ndarray:
-    """I - D^{-1/2} W D^{-1/2}, diagonal 1 - w_ii/d_i, rounded as eig_sym assumes."""
-    scale = 1.0 / np.sqrt(deg)
-    m = 0.0 - w * np.outer(scale, scale)  # 0.0 - keeps zero entries +0.0
-    np.fill_diagonal(m, 1.0 - np.diag(w) / deg)
+def normalized_laplacian(n: int, edges, loops, deg: np.ndarray) -> np.ndarray:
+    """I - D^{-1/2} W D^{-1/2} of order n from the edge list in columns, edges (u, v, w)
+    and loops (v, w): -w (s_u s_v) at (u, v) and (v, u), s = 1/sqrt(deg), 1 - w/d_v at
+    (v, v), +0.0 elsewhere; rounded as eig_sym assumes, with no n x n temporary."""
+    u, v, w = edges
+    s, m = 1.0 / np.sqrt(deg), np.zeros((n, n))
+    m[u, v] = m[v, u] = -w * (s[u] * s[v])
+    m.flat[:: n + 1] = 1.0 - np.bincount(*loops, n) / deg
     return m
 
 
@@ -135,7 +141,7 @@ def eig_sym(m: SymmetricMatrix) -> Spectrum:
     u = eps / 2 and scale = n max(1, |m|), the numerator adds to the computed
     ||R||_F the rounding of R, gamma_{n+2} (|m| |V| + |V| |diag(lambda)|)
     entrywise, at most 2(n + 3) u scale ||V||_F, and that of m, 8u max(1, |m|)
-    per entry (normalized_laplacian: 7u relative off the diagonal, 3u on it).
+    per entry (normalized_laplacian: -w s_u s_v within 7u relative, 1 - w/d 3u).
     Twice the sum at ||V||_F = sqrt(n) covers the rest.
     """
     try:

@@ -3,7 +3,8 @@ are pinned byte for byte in ``cli_corpus.json``.
 
 Only exact commands are listed: graph generation, exhaustive and closed-form
 cuts, sweeps, the Chebyshev evaluation of ``charpoly --lam`` and error
-documents. None of them calls an eigensolver or a libm function, so the
+documents, among them ``counterexample`` refusals, which are made before any
+verdict is computed. None of them calls an eigensolver or a libm function, so the
 recorded bytes do not depend on the BLAS or the platform's math library.
 
 ``{dir}`` in an argv stands for a scratch directory that holds the entry's
@@ -107,6 +108,8 @@ def entries() -> list[dict]:
     add("sweep", "--family", "path", "--n-range", "1:3", "--k-range", "1:3")
     add("sweep", "--family", "roach", "--n-range", "1:1000", "--k-range", "2:1000")
     add("charpoly", "--which", "pnk", "--n", "2", "--k", "3", "--lam", "1")
+    add("counterexample", "--k-range", "2:3")
+    add("counterexample", "--k-range", "3:11")
     # exit 64
     add("mcut")
     add("mcut", "--family", "path", "--n", "4", "--graph", "x.json")
@@ -119,6 +122,8 @@ def entries() -> list[dict]:
     add("charpoly", "--which", "pnk", "--n", "4", "--k", "3", "--lam", "1", "--roots")
     add("charpoly", "--which", "pnk", "--n", "4", "--k", "3", "--lam", "nan")
     add("charpoly", "--which", "pnk", "--n", "4", "--k", "3", "--steps", "9", "--roots")
+    add("counterexample", "--k-range", "5:4")
+    add("counterexample", "--k-range", "x")
     add("gen", "--n", "3")
     add("gen", "--family", "path", "--n", "3", "--out", "{dir}/missing/x.json")
     # exit 65

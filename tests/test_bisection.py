@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -319,6 +320,18 @@ def test_blocks_are_bitwise_the_dense_weighted_path_and_its_loop_tail_rule():
             assert sl.sector_block(n, k, ODD).tobytes() == odd.tobytes(), (n, k)
 
 
+def test_sector_block_holds_no_dense_temporary():
+    # order 1,024: the block itself is one 8 MiB array
+    tracemalloc.start()
+    try:
+        block = sl.sector_block(683, 341, ODD)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block.nbytes == 8 << 20
+    assert peak <= 1.5 * block.nbytes
+
+
 def _block_counts(n, k, sigma):
     """Dense eigenvalues below sigma of the even and odd blocks of roach(n, k)."""
     return tuple(int(np.count_nonzero(np.linalg.eigvalsh(sl.sector_block(n, k, s)) < sigma))
@@ -357,6 +370,36 @@ def test_a_zero_leading_minor_moves_the_separator():
         (deg, even), (_, odd) = (bisection.sector_pencil(2 * k, k, s) for s in (EVEN, ODD))
         assert bisection.sturm_count(deg, even, 1, 1) is None
         assert bisection.sturm_count(deg, odd, 1, 1) is None
+
+
+def _first_grid_point(monkeypatch, lo, hi):
+    """(p, q) of the first separator _separate tries in (lo, hi)."""
+    points = []
+    monkeypatch.setattr(bisection, "sturm_count", lambda deg, diag, p, q: points.append((p, q)))
+    with pytest.raises(NumericError):
+        bisection._separate(lo, hi, [([1], [1])])
+    return points[0]
+
+
+def test_separator_midpoint_is_the_exact_rounding_of_the_float_midpoint(monkeypatch):
+    def check(lo, hi):
+        p, q = _first_grid_point(monkeypatch, lo, hi)
+        assert p == round(Fraction(0.5 * (lo + hi)) * q), (lo, hi)
+        return p, q
+
+    for e in range(0, 60, 3):  # half-way ties round to even
+        for j in range(4, 24):  # (j + 1/2) / q, with lo = t - 4 / q >= 0
+            t = (2 * j + 1) / 2.0 ** (e + 1)
+            assert check(t - 2.0 ** (2 - e), t + 2.0 ** (2 - e)) == (j + j % 2, 1 << e)
+    rng, checked = random.Random(10), 0
+    while checked < 10 ** 4:
+        lo = rng.choice((0.0, rng.random(), rng.uniform(0, 2), 2.0 ** rng.randint(-1074, 8)))
+        hi = lo + rng.choice((rng.random(), 2.0 ** rng.randint(-1074, 2))) * (1 + lo)
+        if lo < hi:
+            check(lo, hi)
+            checked += 1
+    assert check(0.0, 5e-324) == (0, 1 << 1077)  # subnormal widths: q is not a float
+    assert check(0.0, 1e-310)[1] == 1 << 1033
 
 
 def test_doubled_eigenvectors_transfer():
@@ -509,6 +552,20 @@ def test_counterexample_check_solves_one_block_per_k(monkeypatch):
         calls.clear()
         sl.counterexample_check(k)
         assert calls == [(3 * k, 3 * k)], k
+
+
+def test_counterexample_check_builds_each_sector_pencil_once(monkeypatch):
+    pencil, calls = bisection.sector_pencil, []
+
+    def counted(n, k, sector):
+        calls.append(sector)
+        return pencil(n, k, sector)
+
+    monkeypatch.setattr(bisection, "sector_pencil", counted)
+    for k in range(3, 11):
+        calls.clear()
+        sl.counterexample_check(k)
+        assert sorted(calls) == [EVEN, ODD], k
 
 
 def test_a_wrong_float_upper_end_is_refused_not_certified(monkeypatch):

@@ -72,6 +72,69 @@ def test_matrices_exactly_symmetric():
             assert not np.any(np.signbit(m) & (m == 0.0)), (g, kind)  # every zero is +0.0
 
 
+def _dense_matrices(g: Graph) -> dict:
+    """Oracle: the four matrices from the dense weight matrix, the normalized
+    Laplacian in the rounding order the edge-list builder must reproduce bitwise."""
+    w = np.zeros((g.n, g.n))
+    for u, v, wt in g.edges:
+        w[u, v] = w[v, u] = wt
+    for v, wt in g.loops:
+        w[v, v] = wt
+    deg = np.array(g.degrees, dtype=float)
+    s = 1.0 / np.sqrt(deg)
+    m = 0.0 - w * np.outer(s, s)
+    np.fill_diagonal(m, 1.0 - np.diag(w) / deg)
+    return {MatrixKind.ADJACENCY: w, MatrixKind.DIFFERENCE: np.diag(deg) - w,
+            MatrixKind.SIGNLESS: np.diag(deg) + w, MatrixKind.NORMALIZED: m}
+
+
+def _family_specs(max_order: int):
+    """Every family instance with at most max_order vertices and no isolated vertex."""
+    for n in range(2, max_order + 1):
+        yield from (FamilySpec("path", n=n), FamilySpec("complete", n=n))
+        if n >= 3:
+            yield FamilySpec("cycle", n=n)
+    for depth in range(2, max_order.bit_length()):
+        yield FamilySpec("tree", depth=depth)
+        if 2 ** (depth + 1) - 2 <= max_order:
+            yield FamilySpec("double_tree", depth=depth)
+    for m in range(3, max_order + 1):
+        yield from (FamilySpec("cycle_cross_path", m=m, n=n) for n in range(1, max_order // m + 1))
+    for n in range(1, max_order):
+        yield from (FamilySpec("weighted_path", n=n, k=k) for k in range(1, max_order - n + 1))
+        yield from (FamilySpec("roach", n=n, k=k) for k in range(2, max_order // 2 - n + 1))
+        if n >= 3:
+            yield from (FamilySpec("lollipop", n=n, m=m) for m in range(1, max_order - n + 1))
+
+
+def _assert_bitwise_dense(g: Graph, label) -> None:
+    for kind, dense in _dense_matrices(g).items():
+        assert sl.build_matrix(g, kind).values.tobytes() == dense.tobytes(), (label, kind)
+
+
+def _random_heavy_graph(rng: random.Random) -> Graph:
+    """Connected, with loops and weights up to MAX_WEIGHT = 2**53."""
+    def weight():
+        return rng.choice((rng.randint(1, 50), rng.randint(1, 1 << 53), 1 << 53))
+
+    n = rng.randint(1, 40)
+    edges = {(rng.randrange(v), v): weight() for v in range(1, n)}
+    for _ in range(rng.randint(0, 2 * n) if n > 1 else 0):
+        edges[tuple(sorted(rng.sample(range(n), 2)))] = weight()
+    loops = [(v, weight()) for v in range(n) if rng.random() < 0.4 or n == 1]
+    return Graph(n, tuple((u, v, w) for (u, v), w in edges.items()), tuple(loops))
+
+
+def test_matrices_are_bitwise_the_dense_formulas():
+    specs = list(_family_specs(64))
+    assert len(specs) > 4000
+    for spec in specs:
+        _assert_bitwise_dense(sl.generate(spec), spec.label())
+    rng = random.Random(53)
+    for i in range(300):
+        _assert_bitwise_dense(_random_heavy_graph(rng), i)
+
+
 def test_normalized_needs_positive_degrees():
     isolated = Graph(2, ())
     with pytest.raises(DomainError):
