@@ -103,8 +103,7 @@ def _factors(g: Graph, lo: int):
     n, k, s = g.n, lo + 1, g.volume
     ya = ((np.arange(1 << lo)[:, None] << 1 | 1) >> np.arange(k) & 1).astype(float)
     za = (np.arange(1 << (n - k))[:, None] >> np.arange(n - k) & 1).astype(float)
-    adj = build_matrix(g, MatrixKind.ADJACENCY).values  # loops cancel out of lap and boundary
-    lap, deg = np.diag(adj.sum(1)) - adj, np.array(g.degrees, dtype=float)
+    lap, deg = build_matrix(g, MatrixKind.DIFFERENCE).values, np.array(g.degrees, dtype=float)
     vol_z, vol_y = za @ deg[k:], ya @ deg[:k]
     ones = np.ones((len(za), 1)), np.ones((len(ya), 1))  # a term's 1: the ones column per side
 
@@ -113,7 +112,9 @@ def _factors(g: Graph, lo: int):
                                      for x in side], 1) for side, one in zip(zip(*pairs), ones))
 
     def boundary(y, z):  # volume off the side (y, z) less that with no neighbour on it
-        low, high = deg * (y @ adj[:k] == 0), -1.0 * (z @ adj[k:] == 0)
+        # column v off the side is minus v's weight into this half of the side, 0 iff no
+        # neighbour there; lap's diagonal (loops) reaches only on-side columns, masked below
+        low, high = deg * (y @ lap[:k] == 0), -1.0 * (z @ lap[k:] == 0)
         low[:, :k] *= 1 - y  # v off the side: 1 - y_v below k, 1 - z_v from k on
         high[:, k:] *= 1 - z
         return terms((s - z @ deg[k:], 1), (1, -(y @ deg[:k])), (high, low))

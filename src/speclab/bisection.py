@@ -22,7 +22,7 @@ from .errors import (ConnectivityError, DomainError, MultiplicityError, NumericE
                      SizeError)
 from .graph import (EXHAUSTIVE_CAP, ROACH, SUBSET_CAPACITY, FamilySpec, Graph, VertexSubset,
                     generate, is_automorphism, is_connected, normalized_cut, vertex_subset)
-from .matrices import MAX_DENSE_ORDER, MatrixKind, build_matrix, eig_sym, normalized_laplacian
+from .matrices import MAX_DENSE_ORDER, MatrixKind, assemble, build_matrix, eig_sym
 
 EVEN = "even"
 ODD = "odd"
@@ -107,15 +107,15 @@ def sector_pencil(n: int, k: int, sector: str) -> tuple[list[int], list[int]]:
 
 
 def sector_block(n: int, k: int, sector: str) -> np.ndarray:
-    """D^{-1/2} (D - W_s) D^{-1/2}: normalized_laplacian of the unit path with loop
-    weights d_i - diag_i (-+1 on a rung), so the even block is bitwise the weighted
-    path's. Nothing but the block is (n + k)^2."""
+    """D^{-1/2} (D - W_s) D^{-1/2}: the NORMALIZED ``assemble`` of the unit path with
+    loop weights d_i - diag_i (-+1 on a rung), the same call as build_matrix's, so the
+    even block is bitwise the weighted path's. Nothing but the block is (n + k)^2."""
     return _block(*sector_pencil(n, k, sector))
 
 
 def _block(deg: list[int], diag: list[int]) -> np.ndarray:
     d, i = np.array(deg, dtype=float), np.arange(len(deg))
-    return normalized_laplacian(i.size, (i[:-1], i[1:], 1), (i, d - diag), d)
+    return assemble(MatrixKind.NORMALIZED, i.size, (i[:-1], i[1:], 1), (i, d - diag), d)
 
 
 def sector_eigenvalues(n: int, k: int, sector: str) -> np.ndarray:

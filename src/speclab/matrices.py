@@ -63,42 +63,38 @@ class SymmetricMatrix:
 
 
 def build_matrix(g: Graph, kind: MatrixKind) -> SymmetricMatrix:
-    """Assemble one of the four graph matrices; SizeError above MAX_DENSE_ORDER."""
+    """One of the four graph matrices; SizeError and DomainError before allocating."""
     n = g.n
     if n > MAX_DENSE_ORDER:
         raise SizeError(f"dense matrices are capped at order {MAX_DENSE_ORDER}, got {n}")
+    if not isinstance(kind, MatrixKind):
+        raise DomainError(f"unknown matrix kind {kind!r}")
     if kind is MatrixKind.NORMALIZED and 0 in g.degrees:
         raise DomainError(f"vertex {g.degrees.index(0) + 1} has degree 0; "
                           "normalized Laplacian undefined")
-    deg = np.array(g.degrees, dtype=float)
-    if kind is MatrixKind.NORMALIZED:
-        edges, loops = (np.fromiter(chain.from_iterable(rows), np.int64, width * len(rows))
-                        .reshape(-1, width).T for rows, width in ((g.edges, 3), (g.loops, 2)))
-        return SymmetricMatrix(normalized_laplacian(n, edges, loops, deg))
-    w = np.zeros((n, n))
-    for u, v, wt in g.edges:
-        w[u, v] = w[v, u] = wt
-    for v, wt in g.loops:
-        w[v, v] = wt
-    if kind is MatrixKind.ADJACENCY:
-        m = w
-    elif kind is MatrixKind.DIFFERENCE:
-        m = np.diag(deg) - w
-    elif kind is MatrixKind.SIGNLESS:
-        m = np.diag(deg) + w
-    else:
-        raise DomainError(f"unknown matrix kind {kind!r}")
-    return SymmetricMatrix(m)
+    edges, loops = (np.fromiter(chain.from_iterable(rows), np.int64, width * len(rows))
+                    .reshape(-1, width).T for rows, width in ((g.edges, 3), (g.loops, 2)))
+    return SymmetricMatrix(assemble(kind, n, edges, loops, np.array(g.degrees, dtype=float)))
 
 
-def normalized_laplacian(n: int, edges, loops, deg: np.ndarray) -> np.ndarray:
-    """I - D^{-1/2} W D^{-1/2} of order n from the edge list in columns, edges (u, v, w)
-    and loops (v, w): -w (s_u s_v) at (u, v) and (v, u), s = 1/sqrt(deg), 1 - w/d_v at
-    (v, v), +0.0 elsewhere; rounded as eig_sym assumes, with no n x n temporary."""
-    u, v, w = edges
-    s, m = 1.0 / np.sqrt(deg), np.zeros((n, n))
-    m[u, v] = m[v, u] = -w * (s[u] * s[v])
-    m.flat[:: n + 1] = 1.0 - np.bincount(*loops, n) / deg
+# kind -> (entry of an edge (u, v, w) for degrees d, diagonal from d and loop weights l)
+_ENTRIES = {
+    MatrixKind.ADJACENCY: (lambda u, v, w, d: w, lambda d, l: l),
+    MatrixKind.DIFFERENCE: (lambda u, v, w, d: -w, lambda d, l: d - l),
+    MatrixKind.SIGNLESS: (lambda u, v, w, d: w, lambda d, l: d + l),
+    MatrixKind.NORMALIZED: (lambda u, v, w, d: -w * (1.0 / np.sqrt(d[u]) * (1.0 / np.sqrt(d[v]))),
+                            lambda d, l: 1.0 - l / d),  # -w (s_u s_v) for s = 1/sqrt(d)
+}
+
+
+def assemble(kind: MatrixKind, n: int, edges, loops, deg: np.ndarray) -> np.ndarray:
+    """The ``kind`` matrix of order n from edge columns (u, v, w), loop columns (v, w)
+    and float degrees: the kind's edge entry at (u, v) and (v, u), its diagonal, +0.0
+    elsewhere; rounded as eig_sym assumes, with no n x n temporary."""
+    (u, v, w), (entry, diagonal) = edges, _ENTRIES[kind]
+    m = np.zeros((n, n))
+    m[u, v] = m[v, u] = entry(u, v, w, deg)
+    m.flat[:: n + 1] = diagonal(deg, np.bincount(*loops, n))
     return m
 
 
@@ -141,7 +137,9 @@ def eig_sym(m: SymmetricMatrix) -> Spectrum:
     u = eps / 2 and scale = n max(1, |m|), the numerator adds to the computed
     ||R||_F the rounding of R, gamma_{n+2} (|m| |V| + |V| |diag(lambda)|)
     entrywise, at most 2(n + 3) u scale ||V||_F, and that of m, 8u max(1, |m|)
-    per entry (normalized_laplacian: -w s_u s_v within 7u relative, 1 - w/d 3u).
+    per entry (assemble: +-w is exact for w <= 2**53, d +- l rounds once, -w s_u s_v
+    is within 7u relative and 1 - l/d within 3u; a degree d above 2**53 is rounded
+    first, which this misses where a loop outweighs the rest of its vertex's degree).
     Twice the sum at ||V||_F = sqrt(n) covers the rest.
     """
     try:

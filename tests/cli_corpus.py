@@ -4,8 +4,9 @@ are pinned byte for byte in ``cli_corpus.json``.
 Only exact commands are listed: graph generation, exhaustive and closed-form
 cuts, sweeps, the Chebyshev evaluation of ``charpoly --lam`` and error
 documents, among them ``counterexample`` refusals, which are made before any
-verdict is computed. None of them calls an eigensolver or a libm function, so the
-recorded bytes do not depend on the BLAS or the platform's math library.
+verdict is computed, and ``spectrum`` refusals, made before any matrix is
+built. None of them calls an eigensolver or a libm function, so the recorded
+bytes do not depend on the BLAS or the platform's math library.
 
 ``{dir}`` in an argv stands for a scratch directory that holds the entry's
 ``files`` before the run; an ``--out`` file written there is recorded too.
@@ -63,6 +64,7 @@ SCHEMA_FILES = {
     "bad_edge.json": '{"name": "g", "n": 2, "edges": [[1, 3, 1]], "loops": []}',
     "bad_json.json": '{"name": ',
 }
+ISOLATED_FILE = '{"name": "edge+isolated", "n": 3, "edges": [[1, 2, 1]], "loops": []}'
 GRAPH_FILE = ('{"name": "square+tail", "n": 5, "edges": [[1, 2, 1], [2, 3, 2], [3, 4, 1], '
               '[4, 1, 1], [4, 5, 3]], "loops": [[5, 2]]}')
 
@@ -103,6 +105,11 @@ def entries() -> list[dict]:
     add("mcut", "--family", "nosuch", "--n", "3")
     add("gen", "--family", "roach", "--n", "0", "--k", "2")
     add("spectrum", "--family", "path", "--n", "3", "--kind", "laplace")
+    for kind in ("adjacency", "difference", "normalized", "signless"):
+        add("spectrum", "--family", "path", "--n", "4097", "--kind", kind)
+    add("spectrum", "--family", "tree", "--depth", "1")
+    add("spectrum", "--graph", "{dir}/iso.json", "--kind", "normalized",
+        files={"iso.json": ISOLATED_FILE})
     add("mcut", "--family", "roach", "--n", "3", "--k", "4", "--method", "pruned",
         "--seed", "1,2,3,4,5,6,7,8,9,10,11,12")
     add("sweep", "--family", "path", "--n-range", "1:3", "--k-range", "1:3")

@@ -135,6 +135,15 @@ def test_matrices_are_bitwise_the_dense_formulas():
         _assert_bitwise_dense(_random_heavy_graph(rng), i)
 
 
+def _traced_peak(fn):
+    """fn() and the tracemalloc peak, in bytes, of the call."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_normalized_needs_positive_degrees():
     isolated = Graph(2, ())
     with pytest.raises(DomainError):
@@ -145,15 +154,32 @@ def test_normalized_needs_positive_degrees():
     n = sl.matrices.MAX_DENSE_ORDER
     star = Graph(n, tuple((0, v, 1) for v in range(1, n - 1)))
     for g, bad in ((star, n), (Graph(n, ()), 1)):
-        tracemalloc.start()
-        try:
+        def build():
             with pytest.raises(DomainError, match=f"^vertex {bad} has degree 0; normalized "
                                                   "Laplacian undefined$"):
                 sl.build_matrix(g, MatrixKind.NORMALIZED)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+
+        assert _traced_peak(build)[1] < 1 << 20
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_build_matrix_holds_no_dense_temporary(kind):
+    # order 1,024: the matrix itself is one 8 MiB array, built from the edge list
+    g = sl.generate(FamilySpec("path", n=1024))
+    m, peak = _traced_peak(lambda: sl.build_matrix(g, kind))
+    assert m.values.nbytes == 8 << 20
+    assert peak <= 1.5 * m.values.nbytes
+
+
+def test_unknown_kind_is_refused_before_allocating():
+    # a str is not a MatrixKind; at the dense cap its matrix would be 128 MiB
+    g = sl.generate(FamilySpec("path", n=sl.matrices.MAX_DENSE_ORDER))
+
+    def build():
+        with pytest.raises(DomainError, match="^unknown matrix kind 'difference'$"):
+            sl.build_matrix(g, "difference")
+
+    assert _traced_peak(build)[1] < 1 << 20
 
 
 def test_symmetric_matrix_rejects_asymmetry():
