@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cuts import min_ncut_brute, min_ncut_formula
+from .cuts import min_ncut, min_ncut_brute
 from .errors import (ConnectivityError, DomainError, MultiplicityError, NumericError,
                      SizeError)
 from .graph import (EXHAUSTIVE_CAP, ROACH, SUBSET_CAPACITY, FamilySpec, Graph, VertexSubset,
@@ -114,8 +114,8 @@ def sector_block(n: int, k: int, sector: str) -> np.ndarray:
 
 
 def _block(deg: list[int], diag: list[int]) -> np.ndarray:
-    d, i = np.array(deg, dtype=float), np.arange(len(deg))
-    return assemble(MatrixKind.NORMALIZED, i.size, (i[:-1], i[1:], 1), (i, d - diag), d)
+    d, r, i = np.array(deg, dtype=float), np.array(diag, dtype=float), np.arange(len(deg))
+    return assemble(MatrixKind.NORMALIZED, i.size, (i[:-1], i[1:], 1), (i, d - r), d, r)
 
 
 def sector_eigenvalues(n: int, k: int, sector: str) -> np.ndarray:
@@ -235,9 +235,9 @@ def counterexample_check(k: int) -> CounterexampleReport:
     For the family with antenna length 2k and k rungs, the second eigenvector
     must be odd, the spectral cut must be the one separating the two rows,
     and the exact minimum cut must be strictly smaller. The minimum cut is
-    exhaustive up to EXHAUSTIVE_CAP vertices (k <= 4) and closed-form above.
-    min_ncut would take the closed form for every k; the exhaustive search
-    is kept on purpose, because ``mcut_method`` is printed.
+    exhaustive up to EXHAUSTIVE_CAP vertices (k <= 4) and min_ncut above, which
+    takes the closed form. That holds for every roach(2k, k); the exhaustive
+    search is kept on purpose, because ``mcut_method`` is printed.
 
     The spectral verdict is certified from the two sector pencils, whose
     spectra together are the ladder's. By the ladder's bipartite symmetry about
@@ -254,8 +254,7 @@ def counterexample_check(k: int) -> CounterexampleReport:
     with v > 0: the odd spectral cut is exactly the row 0..3k-1, with no
     uncertified entry. NumericError when the counts certify nothing.
     """
-    spec = counterexample_spec(k)
-    g = generate(spec)
+    g = generate(counterexample_spec(k))
     row = vertex_subset(g, range(3 * k))
     even, odd = sector_pencil(2 * k, k, EVEN), sector_pencil(2 * k, k, ODD)
     vals = _eigenvalues(odd)
@@ -264,6 +263,6 @@ def counterexample_check(k: int) -> CounterexampleReport:
             or _separate(lam, lam2_even, [even, odd]) != (1, 1)):
         raise NumericError("ladder verdict not certified")
     lcut = normalized_cut(g, row)
-    mcut = min_ncut_brute(g) if 6 * k <= EXHAUSTIVE_CAP else min_ncut_formula(spec, g)
+    mcut = min_ncut_brute(g) if 6 * k <= EXHAUSTIVE_CAP else min_ncut(g)
     return CounterexampleReport(k, mcut.value, mcut.method, lcut, lam, ODD, True,
                                 mcut.value < lcut)

@@ -195,7 +195,7 @@ def _cmd_spectrum(args):
         sp = matrices.closed_form_spectrum(spec, kind)
     else:
         sp = matrices.eig_sym(matrices.build_matrix(g, kind))
-    doc = {"kind": kind.value, "source": spec.label() if spec else g.name,
+    doc = {"kind": kind.value, "source": spec.label() if args.closed_form else g.name,
            "closed_form": args.closed_form,
            "eigenvalues": [_fmt(v) for v in sp.eigenvalues]}
     if not args.closed_form:
@@ -207,6 +207,8 @@ def _cmd_spectrum(args):
 
 
 def _cmd_mcut(args):
+    if args.seed is not None and args.method != "pruned":
+        raise _UsageError("--seed needs --method pruned")
     g, spec = _load_input(args, build=args.method != "formula")
     if args.method == "formula":
         if spec is None:
@@ -248,8 +250,8 @@ def _cmd_lcut(args):
 
 
 def _cmd_compare(args):
-    g, spec = _load_input(args)
-    mcut = cuts.min_ncut(g, spec)
+    g, _spec = _load_input(args)
+    mcut = cuts.min_ncut(g)
     lcut = bisection.spectral_cut(g)
     return {"mcut": _rat(mcut.value), "lcut": _rat(lcut.value),
             "lambda2": _fmt(lcut.lambda2),
@@ -292,8 +294,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_bounds(args):
-    g, spec = _load_input(args)
-    iso, h, gv, mcut = cuts.expansion_constants(g, spec)
+    g, _spec = _load_input(args)
+    iso, h, gv, mcut = cuts.expansion_constants(g)
     lam2_norm = matrices.eig_sym(matrices.build_matrix(g, matrices.MatrixKind.NORMALIZED)).lambda2
     lam2_diff = matrices.eig_sym(matrices.build_matrix(g, matrices.MatrixKind.DIFFERENCE)).lambda2
     max_deg = max(g.degrees)

@@ -108,10 +108,10 @@ def cheeger_vertex(g: Graph) -> Fraction:
     return _expansion(g, en.CHEEGER_VERTEX)
 
 
-def expansion_constants(g: Graph, spec: FamilySpec | None = None):
-    """Isoperimetric number, both Cheeger constants and min_ncut(g, spec),
-    from one pass; the pass adds the Ncut only when no closed form answers."""
-    mcut = _closed_form(spec, g)
+def expansion_constants(g: Graph):
+    """Isoperimetric number, both Cheeger constants and min_ncut(g), from one
+    pass; the pass adds the Ncut only when no closed form answers."""
+    mcut = _closed_form(g)
     _require_connected(g)
     found = en.minimize(g, en.ISOPERIMETRIC, en.CHEEGER_EDGE, en.CHEEGER_VERTEX,
                         *([] if mcut else [en.NCUT]))
@@ -170,13 +170,15 @@ def in_disagreement_region(n: int, k: int) -> bool:
     return (k < 4 or d == 0) and not ladder_split_wins(n, k, d)
 
 
-def _formula_report(spec: FamilySpec, g: Graph | None, branch: str, witness_vertices,
-                    cut: int, volume: int, d: int) -> CutReport:
-    # witness_vertices is lazy and read only up to the subset capacity; the
-    # witness must then cut ``cut`` and achieve the split value exactly on g,
-    # or on a graph generated from spec when the caller holds none.
+def _formula_report(g: Graph | None, spec: FamilySpec) -> CutReport:
+    """spec's closed form. Up to the subset capacity its witness must cut
+    ``cut`` and achieve the split value exactly on g, the graph generated from
+    spec, which is generated here when g is None."""
+    if spec.family not in _FORMULAS:
+        raise DomainError(f"no closed-form minimum for family {spec.family!r}")
+    branch, witness_vertices, cut, volume, d = _FORMULAS[spec.family](spec)
     value, w = _split_value(cut, volume, d), None
-    if spec.order() <= SUBSET_CAPACITY:
+    if spec.order() <= SUBSET_CAPACITY:  # witness_vertices is lazy: read only here
         g = generate(spec) if g is None else g
         w = vertex_subset(g, witness_vertices)
         achieved = normalized_cut(g, w)
@@ -187,35 +189,29 @@ def _formula_report(spec: FamilySpec, g: Graph | None, branch: str, witness_vert
     return CutReport(value, w, cut, FORMULA, branch)
 
 
-def _closed_form(spec: FamilySpec | None, g: Graph) -> CutReport | None:
-    """min_ncut_formula(spec, g), or None without a spec or outside its domain."""
+def _closed_form(g: Graph) -> CutReport | None:
+    """The closed form of g's family instance, checked on g; None when
+    ``generate`` did not build g or the instance is outside its domain."""
     try:
-        return min_ncut_formula(spec, g) if spec is not None else None
+        return _formula_report(g, g.spec) if g.spec is not None else None
     except DomainError:
         return None
 
 
-def min_ncut(g: Graph, spec: FamilySpec | None = None) -> CutReport:
-    """Minimum normalized cut of g: the closed form when ``spec`` (the family
-    instance g was generated from) is in its domain, else the exhaustive one."""
-    return _closed_form(spec, g) or min_ncut_brute(g)
+def min_ncut(g: Graph) -> CutReport:
+    """Minimum normalized cut of g: the closed form when g is a family instance
+    from ``generate`` inside its domain, else the exhaustive one."""
+    return _closed_form(g) or min_ncut_brute(g)
 
 
-def min_ncut_formula(spec: FamilySpec, g: Graph | None = None) -> CutReport:
-    """Closed-form minimum normalized cut for a family instance.
+def min_ncut_formula(spec: FamilySpec) -> CutReport:
+    """Closed-form minimum normalized cut for a family instance, its witness
+    checked on a newly generated graph up to the subset capacity.
 
-    The witness is checked on ``g``, the graph generated from spec, when the
-    caller holds it, and on a newly generated one otherwise. Raises
-    DomainError when the instance falls outside the domain where the closed
-    form applies, or when g is not spec's graph (another order or name);
-    min_ncut then falls back to min_ncut_brute.
+    Raises DomainError when the instance falls outside the domain where the
+    closed form applies; min_ncut then falls back to min_ncut_brute.
     """
-    if spec.family not in _FORMULAS:
-        raise DomainError(f"no closed-form minimum for family {spec.family!r}")
-    split = _FORMULAS[spec.family](spec)
-    if g is not None and (g.n != spec.order() or g.name != spec.label()):
-        raise DomainError(f"graph {g.name or '(unnamed)'} of order {g.n} is not {spec.label()}")
-    return _formula_report(spec, g, *split)
+    return _formula_report(None, spec)
 
 
 # Each family's rule returns its split: (branch, witness vertices, cut, volume, d).

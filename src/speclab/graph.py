@@ -29,7 +29,9 @@ class Graph:
     ``edges`` entries are ``(u, v, w)`` with ``u < v``; 2-tuples are accepted
     at construction and normalized to weight 1. ``mirror``, when present, is
     an order-2 automorphism supplied by the generator (antenna swap for the
-    two-row families, reversal for paths).
+    two-row families, reversal for paths). ``spec`` is the family instance
+    that ``generate`` built the graph from, and None on every other graph: one
+    constructed directly, read from JSON, or copied by ``dataclasses.replace``.
     """
 
     n: int
@@ -38,6 +40,7 @@ class Graph:
     name: str = ""
     mirror: tuple[int, ...] | None = None
     degrees: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    spec: FamilySpec | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -225,18 +228,14 @@ class FamilySpec:
         return _FAMILY_TABLE[self.family][2](self)
 
 
-def _heap_tree_edges(depth: int) -> tuple[int, list[tuple[int, int, int]]]:
+def _heap_tree_edges(depth: int) -> list[tuple[int, int, int]]:
     t = 2 ** depth - 1
-    edges = []
-    for i in range(t):
-        for c in (2 * i + 1, 2 * i + 2):
-            if c < t:
-                edges.append((i, c, 1))
-    return t, edges
+    return [(i, c, 1) for i in range(t) for c in (2 * i + 1, 2 * i + 2) if c < t]
 
 
 def generate(spec: FamilySpec) -> Graph:
-    """Build the exact vertex and edge sets of the named family.
+    """Build the exact vertex and edge sets of the named family; the graph
+    carries spec as its ``spec``.
 
     Raises SizeError above MAX_ORDER vertices or MAX_EDGES edges, before
     anything is built.
@@ -245,34 +244,30 @@ def generate(spec: FamilySpec) -> Graph:
     # A tree's order is 2**depth: compare the depth before building that integer.
     if (spec.depth or 0) > MAX_ORDER.bit_length():
         _check_budget(name, MAX_ORDER + 1, 0)
-    _check_budget(name, spec.order(), spec.edge_count())
+    order, loops, mirror = spec.order(), (), None
+    _check_budget(name, order, spec.edge_count())
     if f == PATH:
         n = spec.n
-        return Graph(n, tuple((i, i + 1, 1) for i in range(n - 1)), name=name,
-                     mirror=tuple(n - 1 - i for i in range(n)))
-    if f == CYCLE:
+        edges = [(i, i + 1, 1) for i in range(n - 1)]
+        mirror = tuple(n - 1 - i for i in range(n))
+    elif f == CYCLE:
         n = spec.n
         edges = [(i, i + 1, 1) for i in range(n - 1)] + [(0, n - 1, 1)]
-        return Graph(n, tuple(edges), name=name)
-    if f == COMPLETE:
+    elif f == COMPLETE:
         n = spec.n
         edges = [(i, j, 1) for i in range(n) for j in range(i + 1, n)]
-        return Graph(n, tuple(edges), name=name)
-    if f == TREE:
-        t, edges = _heap_tree_edges(spec.depth)
-        return Graph(t, tuple(edges), name=name)
-    if f == DOUBLE_TREE:
-        t, half = _heap_tree_edges(spec.depth)
+    elif f == TREE:
+        edges = _heap_tree_edges(spec.depth)
+    elif f == DOUBLE_TREE:
+        t, half = order // 2, _heap_tree_edges(spec.depth)
         edges = half + [(t + u, t + v, w) for u, v, w in half] + [(0, t, 1)]
-        mirror = tuple((i + t) % (2 * t) for i in range(2 * t))
-        return Graph(2 * t, tuple(edges), name=name, mirror=mirror)
-    if f == CYCLE_CROSS_PATH:  # vertex (u, v) of C_m x P_n is u * n + v
+        mirror = tuple((i + t) % order for i in range(order))
+    elif f == CYCLE_CROSS_PATH:  # vertex (u, v) of C_m x P_n is u * n + v
         m, n = spec.m, spec.n
         ring = [(u, u + 1) for u in range(m - 1)] + [(0, m - 1)]
         edges = [(u * n + v, u * n + v + 1, 1) for u in range(m) for v in range(n - 1)]
         edges += [(a * n + v, b * n + v, 1) for a, b in ring for v in range(n)]
-        return Graph(m * n, tuple(edges), name=name)
-    if f == ROACH:
+    elif f == ROACH:
         n, k = spec.n, spec.k
         s = n + k
         edges = []
@@ -281,19 +276,19 @@ def generate(spec: FamilySpec) -> Graph:
             edges.append((s + i, s + i + 1, 1))
         for i in range(n, s):
             edges.append((i, s + i, 1))
-        mirror = tuple((i + s) % (2 * s) for i in range(2 * s))
-        return Graph(2 * s, tuple(edges), name=name, mirror=mirror)
-    if f == WEIGHTED_PATH:
+        mirror = tuple((i + s) % order for i in range(order))
+    elif f == WEIGHTED_PATH:
         n, k = spec.n, spec.k
-        s = n + k
-        edges = tuple((i, i + 1, 1) for i in range(s - 1))
-        loops = tuple((i, 1) for i in range(n, s))
-        return Graph(s, edges, loops, name=name)
-    n, m = spec.n, spec.m  # LOLLIPOP, the last family FamilySpec admits
-    edges = [(i, i + 1, 1) for i in range(m - 1)]
-    edges += [(m + i, m + j, 1) for i in range(n) for j in range(i + 1, n)]
-    edges.append((m - 1, m, 1))
-    return Graph(m + n, tuple(edges), name=name)
+        edges = [(i, i + 1, 1) for i in range(n + k - 1)]
+        loops = tuple((i, 1) for i in range(n, n + k))
+    else:  # LOLLIPOP, the last family FamilySpec admits
+        n, m = spec.n, spec.m
+        edges = [(i, i + 1, 1) for i in range(m - 1)]
+        edges += [(m + i, m + j, 1) for i in range(n) for j in range(i + 1, n)]
+        edges.append((m - 1, m, 1))
+    g = Graph(order, tuple(edges), loops, name=name, mirror=mirror)
+    object.__setattr__(g, "spec", spec)  # set here only, so no other graph claims a family
+    return g
 
 
 # ---------------------------------------------------------------------------

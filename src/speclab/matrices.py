@@ -74,27 +74,34 @@ def build_matrix(g: Graph, kind: MatrixKind) -> SymmetricMatrix:
                           "normalized Laplacian undefined")
     edges, loops = (np.fromiter(chain.from_iterable(rows), np.int64, width * len(rows))
                     .reshape(-1, width).T for rows, width in ((g.edges, 3), (g.loops, 2)))
-    return SymmetricMatrix(assemble(kind, n, edges, loops, np.array(g.degrees, dtype=float)))
+    rest = list(g.degrees)  # loopless degrees in ints, rounded once below
+    for v, w in g.loops:
+        rest[v] -= w
+    return SymmetricMatrix(assemble(kind, n, edges, loops, np.array(g.degrees, dtype=float),
+                                    np.array(rest, dtype=float)))
 
 
-# kind -> (entry of an edge (u, v, w) for degrees d, diagonal from d and loop weights l)
+# kind -> (entry of an edge (u, v, w) for degrees d, diagonal from d, loop weights l
+# and loopless degrees r)
 _ENTRIES = {
-    MatrixKind.ADJACENCY: (lambda u, v, w, d: w, lambda d, l: l),
-    MatrixKind.DIFFERENCE: (lambda u, v, w, d: -w, lambda d, l: d - l),
-    MatrixKind.SIGNLESS: (lambda u, v, w, d: w, lambda d, l: d + l),
+    MatrixKind.ADJACENCY: (lambda u, v, w, d: w, lambda d, l, r: l),
+    MatrixKind.DIFFERENCE: (lambda u, v, w, d: -w, lambda d, l, r: r),
+    MatrixKind.SIGNLESS: (lambda u, v, w, d: w, lambda d, l, r: d + l),
     MatrixKind.NORMALIZED: (lambda u, v, w, d: -w * (1.0 / np.sqrt(d[u]) * (1.0 / np.sqrt(d[v]))),
-                            lambda d, l: 1.0 - l / d),  # -w (s_u s_v) for s = 1/sqrt(d)
+                            lambda d, l, r: 1.0 - l / d),  # -w (s_u s_v) for s = 1/sqrt(d)
 }
 
 
-def assemble(kind: MatrixKind, n: int, edges, loops, deg: np.ndarray) -> np.ndarray:
-    """The ``kind`` matrix of order n from edge columns (u, v, w), loop columns (v, w)
-    and float degrees: the kind's edge entry at (u, v) and (v, u), its diagonal, +0.0
-    elsewhere; rounded as eig_sym assumes, with no n x n temporary."""
+def assemble(kind: MatrixKind, n: int, edges, loops, deg: np.ndarray,
+             rest: np.ndarray) -> np.ndarray:
+    """The ``kind`` matrix of order n from edge columns (u, v, w), loop columns (v, w),
+    float degrees and float loopless degrees: the kind's edge entry at (u, v) and
+    (v, u), its diagonal, +0.0 elsewhere; rounded as eig_sym assumes, with no n x n
+    temporary."""
     (u, v, w), (entry, diagonal) = edges, _ENTRIES[kind]
     m = np.zeros((n, n))
     m[u, v] = m[v, u] = entry(u, v, w, deg)
-    m.flat[:: n + 1] = diagonal(deg, np.bincount(*loops, n))
+    m.flat[:: n + 1] = diagonal(deg, np.bincount(*loops, n), rest)
     return m
 
 
@@ -137,10 +144,9 @@ def eig_sym(m: SymmetricMatrix) -> Spectrum:
     u = eps / 2 and scale = n max(1, |m|), the numerator adds to the computed
     ||R||_F the rounding of R, gamma_{n+2} (|m| |V| + |V| |diag(lambda)|)
     entrywise, at most 2(n + 3) u scale ||V||_F, and that of m, 8u max(1, |m|)
-    per entry (assemble: +-w is exact for w <= 2**53, d +- l rounds once, -w s_u s_v
-    is within 7u relative and 1 - l/d within 3u; a degree d above 2**53 is rounded
-    first, which this misses where a loop outweighs the rest of its vertex's degree).
-    Twice the sum at ||V||_F = sqrt(n) covers the rest.
+    per entry (assemble: +-w is exact for w <= 2**53, d - l is the loopless degree
+    rounded once, d + l rounds at most twice, -w s_u s_v is within 7u relative and
+    1 - l/d within 3u). Twice the sum at ||V||_F = sqrt(n) covers the rest.
     """
     try:
         vals, vecs = np.linalg.eigh(m.values)

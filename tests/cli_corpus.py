@@ -122,6 +122,8 @@ def entries() -> list[dict]:
     add("mcut", "--family", "path", "--n", "4", "--graph", "x.json")
     add("mcut", "--family", "path", "--n", "4", "--method", "pruned")
     add("mcut", "--family", "path", "--n", "4", "--method", "pruned", "--seed", "a,b")
+    add("mcut", "--family", "path", "--n", "8", "--seed", "1")
+    add("mcut", "--family", "path", "--n", "8", "--method", "formula", "--seed", "1")
     add("mcut", "--graph", "{dir}/g.json", "--method", "formula", files={"g.json": GRAPH_FILE})
     add("sweep", "--family", "roach", "--n-range", "junk", "--k-range", "2:3")
     add("sweep", "--family", "roach", "--n-range", "3:2", "--k-range", "2:3")

@@ -1,5 +1,6 @@
 """Exhaustive minimum cuts, pruning, closed-form branches, and expansion constants."""
 
+import dataclasses
 import io
 import random
 from fractions import Fraction
@@ -283,15 +284,13 @@ def test_sweep_gnuplot_dump():
 def test_min_ncut_takes_the_formula_inside_its_domain():
     for spec in (FamilySpec("roach", n=6, k=3), FamilySpec("path", n=9),
                  FamilySpec("weighted_path", n=4, k=3)):
-        assert sl.min_ncut(sl.generate(spec), spec) == sl.min_ncut_formula(spec)
+        assert sl.min_ncut(sl.generate(spec)) == sl.min_ncut_formula(spec)
 
 
 def test_min_ncut_falls_back_to_brute_force():
     spec = FamilySpec("weighted_path", n=1, k=1)  # 3k + 2n < 11: outside the closed form
     g = sl.generate(spec)
-    assert sl.min_ncut(g, spec) == sl.min_ncut_brute(g)
-    g = sl.generate(FamilySpec("roach", n=6, k=3))
-    report = sl.min_ncut(g)  # no spec
+    report = sl.min_ncut(g)
     assert report == sl.min_ncut_brute(g) and report.method == "brute_force"
 
 
@@ -301,24 +300,36 @@ def test_closed_form_checks_its_witness_on_the_callers_graph(monkeypatch):
              FamilySpec("double_tree", depth=3))
     graphs = {spec: sl.generate(spec) for spec in specs}
     expected = {spec: sl.min_ncut_formula(spec) for spec in specs}
+    ladder = sl.min_ncut_formula(FamilySpec("roach", n=12, k=6)).value
     monkeypatch.setattr(cuts, "generate", None)  # the closed forms may build no graph
     for spec, g in graphs.items():
-        report = sl.min_ncut_formula(spec, g)
+        report = sl.min_ncut(g)
         assert report == expected[spec] and report.witness.graph is g
-        assert sl.min_ncut(g, spec) == report
-        assert cuts.expansion_constants(g, spec)[3] == report
-    spec = FamilySpec("roach", n=12, k=6)
+        assert cuts.expansion_constants(g)[3] == report
     check = sl.counterexample_check(6)  # 36 vertices: the closed form, checked on its graph
-    assert check.mcut_method == "formula"
-    assert check.mcut == sl.min_ncut_formula(spec, sl.generate(spec)).value
+    assert check.mcut_method == "formula" and check.mcut == ladder
 
 
-def test_closed_form_refuses_another_graph():
-    g = sl.generate(FamilySpec("path", n=9))
-    for spec in (FamilySpec("path", n=8), FamilySpec("cycle", n=9)):  # another order, another name
-        with pytest.raises(DomainError, match="is not"):
-            sl.min_ncut_formula(spec, g)
-        assert sl.min_ncut(g, spec) == sl.min_ncut_brute(g)
+def test_only_generate_gives_a_graph_its_family(tmp_path):
+    spec = FamilySpec("roach", n=6, k=3)
+    g = sl.generate(spec)
+    path = tmp_path / "g.json"
+    path.write_text(sl.to_json(g))
+    built, copied = Graph(g.n, g.edges, g.loops, g.name, g.mirror), dataclasses.replace(g)
+    assert built == copied == g and hash(built) == hash(copied) == hash(g)  # spec is not compared
+    for copy in (built, copied, sl.read_json(path), sl.from_json(sl.to_json(g))):
+        assert copy.spec is None and (copy.edges, copy.name) == (g.edges, g.name)
+        report = sl.min_ncut(copy)
+        assert report == sl.min_ncut_brute(copy) and report.method == "brute_force"
+    assert sl.min_ncut(g).method == "formula"
+
+
+def test_a_family_name_alone_gets_brute_force():
+    # a 5-cycle that only carries the name of the path P_5, whose closed form is 8/15
+    g = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)), name="path(5)")
+    report = sl.min_ncut(g)
+    assert (report.value, report.method) == (Fraction(5, 6), "brute_force")
+    assert cuts.expansion_constants(g)[3] == report
 
 
 @pytest.mark.parametrize("spec, objectives", [(FamilySpec("roach", n=2, k=3), 3),
@@ -327,14 +338,15 @@ def test_closed_form_refuses_another_graph():
 def test_expansion_constants_adds_the_ncut_only_without_a_closed_form(monkeypatch, spec,
                                                                         objectives):
     g = sl.generate(spec or FamilySpec("roach", n=2, k=3))
+    g = g if spec else dataclasses.replace(g)  # without a spec: a copy that claims no family
     passes = []
     minimize = en.minimize
     monkeypatch.setattr(en, "minimize",
                         lambda graph, *fns: passes.append(len(fns)) or minimize(graph, *fns))
-    iso, h, gv, mcut = cuts.expansion_constants(g, spec)
+    iso, h, gv, mcut = cuts.expansion_constants(g)
     assert passes == [objectives]
     assert (iso, h, gv) == (sl.isoperimetric_number(g), sl.cheeger_edge(g), sl.cheeger_vertex(g))
-    assert mcut == sl.min_ncut(g, spec)
+    assert mcut == sl.min_ncut(g)
 
 
 # ---------------------------------------------------------------------------

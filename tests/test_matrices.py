@@ -74,7 +74,8 @@ def test_matrices_exactly_symmetric():
 
 def _dense_matrices(g: Graph) -> dict:
     """Oracle: the four matrices from the dense weight matrix, the normalized
-    Laplacian in the rounding order the edge-list builder must reproduce bitwise."""
+    Laplacian in the rounding order the edge-list builder must reproduce bitwise,
+    and the difference Laplacian's diagonal the loopless degree rounded once."""
     w = np.zeros((g.n, g.n))
     for u, v, wt in g.edges:
         w[u, v] = w[v, u] = wt
@@ -84,7 +85,9 @@ def _dense_matrices(g: Graph) -> dict:
     s = 1.0 / np.sqrt(deg)
     m = 0.0 - w * np.outer(s, s)
     np.fill_diagonal(m, 1.0 - np.diag(w) / deg)
-    return {MatrixKind.ADJACENCY: w, MatrixKind.DIFFERENCE: np.diag(deg) - w,
+    lap, loops = 0.0 - w, dict(g.loops)
+    np.fill_diagonal(lap, [float(d - loops.get(v, 0)) for v, d in enumerate(g.degrees)])
+    return {MatrixKind.ADJACENCY: w, MatrixKind.DIFFERENCE: lap,
             MatrixKind.SIGNLESS: np.diag(deg) + w, MatrixKind.NORMALIZED: m}
 
 
@@ -133,6 +136,20 @@ def test_matrices_are_bitwise_the_dense_formulas():
     rng = random.Random(53)
     for i in range(300):
         _assert_bitwise_dense(_random_heavy_graph(rng), i)
+
+
+def test_generate_records_its_spec():
+    for spec in _family_specs(64):
+        assert sl.generate(spec).spec is spec
+
+
+def test_difference_diagonal_is_the_loopless_degree_rounded_once():
+    # vertex 1's degree 2**53 + 3 rounds to 2**53 + 4, so d - l would read 4 for its 3
+    g = Graph(2, ((0, 1, 3),), ((0, 1 << 53),))
+    m = sl.build_matrix(g, MatrixKind.DIFFERENCE)
+    assert m.values.tolist() == [[3.0, -3.0], [-3.0, 3.0]]
+    spectrum = sl.eig_sym(m)  # the exact D - W has eigenvalues 0 and 6
+    assert np.all(np.abs(spectrum.eigenvalues - [0.0, 6.0]) <= spectrum.radius)
 
 
 def _traced_peak(fn):
