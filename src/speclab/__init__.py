@@ -16,9 +16,9 @@ from .cuts import (CutReport, SweepRow, cheeger_edge, cheeger_vertex,
 from .errors import (ConnectivityError, DomainError, MultiplicityError,
                      NumericError, SchemaError, SizeError, SpecLabError)
 from .graph import (FAMILIES, FamilySpec, Graph, VertexSubset, from_json,
-                    from_json_dict, generate, is_automorphism, is_connected,
-                    normalized_cut, read_json, subset_from_mask, to_dot,
-                    to_json, to_json_dict, vertex_subset)
+                    from_json_dict, generate, is_connected, normalized_cut,
+                    read_json, subset_from_mask, to_dot, to_json, to_json_dict,
+                    vertex_subset)
 from .matrices import (ClosedFormSpectrum, MatrixKind, Spectrum,
                        SymmetricMatrix, build_matrix, circulant_eigenpairs,
                        circulant_matrix, closed_form_spectrum, eig_sym)

@@ -21,7 +21,7 @@ from .cuts import min_ncut, min_ncut_brute
 from .errors import (ConnectivityError, DomainError, MultiplicityError, NumericError,
                      SizeError)
 from .graph import (EXHAUSTIVE_CAP, ROACH, SUBSET_CAPACITY, FamilySpec, Graph, VertexSubset,
-                    generate, is_automorphism, is_connected, normalized_cut, vertex_subset)
+                    generate, is_connected, normalized_cut, vertex_subset)
 from .matrices import MAX_DENSE_ORDER, MatrixKind, assemble, build_matrix, eig_sym
 
 EVEN = "even"
@@ -52,16 +52,14 @@ def spectral_cut(g: Graph) -> BisectionReport:
     delta = min(lambda2 - lambda1, lambda3 - lambda2) - 2 radius. So entries
     with |u_i| > tol have their true signs; the others count as zero, and the
     other orientation's cut value is reported too, since the sign convention
-    decides which side absorbs them. Under the generator-supplied mirror P,
-    P x = +-x, and u . P u is within 2 tol + tol^2 of that sign.
+    decides which side absorbs them. Under the mirror P = g.spec.mirror() of
+    g's family, P x = +-x, and u . P u is within 2 tol + tol^2 of that sign.
     """
     if not is_connected(g):
         raise ConnectivityError("spectral cut needs a connected graph")
     if g.n < 2:
         raise DomainError("spectral cut needs at least two vertices")
     vertex_subset(g, ())  # SizeError above SUBSET_CAPACITY, before the dense solve
-    if g.mirror is not None and not is_automorphism(g, g.mirror):
-        raise DomainError("mirror is not an automorphism of the graph")
     spectrum = eig_sym(build_matrix(g, MatrixKind.NORMALIZED))
     if not spectrum.lambda2_is_simple():
         raise MultiplicityError(f"second eigenvalue is not simple (gap {spectrum.gap:.3e}); "
@@ -80,11 +78,11 @@ def spectral_cut(g: Graph) -> BisectionReport:
     if zeros:
         other = vertex_subset(g, [int(i) for i in np.flatnonzero(u <= tol)])
         alt = normalized_cut(g, other)
-    parity = NO_AUTOMORPHISM
-    if g.mirror is not None:
+    parity, mirror = NO_AUTOMORPHISM, g.spec and g.spec.mirror()
+    if mirror is not None:
         if 2 * tol + tol * tol >= 1:
             raise NumericError("parity of the second eigenvector is not certified")
-        parity = EVEN if u @ u[list(g.mirror)] > 0 else ODD
+        parity = EVEN if u @ u[list(mirror)] > 0 else ODD
     return BisectionReport(spectrum.lambda2, spectrum.gap, side, value, parity, alt, zeros)
 
 

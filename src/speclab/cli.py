@@ -87,16 +87,20 @@ def _family_spec(args) -> graph.FamilySpec:
     return graph.FamilySpec(fam, n=args.n, k=args.k, m=args.m, depth=args.depth)
 
 
-def _load_input(args, build: bool = True) -> tuple[graph.Graph | None,
-                                                  graph.FamilySpec | None]:
-    """The input graph and its family spec; a family graph is generated only
-    when ``build`` is set, so closed forms never build one."""
+def _input_spec(args, closed_form: str = "") -> graph.FamilySpec | None:
+    """The --family instance, or None for a --graph input, which a closed form
+    (named by its flag) refuses before the file is opened."""
     if (args.graph is None) == (args.family is None):
         raise _UsageError("give exactly one input: --graph PATH or --family NAME")
-    if args.graph is not None:
-        return graph.read_json(args.graph), None
-    spec = _family_spec(args)
-    return (graph.generate(spec) if build else None), spec
+    if args.graph is not None and closed_form:
+        raise _UsageError(f"{closed_form} needs a --family input")
+    return _family_spec(args) if args.graph is None else None
+
+
+def _load_input(args) -> graph.Graph:
+    """The input graph: the --graph file, or the --family instance generated."""
+    spec = _input_spec(args)
+    return graph.read_json(args.graph) if spec is None else graph.generate(spec)
 
 
 def _add_input_flags(p: argparse.ArgumentParser, family_only: bool = False):
@@ -188,19 +192,19 @@ def _cmd_gen(args):
 
 def _cmd_spectrum(args):
     kind = matrices.MatrixKind.parse(args.kind)
-    g, spec = _load_input(args, build=not args.closed_form)
     if args.closed_form:
-        if spec is None:
-            raise _UsageError("--closed-form needs a --family input")
-        sp = matrices.closed_form_spectrum(spec, kind)
+        spec = _input_spec(args, "--closed-form")
+        sp, source = matrices.closed_form_spectrum(spec, kind), spec.label()
+        if args.vectors and sp.eigenvectors is None:
+            raise DomainError(f"no closed-form eigenvectors for family {spec.family!r}")
     else:
-        sp = matrices.eig_sym(matrices.build_matrix(g, kind))
-    doc = {"kind": kind.value, "source": spec.label() if args.closed_form else g.name,
-           "closed_form": args.closed_form,
+        g = _load_input(args)
+        sp, source = matrices.eig_sym(matrices.build_matrix(g, kind)), g.name
+    doc = {"kind": kind.value, "source": source, "closed_form": args.closed_form,
            "eigenvalues": [_fmt(v) for v in sp.eigenvalues]}
     if not args.closed_form:
         doc["residual"] = _fmt(sp.residual)
-    if args.vectors and sp.eigenvectors is not None:
+    if args.vectors:
         doc["vectors"] = [[_fmt(x) for x in sp.eigenvectors[:, j]]
                           for j in range(sp.eigenvalues.shape[0])]
     return doc
@@ -209,12 +213,11 @@ def _cmd_spectrum(args):
 def _cmd_mcut(args):
     if args.seed is not None and args.method != "pruned":
         raise _UsageError("--seed needs --method pruned")
-    g, spec = _load_input(args, build=args.method != "formula")
     if args.method == "formula":
-        if spec is None:
-            raise _UsageError("--method formula needs a --family input")
+        spec = _input_spec(args, "--method formula")
         report = cuts.min_ncut_formula(spec)
     elif args.method == "pruned":
+        g = _load_input(args)
         if not args.seed:
             raise _UsageError("--method pruned needs --seed")
         try:
@@ -226,7 +229,7 @@ def _cmd_mcut(args):
                 raise DomainError(f"--seed vertex {v} is not in 1..{g.n}")
         report = cuts.min_ncut_pruned(g, graph.vertex_subset(g, [v - 1 for v in seed]))
     else:
-        report = cuts.min_ncut_brute(g)
+        report = cuts.min_ncut_brute(_load_input(args))
     return {"value": _rat(report.value), "cut_weight": report.cut_weight,
             "method": report.method, "branch": report.branch,
             "witness": _vertices_1based(report.witness),
@@ -234,8 +237,7 @@ def _cmd_mcut(args):
 
 
 def _cmd_lcut(args):
-    g, _spec = _load_input(args)
-    report = bisection.spectral_cut(g)
+    report = bisection.spectral_cut(_load_input(args))
     # a 2-vertex graph has no third eigenvalue, hence no finite gap
     gap = _fmt(report.gap) if math.isfinite(report.gap) else None
     # a spectral cut exists only when lambda2 is simple
@@ -250,7 +252,7 @@ def _cmd_lcut(args):
 
 
 def _cmd_compare(args):
-    g, _spec = _load_input(args)
+    g = _load_input(args)
     mcut = cuts.min_ncut(g)
     lcut = bisection.spectral_cut(g)
     return {"mcut": _rat(mcut.value), "lcut": _rat(lcut.value),
@@ -294,7 +296,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_bounds(args):
-    g, _spec = _load_input(args)
+    g = _load_input(args)
     iso, h, gv, mcut = cuts.expansion_constants(g)
     lam2_norm = matrices.eig_sym(matrices.build_matrix(g, matrices.MatrixKind.NORMALIZED)).lambda2
     lam2_diff = matrices.eig_sym(matrices.build_matrix(g, matrices.MatrixKind.DIFFERENCE)).lambda2

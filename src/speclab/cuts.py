@@ -170,16 +170,17 @@ def in_disagreement_region(n: int, k: int) -> bool:
     return (k < 4 or d == 0) and not ladder_split_wins(n, k, d)
 
 
-def _formula_report(g: Graph | None, spec: FamilySpec) -> CutReport:
-    """spec's closed form. Up to the subset capacity its witness must cut
-    ``cut`` and achieve the split value exactly on g, the graph generated from
-    spec, which is generated here when g is None."""
+def _formula_report(instance: Graph | FamilySpec) -> CutReport:
+    """The closed form of a spec, or of the graph ``generate`` built from one. Up
+    to the subset capacity its witness must cut ``cut`` and achieve the split
+    value exactly on that graph, generated here from a spec."""
+    spec = instance.spec if isinstance(instance, Graph) else instance
     if spec.family not in _FORMULAS:
         raise DomainError(f"no closed-form minimum for family {spec.family!r}")
     branch, witness_vertices, cut, volume, d = _FORMULAS[spec.family](spec)
     value, w = _split_value(cut, volume, d), None
     if spec.order() <= SUBSET_CAPACITY:  # witness_vertices is lazy: read only here
-        g = generate(spec) if g is None else g
+        g = instance if isinstance(instance, Graph) else generate(spec)
         w = vertex_subset(g, witness_vertices)
         achieved = normalized_cut(g, w)
         if achieved != value or w.cut_weight != cut:
@@ -193,7 +194,7 @@ def _closed_form(g: Graph) -> CutReport | None:
     """The closed form of g's family instance, checked on g; None when
     ``generate`` did not build g or the instance is outside its domain."""
     try:
-        return _formula_report(g, g.spec) if g.spec is not None else None
+        return _formula_report(g) if g.spec is not None else None
     except DomainError:
         return None
 
@@ -211,7 +212,7 @@ def min_ncut_formula(spec: FamilySpec) -> CutReport:
     Raises DomainError when the instance falls outside the domain where the
     closed form applies; min_ncut then falls back to min_ncut_brute.
     """
-    return _formula_report(None, spec)
+    return _formula_report(spec)
 
 
 # Each family's rule returns its split: (branch, witness vertices, cut, volume, d).

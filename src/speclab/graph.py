@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DomainError, SchemaError, SizeError
 
@@ -27,18 +27,15 @@ class Graph:
     """Immutable weighted undirected graph with optional self-loops.
 
     ``edges`` entries are ``(u, v, w)`` with ``u < v``; 2-tuples are accepted
-    at construction and normalized to weight 1. ``mirror``, when present, is
-    an order-2 automorphism supplied by the generator (antenna swap for the
-    two-row families, reversal for paths). ``spec`` is the family instance
-    that ``generate`` built the graph from, and None on every other graph: one
-    constructed directly, read from JSON, or copied by ``dataclasses.replace``.
+    at construction and normalized to weight 1. ``spec`` is the family instance
+    ``generate`` built the graph from, None on every other graph (one built
+    directly, read from JSON or copied by ``dataclasses.replace``), and not compared.
     """
 
     n: int
     edges: tuple[tuple[int, int, int], ...]
     loops: tuple[tuple[int, int], ...] = ()
     name: str = ""
-    mirror: tuple[int, ...] | None = None
     degrees: tuple[int, ...] = field(init=False, repr=False, compare=False)
     spec: FamilySpec | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -73,8 +70,6 @@ class Graph:
                 raise DomainError(f"duplicate loop on vertex {v}")
             seen_loops.add(v)
             loops.append((v, w))
-        if self.mirror is not None and sorted(self.mirror) != list(range(self.n)):
-            raise DomainError("mirror is not a permutation of the vertices")
         deg = [0] * self.n
         for u, v, w in norm:
             deg[u] += w
@@ -227,6 +222,15 @@ class FamilySpec:
         """Edge count of generate(self), self-loops excluded."""
         return _FAMILY_TABLE[self.family][2](self)
 
+    def mirror(self) -> tuple[int, ...] | None:
+        """Order-2 automorphism of generate(self), SizeError where generate raises it: a path
+        reversed, a double tree's or a roach's halves swapped (i -> i + n/2 mod n); else None."""
+        n = self.order()
+        _check_budget(self.label(), n, self.edge_count())
+        if self.family in (DOUBLE_TREE, ROACH):
+            return tuple((i + n // 2) % n for i in range(n))
+        return tuple(range(n - 1, -1, -1)) if self.family == PATH else None
+
 
 def _heap_tree_edges(depth: int) -> list[tuple[int, int, int]]:
     t = 2 ** depth - 1
@@ -244,12 +248,10 @@ def generate(spec: FamilySpec) -> Graph:
     # A tree's order is 2**depth: compare the depth before building that integer.
     if (spec.depth or 0) > MAX_ORDER.bit_length():
         _check_budget(name, MAX_ORDER + 1, 0)
-    order, loops, mirror = spec.order(), (), None
+    order, loops = spec.order(), ()
     _check_budget(name, order, spec.edge_count())
     if f == PATH:
-        n = spec.n
-        edges = [(i, i + 1, 1) for i in range(n - 1)]
-        mirror = tuple(n - 1 - i for i in range(n))
+        edges = [(i, i + 1, 1) for i in range(order - 1)]
     elif f == CYCLE:
         n = spec.n
         edges = [(i, i + 1, 1) for i in range(n - 1)] + [(0, n - 1, 1)]
@@ -261,7 +263,6 @@ def generate(spec: FamilySpec) -> Graph:
     elif f == DOUBLE_TREE:
         t, half = order // 2, _heap_tree_edges(spec.depth)
         edges = half + [(t + u, t + v, w) for u, v, w in half] + [(0, t, 1)]
-        mirror = tuple((i + t) % order for i in range(order))
     elif f == CYCLE_CROSS_PATH:  # vertex (u, v) of C_m x P_n is u * n + v
         m, n = spec.m, spec.n
         ring = [(u, u + 1) for u in range(m - 1)] + [(0, m - 1)]
@@ -276,7 +277,6 @@ def generate(spec: FamilySpec) -> Graph:
             edges.append((s + i, s + i + 1, 1))
         for i in range(n, s):
             edges.append((i, s + i, 1))
-        mirror = tuple((i + s) % order for i in range(order))
     elif f == WEIGHTED_PATH:
         n, k = spec.n, spec.k
         edges = [(i, i + 1, 1) for i in range(n + k - 1)]
@@ -286,7 +286,7 @@ def generate(spec: FamilySpec) -> Graph:
         edges = [(i, i + 1, 1) for i in range(m - 1)]
         edges += [(m + i, m + j, 1) for i in range(n) for j in range(i + 1, n)]
         edges.append((m - 1, m, 1))
-    g = Graph(order, tuple(edges), loops, name=name, mirror=mirror)
+    g = Graph(order, tuple(edges), loops, name=name)
     object.__setattr__(g, "spec", spec)  # set here only, so no other graph claims a family
     return g
 
@@ -307,15 +307,6 @@ def is_connected(g: Graph) -> bool:
                 seen.add(v)
                 stack.append(v)
     return len(seen) == g.n
-
-
-def is_automorphism(g: Graph, perm: Sequence[int]) -> bool:
-    """True iff the permutation commutes with the weighted adjacency matrix."""
-    if sorted(perm) != list(range(g.n)):
-        raise DomainError("perm is not a bijection on the vertex set")
-    edges = {(*sorted((perm[u], perm[v])), w) for u, v, w in g.edges}
-    return (edges == set(g.edges)
-            and {(perm[v], w) for v, w in g.loops} == set(g.loops))
 
 
 # ---------------------------------------------------------------------------

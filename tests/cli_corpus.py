@@ -108,6 +108,7 @@ def entries() -> list[dict]:
     for kind in ("adjacency", "difference", "normalized", "signless"):
         add("spectrum", "--family", "path", "--n", "4097", "--kind", kind)
     add("spectrum", "--family", "tree", "--depth", "1")
+    add("spectrum", "--closed-form", "--family", "cycle", "--n", "5", "--vectors")
     add("spectrum", "--graph", "{dir}/iso.json", "--kind", "normalized",
         files={"iso.json": ISOLATED_FILE})
     add("mcut", "--family", "roach", "--n", "3", "--k", "4", "--method", "pruned",
@@ -125,6 +126,11 @@ def entries() -> list[dict]:
     add("mcut", "--family", "path", "--n", "8", "--seed", "1")
     add("mcut", "--family", "path", "--n", "8", "--method", "formula", "--seed", "1")
     add("mcut", "--graph", "{dir}/g.json", "--method", "formula", files={"g.json": GRAPH_FILE})
+    # a closed form refuses a --graph input before the file is opened
+    add("mcut", "--graph", "{dir}/bad.json", "--method", "formula",
+        files={"bad.json": SCHEMA_FILES["bad_json.json"]})
+    add("spectrum", "--closed-form", "--graph", "{dir}/bad.json",
+        files={"bad.json": SCHEMA_FILES["bad_json.json"]})
     add("sweep", "--family", "roach", "--n-range", "junk", "--k-range", "2:3")
     add("sweep", "--family", "roach", "--n-range", "3:2", "--k-range", "2:3")
     add("charpoly", "--which", "pnk", "--n", "4", "--k", "3")

@@ -1,5 +1,6 @@
 """Spectral bisection, parity classification, sector blocks, counterexamples."""
 
+import dataclasses
 import io
 import json
 import math
@@ -156,26 +157,25 @@ def test_spectral_cut_never_below_minimum():
 def test_first_eigenvector_is_even():
     g = sl.generate(FamilySpec("roach", n=3, k=3))
     sp = norm_spectrum(FamilySpec("roach", n=3, k=3))
-    assert slow_parity(g, g.mirror, sp.eigenvectors[:, 0]) == "even"
+    assert slow_parity(g, g.spec.mirror(), sp.eigenvectors[:, 0]) == "even"
 
 
 def test_r63_second_eigenvector_is_odd():
     assert sl.spectral_cut(sl.generate(FamilySpec("roach", n=6, k=3))).parity == "odd"
 
 
+def test_a_copy_of_a_generated_graph_has_no_automorphism():
+    g = sl.generate(FamilySpec("roach", n=3, k=4))
+    assert sl.spectral_cut(g).parity == "even"
+    assert sl.spectral_cut(dataclasses.replace(g)).parity == "no_automorphism"
+
+
 def test_published_r22_eigenvector_rows():
     g = sl.generate(FamilySpec("roach", n=2, k=2))
     even_row = [-6.90985, 7.772, -3.17291, 1.0, -6.90985, 7.772, -3.17291, 1.0]
     odd_row = [0.707107, -1.0, 1.22474, -1.0, -0.707107, 1.0, -1.22474, 1.0]
-    assert slow_parity(g, g.mirror, even_row) == "even"
-    assert slow_parity(g, g.mirror, odd_row) == "odd"
-
-
-def test_parity_domain_errors():
-    g = sl.generate(FamilySpec("path", n=4))
-    swapped = sl.Graph(g.n, g.edges, mirror=(1, 0, 2, 3))  # not an automorphism
-    with pytest.raises(DomainError):
-        sl.spectral_cut(swapped)
+    assert slow_parity(g, g.spec.mirror(), even_row) == "even"
+    assert slow_parity(g, g.spec.mirror(), odd_row) == "odd"
 
 
 def _mirrored_specs_within_cap():
@@ -190,7 +190,7 @@ def test_parity_is_the_slow_rule_on_every_mirrored_instance_within_the_cap():
     for spec in specs:
         g = sl.generate(spec)
         vector = norm_spectrum(spec).eigenvectors[:, 1]
-        assert sl.spectral_cut(g).parity == slow_parity(g, g.mirror, vector), spec.label()
+        assert sl.spectral_cut(g).parity == slow_parity(g, spec.mirror(), vector), spec.label()
 
 
 def _cycle_file(tmp_path, n, weight, heavy):

@@ -339,6 +339,30 @@ def test_schema_error_exits_65(tmp_path):
     assert code == 65
 
 
+@pytest.mark.parametrize("argv", [["spectrum", "--closed-form"], ["mcut", "--method", "formula"]])
+def test_closed_forms_refuse_a_graph_file_before_opening_it(monkeypatch, argv):
+    monkeypatch.setattr(sl.graph, "read_json", None)  # opening the file would raise TypeError
+    code, out, err = invoke([*argv, "--graph", "/dev/zero"])
+    assert (code, out) == (64, "")
+    assert _one_json_line(err) == {"error": "_UsageError",
+                                   "message": f"{' '.join(argv[1:])} needs a --family input"}
+
+
+def test_closed_form_vectors_are_refused_where_the_family_has_none():
+    argv = ["spectrum", "--closed-form", "--family", "cycle", "--n", "5"]
+    assert invoke_json(argv)["eigenvalues"]
+    code, out, err = invoke([*argv, "--vectors"])
+    assert (code, out) == (2, "")
+    assert _one_json_line(err) == {"error": "DomainError",
+                                   "message": "no closed-form eigenvectors for family 'cycle'"}
+    # the spectrum's own refusals come first
+    code, _, err = invoke([*argv[:3], "tree", "--depth", "3", "--vectors"])
+    assert code == 2 and "no closed-form spectrum" in err
+    code, _, err = invoke([*argv[:5], str(10 ** 21), "--vectors"])
+    assert code == 2 and _one_json_line(err)["error"] == "SizeError"
+    assert len(invoke_json([*argv[:3], "path", "--n", "5", "--vectors"])["vectors"]) == 5
+
+
 def _graph_doc(edges, n=3):
     return json.dumps({"name": "g", "n": n, "edges": edges, "loops": []})
 
@@ -495,6 +519,39 @@ def test_closed_form_commands_keep_the_exit_contract(argv):
     if err:
         _one_json_line(err)
     assert invoke(argv)[1] == out
+
+
+@st.composite
+def _near_cap_argv(draw) -> tuple[list[str], int, int]:
+    """(argv, order, cap): a path, weighted path or roach within 2 vertices of the
+    cap of its command, or counterexample on the two ladders nearest the subset cap."""
+    command = draw(st.sampled_from(["mcut", "bounds", "lcut", "compare", "counterexample"]))
+    if command == "counterexample":
+        k = draw(st.sampled_from([10, 11]))  # roach(2k, k) has 6k vertices: 60 and 66
+        return ["counterexample", "--k-range", f"{k}:{k}"], 6 * k, sl.graph.SUBSET_CAPACITY
+    cap = sl.graph.EXHAUSTIVE_CAP if command in ("mcut", "bounds") else sl.graph.SUBSET_CAPACITY
+    order = cap + draw(st.integers(-2, 2))
+    family = draw(st.sampled_from(["path", "weighted-path"] + ["roach"] * (order % 2 == 0)))
+    if family == "path":
+        return [command, "--family", "path", "--n", str(order)], order, cap
+    n = draw(st.integers(1, order - 1 if family == "weighted-path" else order // 2 - 2))
+    k = order - n if family == "weighted-path" else order // 2 - n
+    return [command, "--family", family, "--n", str(n), "--k", str(k)], order, cap
+
+
+@settings(max_examples=40, deadline=None)
+@given(_near_cap_argv())
+@example((["mcut", "--family", "path", "--n", "24"], 24, 24))
+@example((["bounds", "--family", "roach", "--n", "1", "--k", "12"], 26, 24))
+@example((["lcut", "--family", "weighted-path", "--n", "1", "--k", "63"], 64, 64))
+@example((["compare", "--family", "roach", "--n", "3", "--k", "30"], 66, 64))
+def test_commands_answer_up_to_their_size_cap_and_refuse_past_it(case):
+    argv, order, cap = case
+    code, out, err = invoke(argv)
+    if order <= cap:
+        assert (code, err) == (0, "") and json.loads(out)
+    else:
+        assert (code, out) == (2, "") and _one_json_line(err)["error"] == "SizeError"
 
 
 # command -> [(flag, takes a value)], read from the parser so that no flag is missed

@@ -10,7 +10,7 @@ import pytest
 import speclab as sl
 from speclab import DomainError, FamilySpec, Graph, MatrixKind, SymmetricMatrix
 
-from conftest import ALL_SPECS
+from conftest import ALL_SPECS, is_automorphism
 
 KINDS = list(MatrixKind)
 S2 = 1.0 / math.sqrt(2.0)
@@ -141,6 +141,24 @@ def test_matrices_are_bitwise_the_dense_formulas():
 def test_generate_records_its_spec():
     for spec in _family_specs(64):
         assert sl.generate(spec).spec is spec
+
+
+def test_mirror_is_an_involutive_automorphism_of_every_mirrored_instance():
+    specs = [*_family_specs(64), FamilySpec("path", n=4096), FamilySpec("roach", n=2000, k=1000)]
+    mirrored = 0
+    for spec in specs:
+        mirror = spec.mirror()
+        if spec.family not in ("path", "double_tree", "roach"):
+            assert mirror is None, spec.label()
+            continue
+        g = sl.generate(spec)
+        assert is_automorphism(g, mirror), spec.label()
+        assert all(mirror[mirror[i]] == i for i in range(g.n)), spec.label()
+        mirrored += 1
+    assert mirrored == 63 + 4 + 465 + 2
+    for spec in (FamilySpec("path", n=sl.graph.MAX_ORDER + 1), FamilySpec("double_tree", depth=17)):
+        with pytest.raises(sl.SizeError):  # refused before the tuple is built, as generate is
+            spec.mirror()
 
 
 def test_difference_diagonal_is_the_loopless_degree_rounded_once():
@@ -362,7 +380,7 @@ def test_automorphism_transfer():
     g = sl.generate(FamilySpec("roach", n=3, k=3))
     m = sl.build_matrix(g, MatrixKind.NORMALIZED).values
     sp = sl.eig_sym(sl.build_matrix(g, MatrixKind.NORMALIZED))
-    perm = list(g.mirror)
+    perm = list(g.spec.mirror())
     for j in range(g.n):
         pu = sp.eigenvectors[:, j][perm]
         assert np.linalg.norm(m @ pu - sp.eigenvalues[j] * pu) <= 1e-8
