@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .charpoly import EVEN, ODD
 from .cuts import min_ncut, min_ncut_brute
 from .errors import (ConnectivityError, DomainError, MultiplicityError, NumericError,
                      SizeError)
@@ -24,8 +25,6 @@ from .graph import (EXHAUSTIVE_CAP, ROACH, SUBSET_CAPACITY, FamilySpec, Graph, V
                     generate, is_connected, normalized_cut, vertex_subset)
 from .matrices import MAX_DENSE_ORDER, MatrixKind, assemble, build_matrix, eig_sym
 
-EVEN = "even"
-ODD = "odd"
 NO_AUTOMORPHISM = "no_automorphism"
 
 

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import DomainError, NumericError
 
+EVEN, ODD = "even", "odd"  # the ladder sectors, named as the s = +1 and s = -1 tails above
 BISECTION_WIDTH = 1e-10
 MAX_STEPS = 1 << 20
 
@@ -175,6 +174,7 @@ def bracket_roots(fn, steps: int, lo: float = 0.0, hi: float = 2.0,
     than d brackets, but underflow that leaves at most d brackets goes
     undetected.
     """
+    import numpy as np  # the only numpy user here: the polynomials evaluate without it
     if steps < 1:
         raise DomainError("grid needs at least one step")
     if steps > MAX_STEPS:

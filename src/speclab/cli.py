@@ -4,6 +4,12 @@ Every command emits one JSON document on stdout (CSV for sweep) with floats
 formatted to 15 significant digits, so identical invocations are
 byte-identical. Domain errors exit 2, argument errors 64, schema violations
 65, numeric failures 70; each prints a one-line JSON error on stderr.
+
+numpy loads only with the numeric layers (`bisection`, `matrices` and the
+enumeration engine under `cuts`). A command imports them after it has read
+its input, so `gen`, `sweep`, the closed forms and the usage and schema
+refusals run without numpy; `spectrum` alone loads it first, since it
+checks `--kind` before it reads the input.
 """
 
 from __future__ import annotations
@@ -16,9 +22,7 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import bisection, charpoly, cuts, graph, matrices
+from . import charpoly, cuts, graph
 from .errors import DomainError, NumericError, SchemaError, SizeError, SpecLabError
 
 EXIT_OK = 0
@@ -191,6 +195,7 @@ def _cmd_gen(args):
 
 
 def _cmd_spectrum(args):
+    from . import matrices  # --kind is refused before the input is read
     kind = matrices.MatrixKind.parse(args.kind)
     if args.closed_form:
         spec = _input_spec(args, "--closed-form")
@@ -237,7 +242,9 @@ def _cmd_mcut(args):
 
 
 def _cmd_lcut(args):
-    report = bisection.spectral_cut(_load_input(args))
+    g = _load_input(args)
+    from . import bisection
+    report = bisection.spectral_cut(g)
     # a 2-vertex graph has no third eigenvalue, hence no finite gap
     gap = _fmt(report.gap) if math.isfinite(report.gap) else None
     # a spectral cut exists only when lambda2 is simple
@@ -253,6 +260,7 @@ def _cmd_lcut(args):
 
 def _cmd_compare(args):
     g = _load_input(args)
+    from . import bisection
     mcut = cuts.min_ncut(g)
     lcut = bisection.spectral_cut(g)
     return {"mcut": _rat(mcut.value), "lcut": _rat(lcut.value),
@@ -263,9 +271,9 @@ def _cmd_compare(args):
 
 
 # --which -> its characteristic polynomial and the sectors whose eigenvalues are its roots
-_SECTORS = {"pnk": (charpoly.weighted_path_charpoly, (bisection.EVEN,)),
-            "qnk": (charpoly.roach_odd_charpoly, (bisection.ODD,)),
-            "product": (charpoly.roach_charpoly, (bisection.EVEN, bisection.ODD))}
+_SECTORS = {"pnk": (charpoly.weighted_path_charpoly, (charpoly.EVEN,)),
+            "qnk": (charpoly.roach_odd_charpoly, (charpoly.ODD,)),
+            "product": (charpoly.roach_charpoly, (charpoly.EVEN, charpoly.ODD))}
 
 
 def _cmd_charpoly(args):
@@ -282,6 +290,8 @@ def _cmd_charpoly(args):
             raise NumericError(f"polynomial evaluation overflowed at lambda={args.lam}")
         doc.update({"lambda": _fmt(args.lam), "value": _fmt(value)})
     else:
+        import numpy as np
+        from . import bisection
         roots = np.sort(np.concatenate([bisection.sector_eigenvalues(n, k, s) for s in sectors]))
         doc.update({"interval": [0, 2], "roots": [_fmt(x) for x in np.clip(roots, 0.0, 2.0)],
                     "count": len(roots)})
@@ -297,6 +307,7 @@ def _cmd_sweep(args):
 
 def _cmd_bounds(args):
     g = _load_input(args)
+    from . import matrices
     iso, h, gv, mcut = cuts.expansion_constants(g)
     lam2_norm = matrices.eig_sym(matrices.build_matrix(g, matrices.MatrixKind.NORMALIZED)).lambda2
     lam2_diff = matrices.eig_sym(matrices.build_matrix(g, matrices.MatrixKind.DIFFERENCE)).lambda2
@@ -323,6 +334,7 @@ def _cmd_bounds(args):
 
 def _cmd_counterexample(args):
     krange = _parse_range(args.k_range)
+    from . import bisection
     for k in krange:  # refuse the whole range first; every k >= 11 is refused, so this stops soon
         bisection.counterexample_spec(k)
     reports = [bisection.counterexample_check(k) for k in krange]

@@ -9,7 +9,8 @@ identity Ncut = c vol(V) / (vol A vol B) = 4 c vol(V) / (vol(V)^2 - d^2);
 the families differ only in c, d and which split wins. Every threshold
 comparison is done in integer arithmetic (square-root thresholds are
 compared via squared integer inequalities), so branch classification is
-exact on the boundary.
+exact on the boundary. The enumeration engine is imported inside the
+functions that use it: it loads numpy, which the closed forms never need.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from . import _enumeration as en
 from .errors import ConnectivityError, DomainError, SizeError
 from .graph import (CYCLE, CYCLE_CROSS_PATH, COMPLETE, DOUBLE_TREE, LOLLIPOP,
                     PATH, ROACH, SUBSET_CAPACITY, WEIGHTED_PATH, FamilySpec,
@@ -49,6 +49,7 @@ def _require_connected(g: Graph) -> None:
 
 def _cut_report(g: Graph, found: tuple[Fraction, int], method: str,
                 branch: str = "") -> CutReport:
+    from . import _enumeration as en
     value, idx = found
     witness = subset_from_mask(g, en.full_mask_from_index(idx))
     return CutReport(value, witness, witness.cut_weight, method, branch)
@@ -56,6 +57,7 @@ def _cut_report(g: Graph, found: tuple[Fraction, int], method: str,
 
 def min_ncut_brute(g: Graph) -> CutReport:
     """Global minimum of the normalized cut by exhaustive enumeration."""
+    from . import _enumeration as en
     _require_connected(g)
     return _cut_report(g, *en.minimize(g, en.NCUT), BRUTE_FORCE)
 
@@ -68,6 +70,7 @@ def min_ncut_pruned(g: Graph, seed: VertexSubset) -> CutReport:
     seeds raise a DomainError and the caller should fall back to the
     unrestricted search.
     """
+    from . import _enumeration as en
     _require_connected(g)
     if seed.graph is not g:
         raise DomainError("seed subset was built for a different graph")
@@ -88,6 +91,7 @@ def min_ncut_pruned(g: Graph, seed: VertexSubset) -> CutReport:
 # ---------------------------------------------------------------------------
 
 def _expansion(g: Graph, objective: str) -> Fraction:
+    from . import _enumeration as en
     _require_connected(g)
     (value, _idx), = en.minimize(g, objective)
     return value
@@ -95,22 +99,26 @@ def _expansion(g: Graph, objective: str) -> Fraction:
 
 def isoperimetric_number(g: Graph) -> Fraction:
     """min cut(S, V\\S) / |S| over nonempty S with |S| <= n/2."""
+    from . import _enumeration as en
     return _expansion(g, en.ISOPERIMETRIC)
 
 
 def cheeger_edge(g: Graph) -> Fraction:
     """Edge expansion: min cut(S, V\\S) / min(vol S, vol V\\S)."""
+    from . import _enumeration as en
     return _expansion(g, en.CHEEGER_EDGE)
 
 
 def cheeger_vertex(g: Graph) -> Fraction:
     """Vertex expansion: min vol(boundary of S) / min(vol S, vol V\\S)."""
+    from . import _enumeration as en
     return _expansion(g, en.CHEEGER_VERTEX)
 
 
 def expansion_constants(g: Graph):
     """Isoperimetric number, both Cheeger constants and min_ncut(g), from one
     pass; the pass adds the Ncut only when no closed form answers."""
+    from . import _enumeration as en
     mcut = _closed_form(g)
     _require_connected(g)
     found = en.minimize(g, en.ISOPERIMETRIC, en.CHEEGER_EDGE, en.CHEEGER_VERTEX,

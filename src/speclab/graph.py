@@ -86,7 +86,7 @@ class Graph:
 
 
 def _check_weight(what: str, w) -> None:
-    if not (isinstance(w, int) and w > 0):
+    if not (type(w) is int and w > 0):  # a bool is not a weight, as in FamilySpec
         raise DomainError(f"{what} weight {w!r} is not a positive integer")
     if w > MAX_WEIGHT:
         raise DomainError(f"{what} weight {w} is above MAX_WEIGHT = 2**53")
@@ -225,11 +225,20 @@ class FamilySpec:
     def mirror(self) -> tuple[int, ...] | None:
         """Order-2 automorphism of generate(self), SizeError where generate raises it: a path
         reversed, a double tree's or a roach's halves swapped (i -> i + n/2 mod n); else None."""
-        n = self.order()
-        _check_budget(self.label(), n, self.edge_count())
+        n = _check_spec_budget(self, self.label())
         if self.family in (DOUBLE_TREE, ROACH):
             return tuple((i + n // 2) % n for i in range(n))
         return tuple(range(n - 1, -1, -1)) if self.family == PATH else None
+
+
+def _check_spec_budget(spec: FamilySpec, name: str) -> int:
+    """spec.order(), after _check_budget on spec's order and edge count, with spec's
+    label as name. A depth past MAX_ORDER's bit length is refused before 2**depth is built."""
+    if (spec.depth or 0) > MAX_ORDER.bit_length():
+        _check_budget(name, MAX_ORDER + 1, 0)
+    order = spec.order()
+    _check_budget(name, order, spec.edge_count())
+    return order
 
 
 def _heap_tree_edges(depth: int) -> list[tuple[int, int, int]]:
@@ -245,11 +254,7 @@ def generate(spec: FamilySpec) -> Graph:
     anything is built.
     """
     f, name = spec.family, spec.label()
-    # A tree's order is 2**depth: compare the depth before building that integer.
-    if (spec.depth or 0) > MAX_ORDER.bit_length():
-        _check_budget(name, MAX_ORDER + 1, 0)
-    order, loops = spec.order(), ()
-    _check_budget(name, order, spec.edge_count())
+    order, loops = _check_spec_budget(spec, name), ()
     if f == PATH:
         edges = [(i, i + 1, 1) for i in range(order - 1)]
     elif f == CYCLE:

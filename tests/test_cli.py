@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -277,8 +278,8 @@ def test_charpoly_steps_flag_exits_64():
 
 def test_charpoly_roots_eigensolver_failure_exits_70(monkeypatch):
     def fail(values):
-        raise cli.np.linalg.LinAlgError("Eigenvalues did not converge")
-    monkeypatch.setattr(cli.np.linalg, "eigvalsh", fail)
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     code, out, err = invoke(["charpoly", "--which", "qnk", "--n", "4", "--k", "3", "--roots"])
     assert code == 70 and out == ""
     assert _one_json_line(err)["error"] == "NumericError"

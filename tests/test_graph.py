@@ -36,6 +36,10 @@ def test_nonpositive_weight_rejected():
         Graph(2, ((0, 1, 0),))
     with pytest.raises(DomainError):
         Graph(2, ((0, 1, -3),))
+    # a bool is not a weight: to_json would write it as true, which from_json refuses
+    for edges, loops in ((((0, 1, True),), ()), (((0, 1, 1),), ((0, True),))):
+        with pytest.raises(DomainError, match="weight True is not a positive integer"):
+            Graph(2, edges, loops)
 
 
 def test_two_tuple_edges_default_to_weight_one():

@@ -161,6 +161,14 @@ def test_mirror_is_an_involutive_automorphism_of_every_mirrored_instance():
             spec.mirror()
 
 
+def test_mirror_refuses_a_deep_double_tree_before_building_its_order():
+    def mirror():  # 2**(depth + 1) alone would take about 125 KB at this depth
+        with pytest.raises(sl.SizeError, match="above the generation budget"):
+            FamilySpec("double_tree", depth=10 ** 6).mirror()
+
+    assert _traced_peak(mirror)[1] < 64 << 10
+
+
 def test_difference_diagonal_is_the_loopless_degree_rounded_once():
     # vertex 1's degree 2**53 + 3 rounds to 2**53 + 4, so d - l would read 4 for its 3
     g = Graph(2, ((0, 1, 3),), ((0, 1 << 53),))
