@@ -27,14 +27,15 @@ _EXPORTS = {
     "graph": ("FAMILIES", "FamilySpec", "Graph", "VertexSubset", "from_json",
               "from_json_dict", "generate", "is_connected", "normalized_cut", "read_json",
               "subset_from_mask", "to_dot", "to_json", "to_json_dict", "vertex_subset"),
-    "matrices": ("ClosedFormSpectrum", "MatrixKind", "Spectrum", "SymmetricMatrix",
-                 "build_matrix", "circulant_eigenpairs", "circulant_matrix",
-                 "closed_form_spectrum", "eig_sym"),
+    "kinds": ("MatrixKind",),
+    "matrices": ("ClosedFormSpectrum", "Spectrum", "SymmetricMatrix", "build_matrix",
+                 "circulant_eigenpairs", "circulant_matrix", "closed_form_spectrum", "eig_sym"),
 }
 _SUBMODULES = frozenset({*_EXPORTS, "cli", "_enumeration"})
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = sorted(_SOURCE)
+# the public names and the submodules that define them, which a star import binds
+__all__ = sorted({*_SOURCE, *_EXPORTS})
 __version__ = "0.1.0"
 
 

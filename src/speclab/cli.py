@@ -8,8 +8,7 @@ byte-identical. Domain errors exit 2, argument errors 64, schema violations
 numpy loads only with the numeric layers (`bisection`, `matrices` and the
 enumeration engine under `cuts`). A command imports them after it has read
 its input, so `gen`, `sweep`, the closed forms and the usage and schema
-refusals run without numpy; `spectrum` alone loads it first, since it
-checks `--kind` before it reads the input.
+refusals run without numpy.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from fractions import Fraction
 
 from . import charpoly, cuts, graph
 from .errors import DomainError, NumericError, SchemaError, SizeError, SpecLabError
+from .kinds import MatrixKind
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -195,15 +195,16 @@ def _cmd_gen(args):
 
 
 def _cmd_spectrum(args):
-    from . import matrices  # --kind is refused before the input is read
-    kind = matrices.MatrixKind.parse(args.kind)
+    kind = MatrixKind.parse(args.kind)
     if args.closed_form:
         spec = _input_spec(args, "--closed-form")
+        from . import matrices
         sp, source = matrices.closed_form_spectrum(spec, kind), spec.label()
         if args.vectors and sp.eigenvectors is None:
             raise DomainError(f"no closed-form eigenvectors for family {spec.family!r}")
     else:
         g = _load_input(args)
+        from . import matrices
         sp, source = matrices.eig_sym(matrices.build_matrix(g, kind)), g.name
     doc = {"kind": kind.value, "source": source, "closed_form": args.closed_form,
            "eigenvalues": [_fmt(v) for v in sp.eigenvalues]}
@@ -309,8 +310,8 @@ def _cmd_bounds(args):
     g = _load_input(args)
     from . import matrices
     iso, h, gv, mcut = cuts.expansion_constants(g)
-    lam2_norm = matrices.eig_sym(matrices.build_matrix(g, matrices.MatrixKind.NORMALIZED)).lambda2
-    lam2_diff = matrices.eig_sym(matrices.build_matrix(g, matrices.MatrixKind.DIFFERENCE)).lambda2
+    lam2_norm = matrices.eig_sym(matrices.build_matrix(g, MatrixKind.NORMALIZED)).lambda2
+    lam2_diff = matrices.eig_sym(matrices.build_matrix(g, MatrixKind.DIFFERENCE)).lambda2
     max_deg = max(g.degrees)
     iso_upper_sq = (2 * max_deg - lam2_diff) * lam2_diff
     return {

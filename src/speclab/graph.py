@@ -233,8 +233,9 @@ class FamilySpec:
 
 def _check_spec_budget(spec: FamilySpec, name: str) -> int:
     """spec.order(), after _check_budget on spec's order and edge count, with spec's
-    label as name. A depth past MAX_ORDER's bit length is refused before 2**depth is built."""
-    if (spec.depth or 0) > MAX_ORDER.bit_length():
+    label as name. A tree's depth past MAX_ORDER's bit length is refused before 2**depth
+    is built; the other families ignore depth."""
+    if spec.family in (TREE, DOUBLE_TREE) and spec.depth > MAX_ORDER.bit_length():
         _check_budget(name, MAX_ORDER + 1, 0)
     order = spec.order()
     _check_budget(name, order, spec.edge_count())

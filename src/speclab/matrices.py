@@ -11,7 +11,6 @@ tested against.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass, field
@@ -21,25 +20,11 @@ import numpy as np
 
 from .errors import DomainError, NumericError, SizeError
 from .graph import CYCLE, MAX_ORDER, PATH, FamilySpec, Graph
+from .kinds import MatrixKind
 
 RESIDUAL_TOL = 1e-9
 ORTHO_TOL = 1e-9
 MAX_DENSE_ORDER = 1 << 12  # largest n x n float64 matrix built (128 MB)
-
-
-class MatrixKind(enum.Enum):
-    ADJACENCY = "adjacency"
-    DIFFERENCE = "difference"
-    NORMALIZED = "normalized"
-    SIGNLESS = "signless"
-
-    @classmethod
-    def parse(cls, text: str) -> "MatrixKind":
-        try:
-            return cls(text)
-        except ValueError:
-            names = ", ".join(k.value for k in cls)
-            raise DomainError(f"unknown matrix kind {text!r}; expected one of {names}")
 
 
 @dataclass(frozen=True)

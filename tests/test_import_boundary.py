@@ -35,16 +35,20 @@ print(json.dumps({"before": before, "after": "numpy" in sys.modules, "code": cod
 """
 
 # Prints the names of speclab.__all__ that are not their submodule's object or
-# that dir(speclab) leaves out, and checks the submodules resolve.
+# that dir(speclab) leaves out, and the submodules that neither attribute
+# access nor a star import resolves.
 NAMES = """
 import json, sys
 import speclab
 from speclab import _enumeration, cli
 assert cli is sys.modules["speclab.cli"] and _enumeration is sys.modules["speclab._enumeration"]
-modules = [getattr(speclab, m) for m in ("bisection", "charpoly", "cuts", "errors", "graph",
-                                         "matrices")]
-bad = []
-for name in speclab.__all__:
+names = ("bisection", "charpoly", "cuts", "errors", "graph", "kinds", "matrices")
+modules = [getattr(speclab, m) for m in names]
+star = {}
+exec("from speclab import *", star)  # binds the submodules too, as the eager package did
+bad = [m for m, module in zip(names, modules)
+       if module is not sys.modules["speclab." + m] or star.get(m) is not module]
+for name in set(speclab.__all__) - set(names):
     obj = getattr(speclab, name)
     home = sys.modules.get(getattr(obj, "__module__", None) or "")
     owners = [m for m in modules if vars(m).get(name) is obj]
@@ -90,7 +94,11 @@ def bad_graph(tmp_path_factory):
     (["charpoly", "--which", "qnk", "--n", "4", "--k", "3", "--lam", "0.25"], 0),
     (["bounds"], 64),            # no input
     (["lcut", "--graph", None], 65),  # an edge without its weight
-], ids=["gen", "sweep", "mcut-formula", "charpoly-lam", "usage-64", "schema-65"])
+    (["spectrum", "--kind", "laplace", "--family", "path", "--n", "4"], 2),
+    (["spectrum"], 64),
+    (["spectrum", "--graph", None], 65),
+], ids=["gen", "sweep", "mcut-formula", "charpoly-lam", "usage-64", "schema-65",
+        "spectrum-kind-2", "spectrum-usage-64", "spectrum-schema-65"])
 def test_closed_forms_and_refusals_run_without_numpy(argv, code, bad_graph):
     argv = [bad_graph if a is None else a for a in argv]
     assert _python(RUN, json.dumps(argv)) == {"before": False, "after": False, "code": code}

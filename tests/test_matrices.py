@@ -167,6 +167,9 @@ def test_mirror_refuses_a_deep_double_tree_before_building_its_order():
             FamilySpec("double_tree", depth=10 ** 6).mirror()
 
     assert _traced_peak(mirror)[1] < 64 << 10
+    # a depth is read only for the tree families: a path's depth is ignored, as generate ignores it
+    assert FamilySpec("path", n=3, depth=100).mirror() == (2, 1, 0)
+    assert sl.generate(FamilySpec("path", n=3, depth=100)).n == 3
 
 
 def test_difference_diagonal_is_the_loopless_degree_rounded_once():
