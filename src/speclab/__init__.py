@@ -24,10 +24,9 @@ _EXPORTS = {
              "min_ncut_formula", "min_ncut_pruned"),
     "errors": ("ConnectivityError", "DomainError", "MultiplicityError", "NumericError",
                "SchemaError", "SizeError", "SpecLabError"),
-    "graph": ("FAMILIES", "FamilySpec", "Graph", "VertexSubset", "from_json",
+    "graph": ("FAMILIES", "FamilySpec", "Graph", "MatrixKind", "VertexSubset", "from_json",
               "from_json_dict", "generate", "is_connected", "normalized_cut", "read_json",
               "subset_from_mask", "to_dot", "to_json", "to_json_dict", "vertex_subset"),
-    "kinds": ("MatrixKind",),
     "matrices": ("ClosedFormSpectrum", "Spectrum", "SymmetricMatrix", "build_matrix",
                  "circulant_eigenpairs", "circulant_matrix", "closed_form_spectrum", "eig_sym"),
 }

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import charpoly, cuts, graph
 from .errors import DomainError, NumericError, SchemaError, SizeError, SpecLabError
-from .kinds import MatrixKind
+from .graph import MatrixKind
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -196,16 +196,14 @@ def _cmd_gen(args):
 
 def _cmd_spectrum(args):
     kind = MatrixKind.parse(args.kind)
+    instance = _input_spec(args, "--closed-form") if args.closed_form else _load_input(args)
+    from . import matrices
     if args.closed_form:
-        spec = _input_spec(args, "--closed-form")
-        from . import matrices
-        sp, source = matrices.closed_form_spectrum(spec, kind), spec.label()
+        sp, source = matrices.closed_form_spectrum(instance, kind), instance.label()
         if args.vectors and sp.eigenvectors is None:
-            raise DomainError(f"no closed-form eigenvectors for family {spec.family!r}")
+            raise DomainError(f"no closed-form eigenvectors for family {instance.family!r}")
     else:
-        g = _load_input(args)
-        from . import matrices
-        sp, source = matrices.eig_sym(matrices.build_matrix(g, kind)), g.name
+        sp, source = matrices.eig_sym(matrices.build_matrix(instance, kind)), instance.name
     doc = {"kind": kind.value, "source": source, "closed_form": args.closed_form,
            "eigenvalues": [_fmt(v) for v in sp.eigenvalues]}
     if not args.closed_form:

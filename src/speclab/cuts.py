@@ -171,18 +171,23 @@ def ladder_split_wins(n: int, k: int, d: int) -> bool:
 
 def in_disagreement_region(n: int, k: int) -> bool:
     """Membership in the parameter region where the two cuts must differ."""
-    if n < 1 or k < 2:
-        raise DomainError("region needs n >= 1 and k >= 2")
+    FamilySpec(ROACH, n=n, k=k)  # DomainError unless roach(n, k) exists
     # members: the minimum is the antenna cut (c2), and k < 4 or 3|n & 2|k (d = 0)
     d = _nearest_split(3 * k - 2 * n, 6)[0]
     return (k < 4 or d == 0) and not ladder_split_wins(n, k, d)
 
 
-def _formula_report(instance: Graph | FamilySpec) -> CutReport:
-    """The closed form of a spec, or of the graph ``generate`` built from one. Up
-    to the subset capacity its witness must cut ``cut`` and achieve the split
-    value exactly on that graph, generated here from a spec."""
+def min_ncut_formula(instance: FamilySpec | Graph) -> CutReport:
+    """Closed-form minimum normalized cut of a spec, or of the graph ``generate``
+    built from one. Up to the subset capacity its witness must cut ``cut`` and
+    achieve the split value exactly on that graph, generated here from a spec.
+
+    Raises DomainError for a graph with no spec, or outside the closed form's
+    domain; min_ncut then falls back to min_ncut_brute.
+    """
     spec = instance.spec if isinstance(instance, Graph) else instance
+    if spec is None:
+        raise DomainError(f"{instance.name or 'graph'} was not built from a family spec")
     if spec.family not in _FORMULAS:
         raise DomainError(f"no closed-form minimum for family {spec.family!r}")
     branch, witness_vertices, cut, volume, d = _FORMULAS[spec.family](spec)
@@ -202,7 +207,7 @@ def _closed_form(g: Graph) -> CutReport | None:
     """The closed form of g's family instance, checked on g; None when
     ``generate`` did not build g or the instance is outside its domain."""
     try:
-        return _formula_report(g) if g.spec is not None else None
+        return min_ncut_formula(g) if g.spec is not None else None
     except DomainError:
         return None
 
@@ -211,16 +216,6 @@ def min_ncut(g: Graph) -> CutReport:
     """Minimum normalized cut of g: the closed form when g is a family instance
     from ``generate`` inside its domain, else the exhaustive one."""
     return _closed_form(g) or min_ncut_brute(g)
-
-
-def min_ncut_formula(spec: FamilySpec) -> CutReport:
-    """Closed-form minimum normalized cut for a family instance, its witness
-    checked on a newly generated graph up to the subset capacity.
-
-    Raises DomainError when the instance falls outside the domain where the
-    closed form applies; min_ncut then falls back to min_ncut_brute.
-    """
-    return _formula_report(spec)
 
 
 # Each family's rule returns its split: (branch, witness vertices, cut, volume, d).

@@ -8,6 +8,7 @@ that degree(i) equals the i-th row sum of the weighted adjacency matrix.
 
 from __future__ import annotations
 
+import enum
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,6 +43,7 @@ class Graph:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"graph needs at least one vertex, got n={self.n}")
+        _check_budget(f"graph with {self.n} vertices", self.n, 0)
         norm = []
         seen = set()
         for e in self.edges:
@@ -93,7 +95,7 @@ def _check_weight(what: str, w) -> None:
 
 
 def _check_budget(label: str, order: int, edges: int) -> None:
-    """SizeError above MAX_ORDER vertices or MAX_EDGES edges; generate() and
+    """SizeError above MAX_ORDER vertices or MAX_EDGES edges; Graph, generate() and
     from_json_dict() call it before they build anything."""
     if order > MAX_ORDER or edges > MAX_EDGES:
         raise SizeError(f"{label} is above the generation budget of "
@@ -148,6 +150,24 @@ def normalized_cut(g: Graph, a) -> Fraction:
     if a.volume == 0 or vol_b == 0:
         raise DomainError("both sides must have positive volume")
     return Fraction(a.cut_weight, a.volume) + Fraction(a.cut_weight, vol_b)
+
+
+class MatrixKind(enum.Enum):
+    """The four matrices a weighted graph is assembled into (see `matrices`). It has no
+    numpy in it, so the CLI refuses an unknown `--kind` before it loads the numeric layer."""
+
+    ADJACENCY = "adjacency"
+    DIFFERENCE = "difference"
+    NORMALIZED = "normalized"
+    SIGNLESS = "signless"
+
+    @classmethod
+    def parse(cls, text: str) -> MatrixKind:
+        try:
+            return cls(text)
+        except ValueError:
+            names = ", ".join(k.value for k in cls)
+            raise DomainError(f"unknown matrix kind {text!r}; expected one of {names}")
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +414,8 @@ def read_json(path) -> Graph:
 
 def to_dot(g: Graph) -> str:
     """GraphViz rendering with 1-based labels; loop weights shown on edges."""
-    lines = [f'graph "{g.name or "G"}" {{']
+    name = (g.name or "G").replace('"', r'\"')  # DOT's one escape in a quoted ID
+    lines = [f'graph "{name}" {{']
     for v in range(g.n):
         lines.append(f"  {v + 1};")
     for u, v, w in g.edges:

@@ -19,8 +19,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import DomainError, NumericError, SizeError
-from .graph import CYCLE, MAX_ORDER, PATH, FamilySpec, Graph
-from .kinds import MatrixKind
+from .graph import CYCLE, MAX_ORDER, PATH, FamilySpec, Graph, MatrixKind
 
 RESIDUAL_TOL = 1e-9
 ORTHO_TOL = 1e-9
@@ -29,16 +28,18 @@ MAX_DENSE_ORDER = 1 << 12  # largest n x n float64 matrix built (128 MB)
 
 @dataclass(frozen=True)
 class SymmetricMatrix:
-    """Dense real symmetric matrix, checked exactly symmetric."""
+    """Dense real symmetric matrix, checked nonempty, finite and exactly symmetric."""
 
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise DomainError("matrix must be square")
+        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.size == 0:
+            raise DomainError("matrix must be square and nonempty")
         if not np.array_equal(v, v.T):
             raise DomainError("matrix must be exactly symmetric")
+        if not np.isfinite(v).all():  # inf gives eig_sym a NaN residual, which its gates pass
+            raise DomainError("matrix entries must be finite")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -139,8 +140,8 @@ def eig_sym(m: SymmetricMatrix) -> Spectrum:
         raise NumericError(f"eigensolver failed to converge: {exc}") from exc
     n = m.order
     columns = np.linalg.norm(m.values @ vecs - vecs * vals, axis=0)
-    residual = float(np.max(columns)) if n else 0.0
-    scale = max(1.0, float(np.max(np.abs(m.values)))) * max(1, n)
+    residual = float(np.max(columns))
+    scale = max(1.0, float(np.max(np.abs(m.values)))) * n
     if residual > RESIDUAL_TOL * scale:
         raise NumericError("eigendecomposition residual above tolerance")
     ortho = float(np.max(np.abs(vecs.T @ vecs - np.eye(n))))

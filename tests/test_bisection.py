@@ -608,6 +608,9 @@ def test_region_membership():
     assert not sl.in_disagreement_region(1, 2)
     assert not sl.in_disagreement_region(2, 4)  # K1 ~ 2.78 > 2
     assert not sl.in_disagreement_region(4, 4)  # 3 does not divide 4
+    for n, k in ((2.5, 3), (True, 2), (0, 2), (1, 1)):  # no roach(n, k) exists
+        with pytest.raises(DomainError):
+            sl.in_disagreement_region(n, k)
 
 
 def test_region_is_the_antenna_cut_branches():

@@ -306,6 +306,8 @@ def test_closed_form_checks_its_witness_on_the_callers_graph(monkeypatch):
         report = sl.min_ncut(g)
         assert report == expected[spec] and report.witness.graph is g
         assert cuts.expansion_constants(g)[3] == report
+        direct = sl.min_ncut_formula(g)
+        assert direct == expected[spec] and direct.witness.graph is g
     check = sl.counterexample_check(6)  # 36 vertices: the closed form, checked on its graph
     assert check.mcut_method == "formula" and check.mcut == ladder
 
@@ -330,6 +332,8 @@ def test_a_family_name_alone_gets_brute_force():
     report = sl.min_ncut(g)
     assert (report.value, report.method) == (Fraction(5, 6), "brute_force")
     assert cuts.expansion_constants(g)[3] == report
+    with pytest.raises(DomainError):  # the name is no spec
+        sl.min_ncut_formula(g)
 
 
 @pytest.mark.parametrize("spec, objectives", [(FamilySpec("roach", n=2, k=3), 3),

@@ -217,6 +217,9 @@ def test_generation_budget():
         with pytest.raises(SizeError, match="generation budget"):
             sl.generate(spec)
     assert FamilySpec("tree", depth=17).order() <= sl.graph.MAX_ORDER
+    with pytest.raises(SizeError, match="generation budget"):  # before n degrees are allocated
+        Graph(sl.graph.MAX_ORDER + 1, ())
+    assert Graph(sl.graph.MAX_ORDER, ()).n == sl.graph.MAX_ORDER
     assert FamilySpec("complete", n=1024).edge_count() <= sl.graph.MAX_EDGES
 
 
@@ -450,6 +453,8 @@ def test_dot_export():
     dot = sl.to_dot(g)
     assert dot.startswith('graph "weighted_path(2,1)"')
     assert "1 -- 2;" in dot and '3 -- 3 [label="1"];' in dot
+    quoted = sl.to_dot(Graph(2, ((0, 1, 1),), name='say "hi"'))
+    assert quoted.startswith('graph "say \\"hi\\"" {\n')
 
 
 # ---------------------------------------------------------------------------

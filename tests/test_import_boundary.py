@@ -42,7 +42,7 @@ import json, sys
 import speclab
 from speclab import _enumeration, cli
 assert cli is sys.modules["speclab.cli"] and _enumeration is sys.modules["speclab._enumeration"]
-names = ("bisection", "charpoly", "cuts", "errors", "graph", "kinds", "matrices")
+names = ("bisection", "charpoly", "cuts", "errors", "graph", "matrices")
 modules = [getattr(speclab, m) for m in names]
 star = {}
 exec("from speclab import *", star)  # binds the submodules too, as the eager package did
