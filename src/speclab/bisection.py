@@ -19,11 +19,10 @@ import numpy as np
 
 from .charpoly import EVEN, ODD
 from .cuts import min_ncut, min_ncut_brute
-from .errors import (ConnectivityError, DomainError, MultiplicityError, NumericError,
-                     SizeError)
-from .graph import (EXHAUSTIVE_CAP, ROACH, SUBSET_CAPACITY, FamilySpec, Graph, VertexSubset,
-                    generate, is_connected, normalized_cut, vertex_subset)
-from .matrices import MAX_DENSE_ORDER, MatrixKind, assemble, build_matrix, eig_sym
+from .errors import ConnectivityError, DomainError, MultiplicityError, NumericError
+from .graph import (EXHAUSTIVE_CAP, ROACH, FamilySpec, Graph, VertexSubset, check_subset_capacity,
+                    generate, is_connected, normalized_cut, subset_from_mask, vertex_subset)
+from .matrices import MatrixKind, assemble, build_matrix, check_dense_order, eig_sym
 
 NO_AUTOMORPHISM = "no_automorphism"
 
@@ -58,7 +57,7 @@ def spectral_cut(g: Graph) -> BisectionReport:
         raise ConnectivityError("spectral cut needs a connected graph")
     if g.n < 2:
         raise DomainError("spectral cut needs at least two vertices")
-    vertex_subset(g, ())  # SizeError above SUBSET_CAPACITY, before the dense solve
+    check_subset_capacity(g.n)  # before the dense solve
     spectrum = eig_sym(build_matrix(g, MatrixKind.NORMALIZED))
     if not spectrum.lambda2_is_simple():
         raise MultiplicityError(f"second eigenvalue is not simple (gap {spectrum.gap:.3e}); "
@@ -92,10 +91,8 @@ def sector_pencil(n: int, k: int, sector: str) -> tuple[list[int], list[int]]:
     diagonal d_i -+ 1 (even -, odd +) on the rung vertices i >= n, d_i
     elsewhere; (D - W_s) x = lambda D x has the block's spectrum.
     """
-    if type(n) is not int or type(k) is not int or n < 1 or k < 2:
-        raise DomainError(f"sector blocks need n >= 1 and k >= 2, got ({n},{k})")
-    if n + k > MAX_DENSE_ORDER:
-        raise SizeError(f"dense matrices are capped at order {MAX_DENSE_ORDER}, got {n + k}")
+    FamilySpec(ROACH, n=n, k=k)  # DomainError unless roach(n, k) exists
+    check_dense_order(n + k)
     if sector not in (EVEN, ODD):
         raise DomainError(f"unknown sector {sector!r}; expected {EVEN} or {ODD}")
     s = 1 if sector == ODD else -1
@@ -220,9 +217,7 @@ def counterexample_spec(k: int) -> FamilySpec:
     if k < 3:
         raise DomainError("counterexample family needs k >= 3")
     spec = FamilySpec(ROACH, n=2 * k, k=k)
-    if spec.order() > SUBSET_CAPACITY:
-        raise SizeError(f"subset capacity is {SUBSET_CAPACITY} vertices, "
-                        f"graph has {spec.order()}")
+    check_subset_capacity(spec.order())
     return spec
 
 
@@ -252,7 +247,7 @@ def counterexample_check(k: int) -> CounterexampleReport:
     uncertified entry. NumericError when the counts certify nothing.
     """
     g = generate(counterexample_spec(k))
-    row = vertex_subset(g, range(3 * k))
+    row = subset_from_mask(g, (1 << 3 * k) - 1)  # vertices 0..3k-1
     even, odd = sector_pencil(2 * k, k, EVEN), sector_pencil(2 * k, k, ODD)
     vals = _eigenvalues(odd)
     lam, lam2_even = float(vals[0]), 2.0 - float(vals[-2])

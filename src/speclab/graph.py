@@ -41,45 +41,37 @@ class Graph:
     spec: FamilySpec | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"graph needs at least one vertex, got n={self.n}")
-        _check_budget(f"graph with {self.n} vertices", self.n, 0)
-        norm = []
-        seen = set()
+        n = self.n
+        if type(n) is not int:  # a bool is not a vertex count, as in FamilySpec
+            raise DomainError(f"graph needs an integer n, got {n!r}")
+        if n < 1:
+            raise DomainError(f"graph needs at least one vertex, got n={n}")
+        _check_budget(f"graph with {n} vertices", n, 0)
+        deg, edges, loops = [0] * n, {}, {}  # setdefault on their keys finds duplicates
         for e in self.edges:
-            if len(e) == 2:
-                u, v, w = e[0], e[1], 1
-            else:
-                u, v, w = e
+            u, v, w = (*e, 1) if len(e) == 2 else e
             if u == v:
                 raise DomainError(f"edge ({u},{v}) is a loop; use the loops field")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise DomainError(f"edge ({u},{v}) out of range for n={self.n}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise DomainError(f"edge ({u},{v}) out of range for n={n}")
             _check_weight("edge", w)
             if u > v:
                 u, v = v, u
-            if (u, v) in seen:
+            edge = u, v, w
+            if edges.setdefault((u, v), edge) is not edge:
                 raise DomainError(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
-            norm.append((u, v, w))
-        loops = []
-        seen_loops = set()
-        for v, w in self.loops:
-            if not (0 <= v < self.n):
-                raise DomainError(f"loop vertex {v} out of range for n={self.n}")
-            _check_weight("loop", w)
-            if v in seen_loops:
-                raise DomainError(f"duplicate loop on vertex {v}")
-            seen_loops.add(v)
-            loops.append((v, w))
-        deg = [0] * self.n
-        for u, v, w in norm:
             deg[u] += w
             deg[v] += w
-        for v, w in loops:
+        for v, w in self.loops:
+            if not (0 <= v < n):
+                raise DomainError(f"loop vertex {v} out of range for n={n}")
+            _check_weight("loop", w)
+            loop = v, w
+            if loops.setdefault(v, loop) is not loop:
+                raise DomainError(f"duplicate loop on vertex {v}")
             deg[v] += w
-        object.__setattr__(self, "edges", tuple(norm))
-        object.__setattr__(self, "loops", tuple(loops))
+        object.__setattr__(self, "edges", tuple(edges.values()))
+        object.__setattr__(self, "loops", tuple(loops.values()))
         object.__setattr__(self, "degrees", tuple(deg))
 
     @property
@@ -125,9 +117,14 @@ def vertex_subset(g: Graph, vertices: Iterable[int]) -> VertexSubset:
     return subset_from_mask(g, mask)
 
 
+def check_subset_capacity(order: int) -> None:
+    """SizeError when a graph of this order has more vertices than a subset holds."""
+    if order > SUBSET_CAPACITY:
+        raise SizeError(f"subset capacity is {SUBSET_CAPACITY} vertices, graph has {order}")
+
+
 def subset_from_mask(g: Graph, mask: int) -> VertexSubset:
-    if g.n > SUBSET_CAPACITY:
-        raise SizeError(f"subset capacity is {SUBSET_CAPACITY} vertices, graph has {g.n}")
+    check_subset_capacity(g.n)
     if mask < 0 or mask >= (1 << g.n):
         raise DomainError(f"mask {mask} out of range for n={g.n}")
     vol = sum(g.degrees[i] for i in range(g.n) if mask >> i & 1)
@@ -415,6 +412,7 @@ def read_json(path) -> Graph:
 def to_dot(g: Graph) -> str:
     """GraphViz rendering with 1-based labels; loop weights shown on edges."""
     name = (g.name or "G").replace('"', r'\"')  # DOT's one escape in a quoted ID
+    name += " " if name.endswith("\\") else ""  # else the closing quote reads as escaped
     lines = [f'graph "{name}" {{']
     for v in range(g.n):
         lines.append(f"  {v + 1};")

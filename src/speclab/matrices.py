@@ -48,11 +48,16 @@ class SymmetricMatrix:
         return self.values.shape[0]
 
 
+def check_dense_order(order: int) -> None:
+    """SizeError above MAX_DENSE_ORDER, before an order x order matrix is allocated."""
+    if order > MAX_DENSE_ORDER:
+        raise SizeError(f"dense matrices are capped at order {MAX_DENSE_ORDER}, got {order}")
+
+
 def build_matrix(g: Graph, kind: MatrixKind) -> SymmetricMatrix:
     """One of the four graph matrices; SizeError and DomainError before allocating."""
     n = g.n
-    if n > MAX_DENSE_ORDER:
-        raise SizeError(f"dense matrices are capped at order {MAX_DENSE_ORDER}, got {n}")
+    check_dense_order(n)
     if not isinstance(kind, MatrixKind):
         raise DomainError(f"unknown matrix kind {kind!r}")
     if kind is MatrixKind.NORMALIZED and 0 in g.degrees:
@@ -198,9 +203,7 @@ class ClosedFormSpectrum:
     def eigenvectors(self) -> np.ndarray | None:
         if self.spec.family != PATH:
             return None
-        if self.spec.n > MAX_DENSE_ORDER:
-            raise SizeError(
-                f"{self.spec.label()}: dense matrices are capped at order {MAX_DENSE_ORDER}")
+        check_dense_order(self.spec.n)
         entry, j = _PATH_FORMS[self.kind][1], np.arange(self.spec.n)
         order = np.argsort(_cosine_eigenvalues(self.spec, self.kind), kind="stable")
         vecs = entry(j[:, None], j[None, :], j.size)[:, order]

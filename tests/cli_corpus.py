@@ -65,6 +65,7 @@ SCHEMA_FILES = {
     "bad_json.json": '{"name": ',
 }
 ISOLATED_FILE = '{"name": "edge+isolated", "n": 3, "edges": [[1, 2, 1]], "loops": []}'
+VERTEX_FILE = '{"name": "vertex", "n": 1, "edges": [], "loops": []}'
 GRAPH_FILE = ('{"name": "square+tail", "n": 5, "edges": [[1, 2, 1], [2, 3, 2], [3, 4, 1], '
               '[4, 1, 1], [4, 5, 3]], "loops": [[5, 2]]}')
 
@@ -147,6 +148,10 @@ def entries() -> list[dict]:
     # exit 70
     add("charpoly", "--which", "pnk", "--n", "2000", "--k", "3", "--lam", "1")
     add("charpoly", "--which", "product", "--n", "3", "--k", "3", "--lam", "1e300")
+    # exit 2, appended after the entries above so that their records stay in place
+    for command in ("mcut", "bounds", "compare", "lcut"):
+        add(command, "--graph", "{dir}/vertex.json", files={"vertex.json": VERTEX_FILE})
+    add("mcut", "--family", "path", "--n", "4", "--method", "pruned", "--seed", "1,2,3,4")
     return out
 
 

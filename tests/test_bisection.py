@@ -298,6 +298,14 @@ def test_sector_routines_refuse_bad_parameters_and_unknown_sectors():
                 fn(*args)
 
 
+def test_sector_routines_refuse_a_block_above_the_dense_cap():
+    cap = sl.matrices.MAX_DENSE_ORDER
+    message = f"^dense matrices are capped at order {cap}, got {cap + 1}$"
+    for fn in (bisection.sector_pencil, sl.sector_block, sl.sector_eigenvalues):
+        with pytest.raises(SizeError, match=message):
+            fn(cap - 1, 2, ODD)
+
+
 def test_even_spectrum_is_two_minus_the_odd_spectrum_within_the_cap():
     # the ladder is bipartite: blockwise, odd = F (2I - even) F
     for spec in _roach_specs_within_cap():

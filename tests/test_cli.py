@@ -98,6 +98,12 @@ def test_lcut_report_shape():
     assert doc["simple"] is True and doc["parity"] == "odd"
     assert doc["lcut"] == {"num": 2, "den": 3, "float": pytest.approx(2 / 3)}
     assert sorted(doc["positive_side"]) in ([1, 2], [3, 4])
+    assert doc["zero_count"] == 0 and "alt_orientation_lcut" not in doc
+    # an odd path's middle entry is 0, so either orientation may absorb it
+    for n, num, den in ((3, 4, 3), (5, 8, 15)):
+        doc = invoke_json(["lcut", "--family", "path", "--n", str(n)])
+        assert doc["zero_count"] == 1 and doc["alt_orientation_lcut"] == doc["lcut"]
+        assert doc["lcut"] == {"num": num, "den": den, "float": pytest.approx(num / den)}
 
 
 def test_lcut_two_vertex_graph_has_null_gap():

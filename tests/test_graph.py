@@ -40,6 +40,28 @@ def test_nonpositive_weight_rejected():
     for edges, loops in ((((0, 1, True),), ()), (((0, 1, 1),), ((0, True),))):
         with pytest.raises(DomainError, match="weight True is not a positive integer"):
             Graph(2, edges, loops)
+    for n in (True, 2.5, "3"):  # nor is it a vertex count, and neither is a float or str
+        with pytest.raises(DomainError, match=f"^graph needs an integer n, got {n!r}$"):
+            Graph(n, ())
+    with pytest.raises(DomainError, match="^graph needs at least one vertex, got n=0$"):
+        Graph(0, ())
+
+
+def test_construction_refuses_the_first_bad_entry_with_its_message():
+    # edges in order, each checked for a loop, its range, its weight, then a duplicate;
+    # the loops after every edge
+    for edges, loops, message in [
+        (((0, 1), (2, 2, 1)), (), "edge (2,2) is a loop; use the loops field"),
+        (((0, 1), (-1, 2, 0), (1, 0)), ((5, 1),), "edge (-1,2) out of range for n=3"),
+        (((0, 1), (1, 0, 0)), (), "edge weight 0 is not a positive integer"),
+        (((1, 2), (2, 1, 2)), ((5, 1),), "duplicate edge (1,2)"),
+        (((0, 1),), ((3, 1),), "loop vertex 3 out of range for n=3"),
+        (((0, 1),), ((1, 0),), "loop weight 0 is not a positive integer"),
+        (((0, 1),), ((1, 1), (2, 1), (1, 2)), "duplicate loop on vertex 1"),
+    ]:
+        with pytest.raises(DomainError) as info:
+            Graph(3, edges, loops)
+        assert str(info.value) == message
 
 
 def test_two_tuple_edges_default_to_weight_one():
@@ -448,6 +470,15 @@ def test_duplicate_edge_in_document_is_schema_error():
         sl.from_json(text)
 
 
+def _quoted_id_end(line: str) -> int:
+    """Index of the quote that closes the first quoted ID in line, by DOT's rule:
+    the dyad \\" is an escaped quote and every other character stands for itself."""
+    i = line.index('"') + 1
+    while line[i] != '"':
+        i += 2 if line.startswith('\\"', i) else 1
+    return i
+
+
 def test_dot_export():
     g = sl.generate(FamilySpec("weighted_path", n=2, k=1))
     dot = sl.to_dot(g)
@@ -455,6 +486,9 @@ def test_dot_export():
     assert "1 -- 2;" in dot and '3 -- 3 [label="1"];' in dot
     quoted = sl.to_dot(Graph(2, ((0, 1, 1),), name='say "hi"'))
     assert quoted.startswith('graph "say \\"hi\\"" {\n')
+    for name in ("a\\", "a\\\\", 'say "hi"'):
+        first = sl.to_dot(Graph(1, (), name=name)).split("\n")[0]
+        assert _quoted_id_end(first) == first.rindex('"'), first
 
 
 # ---------------------------------------------------------------------------

@@ -274,10 +274,33 @@ def test_eig_deterministic():
     assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
 
+def _no_convergence(solve, values):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@pytest.mark.parametrize("fault, message", [
+    (_no_convergence, "^eigensolver failed to converge: Eigenvalues did not converge$"),
+    (lambda solve, values: (solve(values)[0] + 1e-3, solve(values)[1]),
+     "^eigendecomposition residual above tolerance$"),
+    (lambda solve, values: (solve(values)[0], 1.1 * solve(values)[1]),
+     "^eigenvectors are not orthonormal$"),
+], ids=["no_convergence", "shifted_eigenvalues", "scaled_eigenvectors"])
+def test_eig_sym_refuses_a_failed_or_inaccurate_solve(monkeypatch, fault, message):
+    m = sl.build_matrix(sl.generate(FamilySpec("roach", n=4, k=3)), MatrixKind.NORMALIZED)
+    solve = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda values: fault(solve, values))
+    with pytest.raises(sl.NumericError, match=message):
+        sl.eig_sym(m)
+
+
 def test_lambda2_simplicity_gap():
     assert spectrum_of(FamilySpec("path", n=5), MatrixKind.NORMALIZED).lambda2_is_simple()
     # 1 - cos(2 pi k / 4) hits 1 twice on the 4-cycle
     assert not spectrum_of(FamilySpec("cycle", n=4), MatrixKind.NORMALIZED).lambda2_is_simple()
+    single = sl.eig_sym(SymmetricMatrix(np.ones((1, 1))))
+    assert not single.lambda2_is_simple()
+    with pytest.raises(DomainError, match="^lambda2 needs at least two eigenvalues$"):
+        single.lambda2
 
 
 # ---------------------------------------------------------------------------
