@@ -56,6 +56,20 @@ most the running minimum v has cut <= M v, and the limit is at least
 v (1 + 1e-9) less a rounding, so the slack keeps the float cap limit * M
 above M v. An entry the cap drops is worth more than v: it could neither
 win nor tie, and the lowest index still wins a tie.
+
+Before any cut is computed, a pass with several chunks drops whole rows of a
+chunk: those whose floor is above every objective's cap (the largest cap,
+taken at the start of the chunk), and it skips a chunk no row of which is
+left. Row z's floor is the weight z cuts inside the high part, plus, for
+each low vertex v, the lighter of its weights into z's side and into the
+rest of the high part: every bipartition (y, z) cuts at least that much,
+since v is on one side or the other and the low part's own edges add to it.
+Vertex 0 is always on side A, so its term is its weight into the rest, not
+the lighter one. All of it is read off the cut pair's high factor
+(``_floors``), and the float sums are exact for the reason above. A dropped
+row cuts more than each cap, so, as for an entry the cap drops, none of its
+entries could win or tie. The rows left are evaluated as one smaller block,
+the entry (i, c) of which is index ``(rows[i] << lo) | c``.
 """
 
 from __future__ import annotations
@@ -66,7 +80,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import SizeError
+from .errors import DomainError, SizeError
 from .graph import EXHAUSTIVE_CAP, Graph
 from .matrices import MatrixKind, build_matrix
 
@@ -90,7 +104,7 @@ _SIDE = {ISOPERIMETRIC: "size", CHEEGER_EDGE: "vol", CHEEGER_VERTEX: "vol"}
 
 def _check_size(g: Graph) -> None:
     if g.n < 2:
-        raise SizeError("bipartition sweep needs at least two vertices")
+        raise DomainError("bipartition sweep needs at least two vertices")
     if g.n > EXHAUSTIVE_CAP:
         raise SizeError(f"exhaustive sweep capped at {EXHAUSTIVE_CAP} vertices, got {g.n}")
     if g.volume >= VOLUME_CAP:
@@ -134,25 +148,41 @@ def _factors(g: Graph, lo: int):
 
 
 class Chunk(NamedTuple):
-    """Bipartitions from index ``start`` on: ``chunk(key, out)`` writes their
-    values ``key`` (cut, vol, size, ncut_den, bound_a or bound_b), from the
-    pass's ``factor`` pair, into ``out`` or a new (rows, 2**lo) array."""
+    """Bipartitions in the table rows ``rows``, 2**lo columns each: a slice,
+    or an array of rows where the floor drops some. ``chunk(key, out)``
+    writes their values ``key`` (cut, vol, size, ncut_den, bound_a or
+    bound_b), from the pass's ``factor`` pair, into ``out`` or a new (rows,
+    2**lo) array."""
 
-    start: int
-    rows: slice
+    lo: int
+    rows: slice | np.ndarray
     factor: Callable
 
     def __call__(self, key: str, out: np.ndarray | None = None) -> np.ndarray:
         high, low = self.factor(key)
         return np.matmul(high[self.rows], low.T, out=out)
 
+    def _cells(self, where):
+        """(table row, column) of the chunk's flat positions ``where``."""
+        rows, cols = divmod(where, 1 << self.lo)
+        return (self.rows[rows] if isinstance(self.rows, np.ndarray)
+                else self.rows.start + rows), cols
+
     def at(self, where: np.ndarray, key: str, out: np.ndarray | None = None) -> np.ndarray:
         """The values ``key`` at the chunk's flat positions ``where`` only,
-        position p being (row, column) = divmod(p, 2**lo), into ``out``."""
+        into ``out``."""
         high, low = self.factor(key)
-        rows, cols = np.divmod(where, len(low))
-        return np.einsum("ij,ij->i", high.take(self.rows.start + rows, 0), low.take(cols, 0),
-                         out=out)
+        rows, cols = self._cells(where)
+        return np.einsum("ij,ij->i", high.take(rows, 0), low.take(cols, 0), out=out)
+
+    def index(self, where: int) -> int:
+        """The enumeration index ``(row << lo) | column`` of flat position ``where``."""
+        row, col = self._cells(int(where))
+        return int(row) << self.lo | col
+
+    @property
+    def start(self) -> int:
+        return self.index(0)
 
 
 def _layout(g: Graph) -> tuple[int, int, int]:
@@ -168,7 +198,7 @@ def bipartition_arrays(g: Graph):
     _check_size(g)
     lo, high, step = _layout(g)
     factor = _factors(g, lo)
-    return (Chunk(r0 << lo, slice(r0, r0 + step), factor) for r0 in range(0, high, step))
+    return (Chunk(lo, slice(r0, r0 + step), factor) for r0 in range(0, high, step))
 
 
 def side_sizes(g: Graph) -> np.ndarray:
@@ -218,23 +248,47 @@ def _kept(cut: np.ndarray, cap: float) -> np.ndarray | None:
     return np.flatnonzero(kept) if np.count_nonzero(kept) <= DENSE_SHARE * cut.size else None
 
 
+def _floors(high: np.ndarray, k: int) -> np.ndarray:
+    """Per table row z, a lower bound on the cut of every bipartition in it,
+    from the high factor of the cut pair (k low vertices)."""
+    # per row, column v < k is -2 times low vertex v's weight into z's side, and the
+    # last row, every high vertex, gives v's weight into the high part: d[v] is the
+    # change in the cut as v moves to side A (where vertex 0 always is) from the cut
+    # d[k] with every low vertex on side B. Transposed, each operation is one long run.
+    d = high[:, :k + 1].T.copy()
+    d[:k] -= 0.5 * high[-1, :k, None]
+    np.minimum(d[1:k], 0, out=d[1:k])
+    return d.sum(0)
+
+
 def minimize(g: Graph, *objectives: str, max_cut: int | None = None):
     """[(exact minimum, its lowest index)] per objective, from one pass; with
     ``max_cut``, NCUT skips the bipartitions cutting more than it."""
     chunks = bipartition_arrays(g)
-    lo, _high, step = _layout(g)
+    lo, high, step = _layout(g)
     block = np.empty((4, step, 1 << lo))  # cut, num, den, ratio
     reach = {NCUT: g.volume / 4, ISOPERIMETRIC: g.n // 2,  # M: objective >= cut / M
              CHEEGER_EDGE: g.volume / 2, CHEEGER_VERTEX: g.volume / 2}
     ceiling = np.inf if max_cut is None else max_cut
     limits, best = [np.inf] * len(objectives), [None] * len(objectives)
+    floors = None
     for chunk in chunks:
-        cut = chunk("cut", block[0])
+        caps = [min(limit * reach[objective], ceiling if objective == NCUT else np.inf)
+                for limit, objective in zip(limits, objectives)]
+        cap, dense = max(caps), block
+        if cap < np.inf and step < high:  # drop the rows cutting more than every cap
+            if floors is None:
+                floors = _floors(chunk.factor("cut")[0], lo + 1)
+            rows = np.flatnonzero(floors[chunk.rows] <= cap)
+            if not rows.size:
+                continue
+            if rows.size < step:  # else the slice view, not a copy of its rows
+                chunk, dense = chunk._replace(rows=chunk.rows.start + rows), block[:, :rows.size]
+        cut = chunk("cut", dense[0])
         for i, objective in enumerate(objectives):
-            where = _kept(cut, min(limits[i] * reach[objective],
-                                   ceiling if objective == NCUT else np.inf))
+            where = _kept(cut, caps[i])
             if where is None:
-                values, work = chunk, block
+                values, work = chunk, dense
             elif not where.size:
                 continue
             else:
@@ -251,7 +305,7 @@ def minimize(g: Graph, *objectives: str, max_cut: int | None = None):
             value, j = exact_min_fraction(top.flat[hit].astype(np.int64),
                                           bottom.flat[hit].astype(np.int64))
             if best[i] is None or value < best[i][0]:  # an earlier index keeps a tie
-                best[i] = value, chunk.start + int(hit[j] if where is None else where[hit[j]])
+                best[i] = value, chunk.index(hit[j] if where is None else where[hit[j]])
     if None in best:
         raise SizeError("no valid bipartition to minimize over")
     return best

@@ -463,6 +463,13 @@ def test_indicator_identity_suite():
             assert abs(check.dy_dot_one) <= 1e-10 * g.volume
 
 
+def test_indicator_identity_refuses_an_improper_subset():
+    g = sl.generate(FamilySpec("cycle", n=6))
+    for side in ([], range(6), sl.subset_from_mask(g, 0), sl.subset_from_mask(g, 2 ** 6 - 1)):
+        with pytest.raises(DomainError, match="^identity needs a nonempty proper subset$"):
+            sl.indicator_identity_check(g, side)
+
+
 def test_indicator_balanced_subset_is_sign_vector():
     g = sl.generate(FamilySpec("cycle", n=6))
     check = sl.indicator_identity_check(g, [0, 1, 2])

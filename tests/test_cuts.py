@@ -122,6 +122,14 @@ def test_pruned_rejects_unbalanced_seed():
         sl.min_ncut_pruned(g, sl.vertex_subset(g, [0]))  # vol 1 vs 13
 
 
+def test_pruned_rejects_a_seed_of_another_graph():
+    g, twin = sl.generate(FamilySpec("path", n=8)), sl.generate(FamilySpec("path", n=8))
+    seed = sl.vertex_subset(twin, range(4))
+    assert sl.min_ncut_pruned(twin, seed).value == sl.min_ncut_brute(g).value
+    with pytest.raises(DomainError, match="^seed subset was built for a different graph$"):
+        sl.min_ncut_pruned(g, seed)
+
+
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------

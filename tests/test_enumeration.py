@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import speclab as sl
-from speclab import FamilySpec, Graph, SizeError
+from speclab import DomainError, FamilySpec, Graph, SizeError
 from speclab import _enumeration as en, cuts
 from conftest import (ALL_SPECS, edge_connectivity, neighbour_sets, slow_cheeger_edge,
                       slow_cheeger_vertex, slow_edge_connectivity, slow_isoperimetric,
@@ -93,6 +93,20 @@ def test_every_functional_matches_oracles_across_chunks(g, chunk_bits):
     _assert_expansion_constants(g, iso, h, gv, brute)
 
 
+def test_every_functional_matches_oracles_on_chunks_of_four_rows(monkeypatch):
+    """As above, with chunks of four rows, of which the floor keeps some."""
+    partial = 0
+    for g in GRAPHS:
+        bits = g.n // 2 + 2
+        monkeypatch.setattr(en, "CHUNK_BITS", bits)
+        assert en._layout(g)[2] == 4
+        rows = _spy_rows(monkeypatch)
+        test_every_functional_matches_oracles_across_chunks(g, bits)
+        partial += sum(0 < len(chunk) < 4 for chunk in rows)
+        monkeypatch.undo()
+    assert partial > 0
+
+
 def test_tied_minima_in_different_chunks_keep_the_lowest_index(monkeypatch):
     monkeypatch.setattr(en, "CHUNK_BITS", 2)
     g = sl.generate(FamilySpec("cycle", n=8))
@@ -133,6 +147,78 @@ def _spy_kept(monkeypatch) -> list:
 
     monkeypatch.setattr(en, "_kept", spy)
     return calls
+
+
+def _spy_rows(monkeypatch) -> list:
+    """Record the table rows of each chunk whose cuts a pass computes."""
+    rows, call = [], en.Chunk.__call__
+
+    def spy(chunk, key, out=None):
+        if key == "cut":
+            r = chunk.rows
+            rows.append(list(r) if isinstance(r, np.ndarray) else list(range(r.start, r.stop)))
+        return call(chunk, key, out)
+
+    monkeypatch.setattr(en.Chunk, "__call__", spy)
+    return rows
+
+
+def _floor_definitions(g: Graph, k: int) -> list[int]:
+    """Per table row z (the high vertices k..n-1 on side A where z's bit is
+    set), the cut among the high vertices plus, per low vertex, the lighter of
+    its weights into z's side and into the rest of the high part; vertex 0,
+    always on side A, counts its weight into the rest."""
+    floors = []
+    for z in range(2 ** (g.n - k)):
+        side = {v for v in range(k, g.n) if z >> (v - k) & 1}
+        inner, into = 0, [[0, 0] for _ in range(k)]  # per low vertex: into side, into rest
+        for u, v, w in g.edges:
+            if u >= k:
+                inner += w * ((u in side) != (v in side))
+            elif v >= k:
+                into[u][v not in side] += w
+        floors.append(inner + into[0][1] + sum(min(pair) for pair in into[1:]))
+    return floors
+
+
+def _values(g: Graph, max_cut=None) -> list[dict]:
+    """Per index, each objective's exact value from its definition, None where
+    it does not compete: the improper full set, and for the pruned NCUT a cut
+    above max_cut."""
+    s, n = g.volume, g.n
+    values = []
+    for cut, vol, size, ncut_den, bound_a, bound_b in _definitions(g)[:-1]:
+        smaller = min(vol, s - vol)
+        values.append({en.NCUT: None if max_cut is not None and cut > max_cut
+                       else Fraction(cut * s, ncut_den),
+                       en.ISOPERIMETRIC: Fraction(cut, min(size, n - size)),
+                       en.CHEEGER_EDGE: Fraction(cut, smaller),
+                       en.CHEEGER_VERTEX: Fraction(min(bound_a, bound_b), smaller)})
+    return values + [dict.fromkeys(OBJECTIVES)]
+
+
+def _computed_rows(g: Graph, objectives, max_cut=None) -> list[list[int]]:
+    """Per chunk of a pass, the table rows whose cuts it computes, from the
+    oracles: every row while an objective has no cap or in a one-chunk pass,
+    else the rows whose floor is at most the largest cap. An objective's cap
+    is its running limit, the float of its least value so far times 1 + 1e-9,
+    times its reach; the pruned NCUT's is at most max_cut from the start."""
+    lo, high, step = en._layout(g)
+    s, n = g.volume, g.n
+    reach = {en.NCUT: s / 4, en.ISOPERIMETRIC: n // 2,
+             en.CHEEGER_EDGE: s / 2, en.CHEEGER_VERTEX: s / 2}
+    values, floors = _values(g, max_cut), _floor_definitions(g, lo + 1)
+    limits, computed = [np.inf] * len(objectives), []
+    for r0 in range(0, high, step):
+        cap = max(min(limit * reach[o], max_cut if o == en.NCUT and max_cut is not None
+                      else np.inf) for limit, o in zip(limits, objectives))
+        computed.append([r for r in range(r0, r0 + step)
+                         if cap == np.inf or step == high or floors[r] <= cap])
+        for i, o in enumerate(objectives):
+            found = [v[o] for v in values[r0 << lo:(r0 + step) << lo] if v[o] is not None]
+            if found:
+                limits[i] = min(limits[i], float(min(found)) * (1 + 1e-9) + 1e-300)
+    return computed
 
 
 def _relabelled_path(order, loops=()) -> Graph:
@@ -190,27 +276,35 @@ def test_optimum_in_the_last_chunk_passes_the_filter(monkeypatch, bits):
     g = HARD[2]  # a cut of 1 whose sides have equal volumes
     value, mask, cut = slow_min_ncut(g)
     assert mask >> 1 == 2 ** (g.n - 1) - 2 and cut == 1  # in the last chunk
+    rows = _spy_rows(monkeypatch)
     report = sl.min_ncut_brute(g)
     assert (report.value, report.witness.mask) == (value, mask)
-    assert len(calls) == 2 ** (g.n - 1 - bits)
+    expected = [computed for computed in _computed_rows(g, [en.NCUT]) if computed]
+    assert rows == expected and len(calls) == len(expected)  # one row per chunk
+    assert len(expected) < 2 ** (g.n - 1 - bits) and expected[-1] == [2 ** (g.n - 1 - bits) - 1]
     assert all(where is not None for _cap, where in calls[1:])
     assert 2 ** bits - 2 in calls[-1][1]
 
 
-@pytest.mark.parametrize("g, filtered", [(HARD[5], [True, False, False, False]),
-                                         (HARD[6], [False, True, True])],
+@pytest.mark.parametrize("g, filtered, chunks", [(HARD[5], [True, False, False, False], 16),
+                                                 (HARD[6], [False, True, True], 21)],
                          ids=["cycle(8)", "cycle_cross_path(4,2)"])
-def test_ties_across_filtered_and_dense_chunks_keep_the_lowest_index(monkeypatch, g, filtered):
+def test_ties_across_filtered_and_dense_chunks_keep_the_lowest_index(monkeypatch, g, filtered,
+                                                                      chunks):
     monkeypatch.setattr(en, "CHUNK_BITS", 2)
     monkeypatch.setattr(en, "DENSE_SHARE", 1 / 4)  # a chunk keeping one of its 4 is filtered
-    calls = _spy_kept(monkeypatch)
+    calls, rows = _spy_kept(monkeypatch), _spy_rows(monkeypatch)
     s = g.volume
     values = {mask >> 1: Fraction(cut * s, vol * (s - vol)) for mask, _, vol, cut in slow_sides(g)}
     best = min(values.values())
     tied = sorted(index for index, value in values.items() if value == best)
     assert en.minimize(g, en.NCUT) == [(best, tied[0])]
     assert min(tied) >= 4  # none in the first chunk, the only one without a cap
-    assert [calls[index >> 2][1] is not None for index in tied] == filtered
+    expected = [computed for computed in _computed_rows(g, [en.NCUT]) if computed]
+    assert rows == expected and len(calls) == len(expected)  # one row of 4 per chunk
+    assert len(expected) == chunks < 2 ** (g.n - 3)  # the floor drops the other rows
+    kept = {row: where for (row,), (_cap, where) in zip(rows, calls)}
+    assert [kept[index >> 2] is not None for index in tied] == filtered
 
 
 @pytest.mark.parametrize("bits", [1, 3])
@@ -334,6 +428,48 @@ def test_factor_pairs_match_every_bipartition_at_unpadded_widths(monkeypatch, bi
         assert [tuple(row) for row in values.astype(np.int64).tolist()] == _definitions(g), g.name
 
 
+@pytest.mark.parametrize("bits", [0, 3, 16])
+def test_row_floors_match_their_definition_and_bound_every_cut_in_the_row(monkeypatch, bits):
+    monkeypatch.setattr(en, "CHUNK_BITS", bits)
+    graphs = [_random_graph(seed, n, wmax) for seed, n in enumerate(range(4, 13))
+              for wmax in (3, 300)]
+    assert any(g.loops for g in graphs)
+    for g in graphs:
+        lo = en._layout(g)[0]
+        floors = _floor_definitions(g, lo + 1)
+        high, _low = next(en.bipartition_arrays(g)).factor("cut")
+        assert en._floors(high, lo + 1).tolist() == floors, g.name
+        least = {}  # per row, its least cut (the improper full set is no bipartition)
+        for mask, _size, _vol, cut in slow_sides(g):
+            row = mask >> 1 >> lo
+            least[row] = min(cut, least.get(row, cut))
+        assert all(floors[row] <= cut for row, cut in least.items()), g.name
+
+
+@pytest.mark.parametrize("pruned", [False, True])
+def test_path_24_computes_cuts_only_in_the_rows_the_floor_admits(monkeypatch, pruned):
+    """path(24) has 2**11 rows of 2**12 in chunks of 16 rows; its least Ncut
+    is 46/529, the middle edge, and the first chunk holds A = {0..16} at
+    46/(33 * 13). So after the first chunk (from the start, for the search
+    pruned at the middle edge's cut of 1) every cap is in [1, 2), and the
+    floors, integers, admit a row exactly when they are at most 1."""
+    g = sl.generate(FamilySpec("path", n=24))
+    assert en._layout(g) == (12, 2 ** 11, 16)
+    assert Fraction(46, 529) * 46 / 4 == 1 and float(Fraction(46, 33 * 13)) * (1 + 1e-9) * 46 / 4 < 2
+    floors = _floor_definitions(g, 13)
+    rows = _spy_rows(monkeypatch)
+    if pruned:
+        report = sl.min_ncut_pruned(g, sl.vertex_subset(g, range(12)))
+    else:
+        report = sl.min_ncut_brute(g)
+    assert report.value == Fraction(46, 529) and report.cut_weight == 1
+    # floor <= 1: the high vertices 13..23 on side A form a prefix or a suffix of them
+    admitted = [r for r in range(0 if pruned else 16, 2 ** 11) if floors[r] <= 1]
+    expected = ([] if pruned else list(range(16))) + admitted
+    assert [r for chunk in rows for r in chunk] == expected
+    assert len(expected) == (22 if pruned else 33)
+
+
 @pytest.mark.parametrize("bits", [0, 2, 16])
 def test_chunk_layout_matches_index_order(monkeypatch, bits):
     """Every factor pair's term list against its definition, on a graph with
@@ -405,11 +541,16 @@ def test_one_pass_writes_every_chunk_into_the_same_arrays(monkeypatch):
         assert (report.value, report.witness.mask, report.cut_weight) == \
             slow_min_ncut(g, max_cut=seed.cut_weight)
     assert len(passes) == 2 + len(seeds) > 4
+    computed = [sum(map(len, _computed_rows(g, objectives, max_cut))) for objectives, max_cut in
+                [([en.NCUT], None), ([*OBJECTIVES[1:], en.NCUT], None),
+                 *[([en.NCUT], seed.cut_weight) for seed in seeds]]]
+    # one row per chunk; the vertex objective's loose cap keeps every row of its pass
+    assert computed == [52, 2 ** 6, 52, 52, 52]
     dense = kept = 0
-    for block, arrays in passes:  # kept alive, so no fresh array could reuse its addresses
+    for (block, arrays), chunks in zip(passes, computed):  # kept alive: no address reused
         assert block.shape == (4, 1, 8)
         rows = [row.ctypes.data for row in block]
-        assert sum(key == "cut" for key, _a in arrays) == 2 ** 6
+        assert sum(key == "cut" for key, _a in arrays) == chunks
         for key, array in arrays:  # a whole chunk in the block, or at most 1/8 of it
             if array.shape == (1, 8):
                 assert array.ctypes.data in rows, key
@@ -419,7 +560,7 @@ def test_one_pass_writes_every_chunk_into_the_same_arrays(monkeypatch):
                 kept += 1
         assert {a.ctypes.data for key, a in arrays if key == "cut"} == {rows[0]}
         assert {a.ctypes.data for key, a in arrays if key == "ratio" and a.ndim == 2} == {rows[3]}
-    assert dense > 2 ** 6 * len(passes) and kept > 0
+    assert dense > sum(computed) and kept > 0
 
 
 def _float_tied_neighbours(rng: random.Random, count: int):
@@ -495,4 +636,12 @@ def test_volume_at_the_cap_is_refused():
     for fn in (sl.min_ncut_brute, cuts.expansion_constants, sl.cheeger_vertex,
                lambda g: sl.min_ncut_pruned(g, sl.vertex_subset(g, [0]))):
         with pytest.raises(SizeError, match="caps the total volume"):
+            fn(g)
+
+
+def test_one_vertex_graph_is_a_domain_error_to_every_sweep():
+    g = Graph(1, ())
+    for fn in (sl.min_ncut_brute, cuts.expansion_constants, sl.cheeger_vertex,
+               sl.isoperimetric_number, en.side_sizes):
+        with pytest.raises(DomainError, match="^bipartition sweep needs at least two vertices$"):
             fn(g)

@@ -308,6 +308,19 @@ def test_subset_for_other_graph_rejected():
         sl.normalized_cut(g2, a)
 
 
+def test_subsets_and_cuts_refuse_what_they_cannot_hold_with_its_message():
+    g = Graph(3, ((0, 1, 1),))  # vertex 2 is isolated: volume 0
+    for vertices, bad in (([0, 3], 3), ([-1], -1)):
+        with pytest.raises(DomainError, match=rf"^vertex {bad} out of range for n=3$"):
+            sl.vertex_subset(g, vertices)
+    for mask in (-1, 8):
+        with pytest.raises(DomainError, match=rf"^mask {mask} out of range for n=3$"):
+            sl.subset_from_mask(g, mask)
+    for side in ([2], [0, 1]):
+        with pytest.raises(DomainError, match="^both sides must have positive volume$"):
+            sl.normalized_cut(g, side)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=2 ** 14 - 2))
 def test_volume_additivity_and_identity(mask):
@@ -446,6 +459,9 @@ def test_json_is_one_based():
     lambda d: d["edges"].append([0, 1, 1]),
     lambda d: d["edges"].append([1, 9, 1]),
     lambda d: d["loops"].append([1, 1.5]),
+    lambda d: d.update(name=3),
+    lambda d: d.update(edges={}),
+    lambda d: d.update(loops={}),
 ])
 def test_schema_violations(mutate):
     doc = sl.to_json_dict(sl.generate(FamilySpec("path", n=4)))
