@@ -18,10 +18,10 @@ from fractions import Fraction
 import numpy as np
 
 from .charpoly import EVEN, ODD
-from .cuts import min_ncut, min_ncut_brute
+from .cuts import min_ncut_brute, min_ncut_formula
 from .errors import ConnectivityError, DomainError, MultiplicityError, NumericError
 from .graph import (EXHAUSTIVE_CAP, ROACH, FamilySpec, Graph, VertexSubset, check_subset_capacity,
-                    generate, is_connected, normalized_cut, subset_from_mask, vertex_subset)
+                    generate, is_connected, normalized_cut, vertex_subset)
 from .matrices import MatrixKind, assemble, build_matrix, check_dense_order, eig_sym
 
 NO_AUTOMORPHISM = "no_automorphism"
@@ -146,7 +146,7 @@ def _separate(lo: float, hi: float, pencils) -> tuple[int, ...]:
     """Each pencil's count below one dyadic p/q in (lo, hi) that no leading
     minor vanishes at: the grid point of spacing at most (hi - lo)/8 nearest
     the midpoint, else the next ones out, all inside the interval."""
-    if not 0.0 <= lo < hi < math.inf:
+    if not -math.inf < lo < hi < math.inf:
         raise NumericError("ladder verdict not certified")
     e = max(0, 4 - math.frexp(hi - lo)[1])  # hi - lo >= 2**(exponent - 1) >= 8 / q
     q, mid = 1 << e, round(math.ldexp(0.5 * (lo + hi), e))  # exact, also at subnormal widths
@@ -213,11 +213,11 @@ class CounterexampleReport:
 
 def counterexample_spec(k: int) -> FamilySpec:
     """roach(2k, k), refused before anything is built: DomainError below k = 3,
-    SizeError above the subset capacity (k >= 11)."""
+    SizeError when its sector blocks, of order 3k, pass the dense cap (k >= 1366)."""
     if k < 3:
         raise DomainError("counterexample family needs k >= 3")
     spec = FamilySpec(ROACH, n=2 * k, k=k)
-    check_subset_capacity(spec.order())
+    check_dense_order(3 * k)
     return spec
 
 
@@ -227,34 +227,33 @@ def counterexample_check(k: int) -> CounterexampleReport:
     For the family with antenna length 2k and k rungs, the second eigenvector
     must be odd, the spectral cut must be the one separating the two rows,
     and the exact minimum cut must be strictly smaller. The minimum cut is
-    exhaustive up to EXHAUSTIVE_CAP vertices (k <= 4) and min_ncut above, which
-    takes the closed form. That holds for every roach(2k, k); the exhaustive
-    search is kept on purpose, because ``mcut_method`` is printed.
+    exhaustive up to EXHAUSTIVE_CAP vertices (k <= 4), on purpose, because
+    ``mcut_method`` is printed, and the closed form above, the only reader of
+    a graph past k = 4 (its witness check, to k = 10). The row cuts k unit
+    rungs at equal volumes, so its Ncut is 4k / vol(V), vol(V) = 2 sum(deg).
 
     The spectral verdict is certified from the two sector pencils, whose
     spectra together are the ladder's. By the ladder's bipartite symmetry about
     1 (Chung, Spectral Graph Theory, 1997, Lemma 1.8), odd = F (2I - even) F
     for F the alternating-sign diagonal. So one float solve of the odd block
     gives lambda1(odd), its least value (the lambda2 reported), and
-    lambda2(even), 2 minus its second-largest. These only place dyadic
-    separators 0 < tau < lambda1(odd) < sigma < lambda2(even); exact counts
-    (sturm_count) then show that the even sector has one eigenvalue below sigma
-    (its 0) and the odd sector none below tau and one below sigma. So lambda2
-    of the ladder is the odd block's lambda1, simple and in (tau, sigma). The
-    odd block is irreducible with nonpositive off-diagonals, so by
-    Perron-Frobenius that eigenvector is positive, and the ladder's is (v, -v)
-    with v > 0: the odd spectral cut is exactly the row 0..3k-1, with no
-    uncertified entry. NumericError when the counts certify nothing.
+    lambda2(even), 2 minus its second-largest. These only place a dyadic
+    separator lambda1(odd) < sigma < lambda2(even); exact counts (sturm_count)
+    show that the odd sector has no eigenvalue at or below 0 and one below
+    sigma, and the even sector one below sigma (its 0). So lambda2 of the
+    ladder is the odd block's lambda1, simple and in (0, sigma). The odd block
+    is irreducible with nonpositive off-diagonals, so by Perron-Frobenius that
+    eigenvector is positive, and the ladder's is (v, -v) with v > 0: the odd
+    spectral cut is exactly the row 0..3k-1, with no uncertified entry.
+    NumericError when the counts certify nothing.
     """
-    g = generate(counterexample_spec(k))
-    row = subset_from_mask(g, (1 << 3 * k) - 1)  # vertices 0..3k-1
+    spec = counterexample_spec(k)
     even, odd = sector_pencil(2 * k, k, EVEN), sector_pencil(2 * k, k, ODD)
     vals = _eigenvalues(odd)
     lam, lam2_even = float(vals[0]), 2.0 - float(vals[-2])
-    if (_separate(0.0, lam, [odd]) != (0,)
-            or _separate(lam, lam2_even, [even, odd]) != (1, 1)):
+    if sturm_count(*odd, 0, 1) != 0 or _separate(lam, lam2_even, [even, odd]) != (1, 1):
         raise NumericError("ladder verdict not certified")
-    lcut = normalized_cut(g, row)
-    mcut = min_ncut_brute(g) if 6 * k <= EXHAUSTIVE_CAP else min_ncut(g)
+    lcut = Fraction(2 * k, sum(odd[0]))
+    mcut = min_ncut_brute(generate(spec)) if 6 * k <= EXHAUSTIVE_CAP else min_ncut_formula(spec)
     return CounterexampleReport(k, mcut.value, mcut.method, lcut, lam, ODD, True,
                                 mcut.value < lcut)

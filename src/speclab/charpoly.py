@@ -89,14 +89,19 @@ def tail_poly_odd(k: int, c: float) -> float:
     return _tails(k + 1, c, -1)[1]
 
 
+def check_degrees(n: int, k: int) -> None:
+    """DomainError unless n >= 3 and k >= 3, the (n, k) the sector polynomials take."""
+    if n < 3 or k < 3:
+        raise DomainError(f"characteristic polynomial needs n >= 3 and k >= 3, got ({n},{k})")
+
+
 def normalization(n: int, k: int) -> float:
     """The divisor 2**n * 3**k of the (n, k) sector polynomials, checked.
 
     Raises NumericError when it is not a finite float64, so that an (n, k)
     out of range is refused before any recurrence of n + k steps runs.
     """
-    if n < 3 or k < 3:
-        raise DomainError(f"characteristic polynomial needs n >= 3 and k >= 3, got ({n},{k})")
+    check_degrees(n, k)
     try:
         scale = 2.0 ** n * 3.0 ** k
     except OverflowError:

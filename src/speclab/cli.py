@@ -281,14 +281,14 @@ def _cmd_charpoly(args):
         raise _UsageError("give exactly one of --lam X or --roots")
     if args.lam is not None and not math.isfinite(args.lam):
         raise _UsageError(f"--lam must be finite, got {args.lam}")
-    charpoly.normalization(n, k)
     doc, (poly, sectors) = {"which": args.which, "n": n, "k": k}, _SECTORS[args.which]
-    if args.lam is not None:
+    if args.lam is not None:  # refused by the polynomial's normalization, before its recurrences
         value = poly(n, k, args.lam)
         if not math.isfinite(value):
             raise NumericError(f"polynomial evaluation overflowed at lambda={args.lam}")
         doc.update({"lambda": _fmt(args.lam), "value": _fmt(value)})
     else:
+        charpoly.check_degrees(n, k)  # the sector blocks then stop at the dense cap
         import numpy as np
         from . import bisection
         roots = np.sort(np.concatenate([bisection.sector_eigenvalues(n, k, s) for s in sectors]))
@@ -334,7 +334,7 @@ def _cmd_bounds(args):
 def _cmd_counterexample(args):
     krange = _parse_range(args.k_range)
     from . import bisection
-    for k in krange:  # refuse the whole range first; every k >= 11 is refused, so this stops soon
+    for k in krange:  # refuse the whole range first; every k >= 1366 is refused, so this stops soon
         bisection.counterexample_spec(k)
     reports = [bisection.counterexample_check(k) for k in krange]
     return {"results": [{

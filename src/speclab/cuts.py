@@ -164,7 +164,10 @@ def ladder_split_wins(n: int, k: int, d: int) -> bool:
 
     Both share the volume 2(t-2), t = 3k+2n: c4 cuts 2 at imbalance 2d and c2
     cuts 1 at imbalance 2(3k-1), so c4 < c2 cross-multiplies to
-    (t-2)^2 + d^2 < 2(3k-1)^2, decided exactly in integers.
+    (t-2)^2 + d^2 < 2(3k-1)^2, decided exactly in integers. The two never tie
+    for the d of a roach split, which has k's parity: d = 0 would make sqrt(2)
+    rational, and for d = 1, 2, 3 the sides differ mod 8 (2 against 0 for odd d,
+    0 or 4 against 2 for d = 2), so < and <= agree.
     """
     return (3 * k + 2 * n - 2) ** 2 + d * d < 2 * (3 * k - 1) ** 2
 
@@ -295,8 +298,6 @@ def _weighted_path_formula(spec: FamilySpec):
     else:  # k > R3: split inside the loop segment
         d, alpha = _nearest_split(4 * n + 3 * k, 6)
         branch = f"{_RESIDUES[d]}&R3<k"
-    if not 1 <= alpha <= n + k - 1:
-        raise AssertionError(f"prefix split {alpha} out of range for {spec.label()}")
     return branch, range(alpha), 1, t - 2, d
 
 

@@ -50,6 +50,8 @@ class Graph:
         deg, edges, loops = [0] * n, {}, {}  # setdefault on their keys finds duplicates
         for e in self.edges:
             u, v, w = (*e, 1) if len(e) == 2 else e
+            if type(u) is not int or type(v) is not int:  # not a bool or a numpy integer
+                raise DomainError(f"edge ({u!r},{v!r}) needs integer vertices")
             if u == v:
                 raise DomainError(f"edge ({u},{v}) is a loop; use the loops field")
             if not (0 <= u < n and 0 <= v < n):
@@ -63,6 +65,8 @@ class Graph:
             deg[u] += w
             deg[v] += w
         for v, w in self.loops:
+            if type(v) is not int:
+                raise DomainError(f"loop vertex {v!r} is not an integer")
             if not (0 <= v < n):
                 raise DomainError(f"loop vertex {v} out of range for n={n}")
             _check_weight("loop", w)

@@ -118,7 +118,7 @@ def entries() -> list[dict]:
     add("sweep", "--family", "roach", "--n-range", "1:1000", "--k-range", "2:1000")
     add("charpoly", "--which", "pnk", "--n", "2", "--k", "3", "--lam", "1")
     add("counterexample", "--k-range", "2:3")
-    add("counterexample", "--k-range", "3:11")
+    add("counterexample", "--k-range", "3:1366")
     # exit 64
     add("mcut")
     add("mcut", "--family", "path", "--n", "4", "--graph", "x.json")
@@ -152,6 +152,9 @@ def entries() -> list[dict]:
     for command in ("mcut", "bounds", "compare", "lcut"):
         add(command, "--graph", "{dir}/vertex.json", files={"vertex.json": VERTEX_FILE})
     add("mcut", "--family", "path", "--n", "4", "--method", "pruned", "--seed", "1,2,3,4")
+    # the bridge cut ties the path cut at 2m = n^2 - n + 4, where the bridge branch is printed
+    for n, m in (("3", "5"), ("4", "8")):
+        add("mcut", "--family", "lollipop", "--n", n, "--m", m, "--method", "formula")
     return out
 
 

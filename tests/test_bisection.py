@@ -118,15 +118,47 @@ def test_sign_certificate_is_tighter_than_1e9_within_the_cap():
             assert bound <= 1e-9, spec.label()
 
 
+def _cut_on_spectrum(monkeypatch, u, tol):
+    """spectral_cut of path(4) given the spectrum 0, 1, 3, 4 with second vector u,
+    error radius 1/4 and the residual whose Davis-Kahan bound is tol: the exact gap's
+    lower bound is min(1 - 0, 3 - 1) - 2 * 1/4 = 1/2, so tol = sqrt(2) r / (1/2)."""
+    vectors = np.zeros((4, 4))
+    vectors[:, 1] = u
+    spectrum = sl.matrices.Spectrum(np.array([0.0, 1.0, 3.0, 4.0]), vectors,
+                                    tol / 2 / math.sqrt(2), 0.25)
+    monkeypatch.setattr(bisection, "eig_sym", lambda _m: spectrum)
+    return sl.spectral_cut(sl.generate(FamilySpec("path", n=4)))
+
+
+def test_sign_certificate_subtracts_twice_the_radius_and_keeps_sqrt_2(monkeypatch):
+    # at tol 0.12 the entries +-0.1 are uncertified; the radius taken once would give
+    # tol 0.08, and the bound without sqrt 2 tol 0.085, both certifying them
+    g = sl.generate(FamilySpec("path", n=4))
+    report = _cut_on_spectrum(monkeypatch, [0.7, 0.1, -0.1, -0.7], 0.12)
+    assert (report.zero_count, report.positive_side.vertices()) == (2, (0, 1, 2))
+    assert report.alt_value == sl.normalized_cut(g, [1, 2, 3]) and report.parity == ODD
+    report = _cut_on_spectrum(monkeypatch, [0.7, 0.1, -0.1, -0.7], 0.09)
+    assert (report.zero_count, report.positive_side.vertices()) == (0, (0, 1))
+    assert report.alt_value is None
+
+
+def test_parity_needs_twice_tol_plus_its_square_below_one(monkeypatch):
+    # u . P u is within 2 tol + tol^2 of +-1: 0.96 at tol 0.4, 1.1025 at tol 0.45 < 1
+    assert _cut_on_spectrum(monkeypatch, [0.9, 0.1, -0.1, -0.9], 0.4).parity == ODD
+    with pytest.raises(NumericError, match="^parity of the second eigenvector is not certified$"):
+        _cut_on_spectrum(monkeypatch, [0.9, 0.1, -0.1, -0.9], 0.45)
+
+
 def test_oversized_graphs_are_refused_before_the_dense_solve(monkeypatch):
     def build_matrix(*_args):
         raise AssertionError("build_matrix called on an oversized graph")
 
     monkeypatch.setattr(bisection, "build_matrix", build_matrix)
+    monkeypatch.setattr(bisection, "_eigenvalues", build_matrix)
     with pytest.raises(SizeError):
         sl.spectral_cut(sl.generate(FamilySpec("path", n=65)))
-    with pytest.raises(SizeError):
-        sl.counterexample_check(11)  # roach(22, 11) has 66 vertices
+    with pytest.raises(SizeError, match="^dense matrices are capped at order 4096, got 4098$"):
+        sl.counterexample_check(1366)  # roach(2732, 1366): its sector blocks have order 4,098
 
 
 def test_spectral_cut_never_below_minimum():
@@ -520,6 +552,28 @@ def test_counterexample_domain():
         sl.counterexample_check(2)
 
 
+def test_counterexample_answers_past_the_subset_cap_from_the_pencils_alone(monkeypatch):
+    monkeypatch.setattr(bisection, "generate", None)  # no graph above k = 4,
+    monkeypatch.setattr(sl.cuts, "generate", None)  # and none past the subset cap
+    assert bisection.counterexample_spec(1365) == FamilySpec("roach", n=2730, k=1365)
+    for k in (11, 50, 100, 200):
+        report = sl.counterexample_check(k)
+        assert (report.mcut_method, report.parity, report.top_row_cut, report.strictly_less) \
+            == ("formula", "odd", True, True), k
+        assert report.mcut == sl.min_ncut_formula(FamilySpec("roach", n=2 * k, k=k)).value
+        assert report.lcut == Fraction(2 * k, 7 * k - 2)
+
+
+def test_counterexample_lcut_is_the_rows_ncut_summed_from_the_edges():
+    for k in [*range(3, 11), 11, 50]:
+        g = sl.generate(FamilySpec("roach", n=2 * k, k=k))
+        top = lambda v: v < 3 * k  # the row 0..3k-1
+        cut = sum(w for u, v, w in g.edges if top(u) != top(v))
+        vol_a = sum(d for v, d in enumerate(g.degrees) if top(v))
+        assert sl.counterexample_check(k).lcut \
+            == Fraction(cut, vol_a) + Fraction(cut, g.volume - vol_a), k
+
+
 def test_counterexample_verdict_equals_the_dense_spectral_cut():
     for k in range(3, 11):
         report = sl.counterexample_check(k)
@@ -599,6 +653,36 @@ def test_a_wrong_float_upper_end_is_refused_not_certified(monkeypatch):
     for k in range(3, 11):
         with pytest.raises(NumericError, match="not certified"):
             sl.counterexample_check(k)
+
+
+def test_float_estimates_out_of_order_are_refused_before_the_separator(monkeypatch):
+    # the separator needs finite lambda1(odd) < lambda2(even); NaN or an infinite or
+    # reversed pair is refused as uncertified, not turned into a grid point
+    eigvalsh, counted = np.linalg.eigvalsh, []
+    for index, value in ((0, np.nan), (0, -np.inf), (0, 2.0), (-2, np.nan), (-2, -np.inf)):
+        def patched(a, index=index, value=value):
+            vals = eigvalsh(a).copy()
+            vals[index] = value
+            return vals
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", patched)
+        monkeypatch.setattr(bisection, "sturm_count", lambda *args: counted.append(args) or 0)
+        with pytest.raises(NumericError, match="^ladder verdict not certified$"):
+            sl.counterexample_check(5)
+        assert [args[2:] for args in counted] == [(0, 1)]  # the count at 0 alone
+        counted.clear()
+
+
+def test_the_count_at_zero_refuses_an_odd_eigenvalue_at_or_below_zero(monkeypatch):
+    count = bisection.sturm_count
+    for k in range(3, 12):
+        assert count(*bisection.sector_pencil(2 * k, k, ODD), 0, 1) == 0
+    for at_zero in (None, 1):  # 0 is an eigenvalue of a leading block, or one lies below 0
+        monkeypatch.setattr(bisection, "sturm_count", lambda deg, diag, p, q: (
+            at_zero if p == 0 else count(deg, diag, p, q)))
+        for k in (3, 5, 11):
+            with pytest.raises(NumericError, match="^ladder verdict not certified$"):
+                sl.counterexample_check(k)
 
 
 def test_figure_regressions():

@@ -150,6 +150,19 @@ def test_tail_domain():
         sl.tail_poly_even(0, 0.5)
 
 
+def test_argument_refusals_name_the_argument():
+    for call, message in [
+        (lambda: sl.tridiag_det(-1, 2.0, 1.0), "matrix order must be nonnegative"),
+        (lambda: sl.tail_poly_even(0, 0.5), "tail factor needs k >= 1"),
+        (lambda: sl.tail_poly_odd(0, 0.5), "tail factor needs k >= 1"),
+        (lambda: sl.normalized_path_charpoly(1, 0.5), "path characteristic polynomial needs n >= 2"),
+        (lambda: sl.bracket_roots(lambda x: x - 1.0, 0), "grid needs at least one step"),
+        (lambda: sl.bracket_roots(lambda x: x - 1.0, 4, 1.0, 1.0), "empty interval"),
+    ]:
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # weighted-path polynomial
 # ---------------------------------------------------------------------------
@@ -296,6 +309,11 @@ def test_bracket_grid_matches_scalar_scan(which):
 ])
 def test_bracket_root_on_grid_point(fn, steps, expected):
     assert sl.bracket_roots(fn, steps) == slow_bracket_roots(fn, steps) == expected
+
+
+def test_bracket_stops_at_a_midpoint_where_fn_is_zero():
+    # the grid 0, 2/3, 4/3, 2 brackets 1/2 in its first cell; the second midpoint is 1/2
+    assert sl.bracket_roots(lambda x: x - 0.5, 3) == [(0.5, 0.5)]
 
 
 def test_bracket_steps_capped_before_allocating():

@@ -1,11 +1,15 @@
 """Command-line interface: documents, exit codes, determinism, round trips."""
 
 import argparse
+import dataclasses
 import io
+import itertools
 import json
 import os
+import runpy
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +151,52 @@ def test_bounds_document():
     assert checks["isoperimetric_lower"] and checks["isoperimetric_upper"]
 
 
+def _family_instances(lo: int, hi: int) -> list:
+    """Every family instance with lo..hi vertices."""
+    specs = []
+    for family in sl.FAMILIES:
+        names = [name for name, _low in sl.graph._FAMILY_TABLE[family][0]]
+        for values in itertools.product(range(1, hi + 1), repeat=len(names)):
+            try:
+                spec = sl.FamilySpec(family, **dict(zip(names, values)))
+            except sl.DomainError:
+                continue
+            if lo <= spec.order() <= hi:
+                specs.append(spec)
+    return specs
+
+
+def test_bounds_checks_hold_on_every_family_instance_of_2_to_12_vertices():
+    # among them the exact ties of complete(3..6), cycle(3), cycle(4) and path(2),
+    # which a float comparison without its slack can read as false
+    specs = _family_instances(2, 12)
+    assert len(specs) == 174
+    for spec in specs:
+        params = [(f"--{name}", str(getattr(spec, name))) for name in ("n", "k", "m", "depth")
+                  if getattr(spec, name) is not None]
+        checks = invoke_json(["bounds", "--family", spec.family, *itertools.chain(*params)])
+        for name, holds in checks["checks"].items():
+            assert holds is True or (name, holds, spec.order() < 4) == (
+                "isoperimetric_upper", None, True), (spec.label(), name)
+
+
+def test_bounds_ties_absorb_an_eigenvalue_error_below_the_slack(monkeypatch):
+    # at the exact ties (lambda2 / 2 = isoperimetric on complete(4), complete(6),
+    # cycle(4) and path(2); lambda2 = mcut on complete graphs) every check still
+    # holds when the solver returns its eigenvalues 1e-12 high
+    eig_sym = sl.matrices.eig_sym
+
+    def high(m):
+        spectrum = eig_sym(m)
+        return dataclasses.replace(spectrum, eigenvalues=spectrum.eigenvalues + 1e-12)
+
+    monkeypatch.setattr(sl.matrices, "eig_sym", high)
+    for family, n in (("complete", 3), ("complete", 4), ("complete", 5), ("complete", 6),
+                      ("cycle", 3), ("cycle", 4), ("path", 2)):
+        checks = invoke_json(["bounds", "--family", family, "--n", str(n)])["checks"]
+        assert all(holds in (True, None) for holds in checks.values()), (family, n, checks)
+
+
 def test_counterexample_command():
     doc = invoke_json(["counterexample", "--k-range", "3:3"])
     (result,) = doc["results"]
@@ -154,8 +204,9 @@ def test_counterexample_command():
 
 
 def test_counterexample_lambda2_is_the_first_qnk_root():
-    out = invoke(["counterexample", "--k-range", "3:10"])[1]
-    for row in json.loads(out)["results"]:
+    out = "".join(invoke(["counterexample", "--k-range", k_range])[1]
+                  for k_range in ("3:11", "50:50", "300:300"))
+    for row in (r for line in out.splitlines() for r in json.loads(line)["results"]):
         k = row["k"]
         roots = invoke(["charpoly", "--which", "qnk", "--n", str(2 * k), "--k", str(k),
                         "--roots"])[1]
@@ -164,14 +215,13 @@ def test_counterexample_lambda2_is_the_first_qnk_root():
 
 
 def test_counterexample_range_is_refused_before_any_k_is_computed(monkeypatch):
-    def min_ncut_brute(_g):
+    def computed(*_args):
         raise AssertionError("a k was computed")
 
-    monkeypatch.setattr(sl.bisection, "min_ncut_brute", min_ncut_brute)
-    for k_range, doc in (("3:11", {"error": "SizeError",
-                                   "message": "subset capacity is 64 vertices, graph has 66"}),
-                         ("3:" + str(10 ** 20), {"error": "SizeError",
-                          "message": "subset capacity is 64 vertices, graph has 66"}),
+    monkeypatch.setattr(sl.bisection, "min_ncut_brute", computed)
+    monkeypatch.setattr(sl.bisection, "_eigenvalues", computed)
+    too_big = {"error": "SizeError", "message": "dense matrices are capped at order 4096, got 4098"}
+    for k_range, doc in (("3:1366", too_big), ("3:" + str(10 ** 20), too_big),
                          ("2:11", {"error": "DomainError",
                                    "message": "counterexample family needs k >= 3"})):
         code, out, err = invoke(["counterexample", "--k-range", k_range])
@@ -231,6 +281,22 @@ def test_non_finite_lambda_exits_64(lam):
     assert _one_json_line(err)["error"] == "_UsageError"
 
 
+def test_help_exits_0_and_main_exits_with_the_run_code(monkeypatch, capsys):
+    assert invoke(["--help"])[0] == 0 and "usage: speclab" in capsys.readouterr().out
+    assert set(sl.__all__) <= set(dir(sl))
+    for argv, code in ((["gen", "--family", "path", "--n", "2"], 0), (["mcut"], 64)):
+        monkeypatch.setattr(sys, "argv", ["speclab", *argv])
+        with pytest.raises(SystemExit) as info:
+            cli.main()
+        assert info.value.code == code
+        with warnings.catch_warnings():  # runpy warns that speclab.cli is already imported
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(SystemExit) as info:
+                runpy.run_module("speclab.cli", run_name="__main__")
+        assert info.value.code == code
+    assert capsys.readouterr().out.count('"name": "path(2)"') == 2
+
+
 def test_parser_is_not_built_at_import():
     src = os.path.dirname(os.path.dirname(sl.__file__))
     probe = "import speclab.cli as c; raise SystemExit(c._PARSER is not None)"
@@ -254,16 +320,37 @@ def test_numeric_overflow_exits_70():
 
 
 @pytest.mark.parametrize("argv", [
-    ["--which", "pnk", "--n", "2000", "--k", "3", "--roots"],
+    ["--which", "product", "--n", "2000", "--k", "3", "--lam", "0.5"],
     ["--which", "pnk", "--n", "2000", "--k", "3", "--lam", "1"],
     ["--which", "pnk", "--n", "1000000000", "--k", "3", "--lam", "0.5"],
-    ["--which", "qnk", "--n", "3", "--k", "1000000000", "--roots"],
-    ["--which", "pnk", "--n", "600", "--k", "600", "--roots"],
+    ["--which", "qnk", "--n", "3", "--k", "1000000000", "--lam", "1"],
+    ["--which", "pnk", "--n", "600", "--k", "600", "--lam", "1"],
 ])
 def test_charpoly_out_of_range_exits_70(argv):
+    # 2**n * 3**k overflows, which bounds the recurrences of --lam alone
     code, out, err = invoke(["charpoly", *argv])
     assert code == 70 and out == ""
-    assert _one_json_line(err)["error"] == "NumericError"
+    assert _one_json_line(err) == {
+        "error": "NumericError",
+        "message": f"2**n * 3**k overflows float64 at (n, k) = ({argv[3]},{argv[5]})"}
+
+
+def test_charpoly_roots_answer_up_to_the_dense_cap_and_refuse_past_it(monkeypatch):
+    # --roots solves the sector blocks, of order n + k, past the overflow of 2**n * 3**k
+    doc = invoke_json(["charpoly", "--which", "qnk", "--n", "572", "--k", "286", "--roots"])
+    assert doc["count"] == len(doc["roots"]) == 858
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)  # refused before any block is solved
+    for which, n, k in (("pnk", 4094, 3), ("qnk", 3, 10 ** 9), ("product", 2049, 2048)):
+        code, out, err = invoke(["charpoly", "--which", which, "--n", str(n), "--k", str(k),
+                                 "--roots"])
+        assert (code, out) == (2, "") and _one_json_line(err) == {
+            "error": "SizeError", "message": f"dense matrices are capped at order 4096, got {n + k}"}
+    for n, k in ((2, 3), (3, 2), (2, 10 ** 9)):  # the same DomainError as --lam
+        docs = [invoke(["charpoly", "--which", "qnk", "--n", str(n), "--k", str(k), *last])
+                for last in (["--roots"], ["--lam", "1"])]
+        message = f"characteristic polynomial needs n >= 3 and k >= 3, got ({n},{k})"
+        error = json.dumps({"error": "DomainError", "message": message}) + "\n"
+        assert docs[0] == docs[1] == (2, "", error)
 
 
 @pytest.mark.parametrize("argv, count", [
@@ -531,11 +618,12 @@ def test_closed_form_commands_keep_the_exit_contract(argv):
 @st.composite
 def _near_cap_argv(draw) -> tuple[list[str], int, int]:
     """(argv, order, cap): a path, weighted path or roach within 2 vertices of the
-    cap of its command, or counterexample on the two ladders nearest the subset cap."""
+    cap of its command, or counterexample on a ladder past the subset cap or its
+    sector blocks past the dense cap."""
     command = draw(st.sampled_from(["mcut", "bounds", "lcut", "compare", "counterexample"]))
     if command == "counterexample":
-        k = draw(st.sampled_from([10, 11]))  # roach(2k, k) has 6k vertices: 60 and 66
-        return ["counterexample", "--k-range", f"{k}:{k}"], 6 * k, sl.graph.SUBSET_CAPACITY
+        k = draw(st.sampled_from([11, 1366]))  # sector blocks of order 3k: 33 and 4,098
+        return ["counterexample", "--k-range", f"{k}:{k}"], 3 * k, sl.matrices.MAX_DENSE_ORDER
     cap = sl.graph.EXHAUSTIVE_CAP if command in ("mcut", "bounds") else sl.graph.SUBSET_CAPACITY
     order = cap + draw(st.integers(-2, 2))
     family = draw(st.sampled_from(["path", "weighted-path"] + ["roach"] * (order % 2 == 0)))

@@ -171,6 +171,29 @@ def test_ladder_split_wins_is_c4_below_c2():
                 assert sl.cuts.ladder_split_wins(n, k, d) == (c4[d] < c2), (n, k, d)
 
 
+def test_ladder_split_never_ties_the_antenna_cut():
+    # the docstring's argument, on a grid: d has k's parity, and (t-2)^2 + d^2 is
+    # never 2(3k-1)^2, so the strict comparison decides no tie
+    for n in range(1, 301):
+        for k in range(2, 301):
+            d = cuts._nearest_split(3 * k - 2 * n, 6)[0]
+            assert d % 2 == k % 2
+            assert (3 * k + 2 * n - 2) ** 2 + d * d != 2 * (3 * k - 1) ** 2, (n, k)
+
+
+def test_closed_form_witness_check_refuses_a_wrong_rule(monkeypatch):
+    # path(5), whose vertex 1 alone cuts 1 of volume 8 at imbalance 6 (Ncut 8/7): a rule
+    # that claims it cuts 2, or that it splits at imbalance 4, is caught by the witness
+    path = cuts._FORMULAS["path"]
+    for claim, value in (((2, 8, 6), "16/7 cutting 2"), ((1, 8, 4), "2/3 cutting 1")):
+        monkeypatch.setitem(cuts._FORMULAS, "path", lambda spec: ("x", [0], *claim))
+        with pytest.raises(AssertionError, match=f"^closed-form branch x of path.5. yields {value} "
+                           "but its witness achieves 8/7 cutting 1$"):
+            sl.min_ncut_formula(FamilySpec("path", n=5))
+    monkeypatch.setitem(cuts._FORMULAS, "path", path)
+    assert sl.min_ncut_formula(FamilySpec("path", n=5)).value == Fraction(8, 15)
+
+
 def test_formula_lollipop_10_2():
     report = sl.min_ncut_formula(FamilySpec("lollipop", n=10, m=2))
     assert report.value == Fraction(94, 273)
@@ -316,8 +339,12 @@ def test_closed_form_checks_its_witness_on_the_callers_graph(monkeypatch):
         assert cuts.expansion_constants(g)[3] == report
         direct = sl.min_ncut_formula(g)
         assert direct == expected[spec] and direct.witness.graph is g
+    built = []
+    monkeypatch.setattr(cuts, "generate", lambda spec: built.append(spec) or sl.generate(spec))
+    monkeypatch.setattr(sl.bisection, "generate", None)  # brute force reads a graph only to k = 4
     check = sl.counterexample_check(6)  # 36 vertices: the closed form, checked on its graph
     assert check.mcut_method == "formula" and check.mcut == ladder
+    assert built == [FamilySpec("roach", n=12, k=6)]  # one generate per k, for the witness check
 
 
 def test_only_generate_gives_a_graph_its_family(tmp_path):

@@ -36,7 +36,10 @@ GRAPHS = [sl.generate(FamilySpec("cycle", n=8)), sl.generate(FamilySpec("path", 
           sl.generate(FamilySpec("roach", n=2, k=3)),
           sl.generate(FamilySpec("weighted_path", n=6, k=4)),
           sl.generate(FamilySpec("lollipop", n=4, m=5)), sl.generate(FamilySpec("complete", n=8)),
-          _random_graph(1, 8), _random_graph(2, 11), _random_graph(3, 12)]
+          _random_graph(1, 8), _random_graph(2, 11), _random_graph(3, 12),
+          # every vertex-expansion minimizer of r29 cuts more than h s/3, so a cap of
+          # limit * s/3 in place of limit * s/2 would drop them all after the first chunk
+          _random_graph(29, 9)]
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -48,9 +48,11 @@ def test_nonpositive_weight_rejected():
 
 
 def test_construction_refuses_the_first_bad_entry_with_its_message():
-    # edges in order, each checked for a loop, its range, its weight, then a duplicate;
-    # the loops after every edge
+    # edges in order, each checked for int vertices, a loop, its range, its weight, then a
+    # duplicate; the loops after every edge, each checked for an int vertex first
     for edges, loops, message in [
+        (((0, 1), (0, 1.5, 1), (2, 2)), (), "edge (0,1.5) needs integer vertices"),
+        (((0, 1),), ((2.0, 1), (3, 1)), "loop vertex 2.0 is not an integer"),
         (((0, 1), (2, 2, 1)), (), "edge (2,2) is a loop; use the loops field"),
         (((0, 1), (-1, 2, 0), (1, 0)), ((5, 1),), "edge (-1,2) out of range for n=3"),
         (((0, 1), (1, 0, 0)), (), "edge weight 0 is not a positive integer"),
@@ -62,6 +64,19 @@ def test_construction_refuses_the_first_bad_entry_with_its_message():
         with pytest.raises(DomainError) as info:
             Graph(3, edges, loops)
         assert str(info.value) == message
+
+
+def test_vertices_that_are_not_ints_are_refused():
+    # a numpy integer would build a graph that to_json cannot write, and a bool is no vertex
+    for vertex in (np.int64(0), True, 1.0, 1.5, "0", None):
+        with pytest.raises(DomainError, match=r"^edge \(.*\) needs integer vertices$"):
+            Graph(3, ((vertex, 2, 1),))
+        with pytest.raises(DomainError, match=r"^edge \(.*\) needs integer vertices$"):
+            Graph(3, ((2, vertex),))
+        with pytest.raises(DomainError, match=r"^loop vertex .* is not an integer$"):
+            Graph(3, ((0, 1),), ((vertex, 1),))
+    g = Graph(2, ((0, 1, 1),), ((1, 2),))
+    assert sl.from_json(sl.to_json(g)) == g
 
 
 def test_two_tuple_edges_default_to_weight_one():

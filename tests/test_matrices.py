@@ -303,6 +303,15 @@ def test_lambda2_simplicity_gap():
         single.lambda2
 
 
+def test_lambda2_is_simple_when_the_gap_exceeds_twice_the_radius():
+    # each exact eigenvalue lies within the radius of its estimate, so lambda2's and
+    # lambda3's intervals are disjoint only past a gap of two radii
+    radius = 2.0 ** -10  # the gaps below are exact in binary
+    for gap, simple in ((1.5 * radius, False), (2 * radius, False), (2.5 * radius, True)):
+        values = np.array([0.0, 0.5, 0.5 + gap, 1.5])
+        assert sl.matrices.Spectrum(values, np.eye(4), 0.0, radius).lambda2_is_simple() == simple
+
+
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------
@@ -430,6 +439,11 @@ def test_circulant_cycle_row():
     vals, _ = sl.circulant_eigenpairs([0, 1, 0, 1])
     assert np.real(vals) == pytest.approx([2.0, 0.0, -2.0, 0.0], abs=1e-12)
     assert np.max(np.abs(np.imag(vals))) <= 1e-12
+
+
+def test_circulant_needs_an_entry():
+    with pytest.raises(DomainError, match="^circulant needs at least one entry$"):
+        sl.circulant_eigenpairs([])
 
 
 def test_circulant_scalar_row():
