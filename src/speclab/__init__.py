@@ -13,8 +13,8 @@ import importlib
 # submodule -> the public names it defines
 _EXPORTS = {
     "bisection": ("BisectionReport", "CounterexampleReport", "IndicatorIdentity",
-                  "counterexample_check", "indicator_identity_check", "sector_block",
-                  "sector_eigenvalues", "spectral_cut"),
+                  "counterexample_check", "indicator_identity_check", "sector_eigenvalues",
+                  "spectral_cut"),
     "charpoly": ("bracket_roots", "chebyshev_pair", "chebyshev_t", "chebyshev_u",
                  "normalized_path_charpoly", "roach_charpoly", "roach_odd_charpoly",
                  "tail_poly_even", "tail_poly_odd", "tridiag_det", "weighted_path_charpoly",

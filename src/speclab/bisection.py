@@ -19,10 +19,11 @@ import numpy as np
 
 from .charpoly import EVEN, ODD
 from .cuts import min_ncut_brute, min_ncut_formula
-from .errors import ConnectivityError, DomainError, MultiplicityError, NumericError
+from .errors import ConnectivityError, DomainError, MultiplicityError, NumericError, SizeError
 from .graph import (EXHAUSTIVE_CAP, ROACH, FamilySpec, Graph, VertexSubset, check_subset_capacity,
                     generate, is_connected, normalized_cut, vertex_subset)
-from .matrices import MatrixKind, assemble, build_matrix, check_dense_order, eig_sym
+from .matrices import (MAX_DENSE_ORDER, MatrixKind, assemble, build_matrix, check_dense_order,
+                       eig_sym)
 
 NO_AUTOMORPHISM = "no_automorphism"
 
@@ -100,14 +101,10 @@ def sector_pencil(n: int, k: int, sector: str) -> tuple[list[int], list[int]]:
     return deg, [1] + [2] * (n - 1) + [3 + s] * (k - 1) + [2 + s]
 
 
-def sector_block(n: int, k: int, sector: str) -> np.ndarray:
+def _block(deg: list[int], diag: list[int]) -> np.ndarray:
     """D^{-1/2} (D - W_s) D^{-1/2}: the NORMALIZED ``assemble`` of the unit path with
     loop weights d_i - diag_i (-+1 on a rung), the same call as build_matrix's, so the
     even block is bitwise the weighted path's. Nothing but the block is (n + k)^2."""
-    return _block(*sector_pencil(n, k, sector))
-
-
-def _block(deg: list[int], diag: list[int]) -> np.ndarray:
     d, r, i = np.array(deg, dtype=float), np.array(diag, dtype=float), np.arange(len(deg))
     return assemble(MatrixKind.NORMALIZED, i.size, (i[:-1], i[1:], 1), (i, d - r), d, r)
 
@@ -124,37 +121,32 @@ def _eigenvalues(pencil) -> np.ndarray:
         raise NumericError(f"eigensolver failed to converge: {exc}") from exc
 
 
-def sturm_count(deg: list[int], diag: list[int], p: int, q: int) -> int | None:
-    """Eigenvalues below p/q (q > 0) of the pencil (tridiag(-1, diag, -1), diag(deg)).
+def sturm_count(deg: list[int], diag: list[int], p: int, q: int) -> int:
+    """Eigenvalues at or below p/q (q > 0) of the pencil (tridiag(-1, diag, -1), diag(deg)).
 
     The leading minors of q (D - W_s) - p D follow M_i = t_i M_{i-1} - q^2 M_{i-2}
     with t_i = q diag_i - p deg_i, exactly in Python ints; by Sylvester's law
-    of inertia the sign changes of M_0 = 1, M_1, ... count the negative
-    pivots, hence the eigenvalues below p/q. None when a minor is zero: then
-    p/q is an eigenvalue of a leading block and the count needs another point.
+    of inertia the sign changes of M_0 = 1, M_1, ... count the eigenvalues
+    below p/q. A zero M_i is skipped, its neighbours having opposite signs
+    (M_{i+1} = -q^2 M_{i-1}), except the last, which makes p/q a simple
+    eigenvalue (strict interlacing) and adds one.
     """
     count, prev, cur, qq = 0, 0, 1, q * q
     for t, d in zip(diag, deg):
         prev, cur = cur, (q * t - p * d) * cur - qq * prev
-        if cur == 0:
-            return None
-        count += (cur < 0) != (prev < 0)
-    return count
+        if cur:
+            count += prev == 0 or (cur < 0) != (prev < 0)
+    return count + (cur == 0)
 
 
 def _separate(lo: float, hi: float, pencils) -> tuple[int, ...]:
-    """Each pencil's count below one dyadic p/q in (lo, hi) that no leading
-    minor vanishes at: the grid point of spacing at most (hi - lo)/8 nearest
-    the midpoint, else the next ones out, all inside the interval."""
+    """Each pencil's count at or below the dyadic p/q nearest the float midpoint
+    of lo and hi, on a grid of spacing at most (hi - lo)/8."""
     if not -math.inf < lo < hi < math.inf:
         raise NumericError("ladder verdict not certified")
     e = max(0, 4 - math.frexp(hi - lo)[1])  # hi - lo >= 2**(exponent - 1) >= 8 / q
-    q, mid = 1 << e, round(math.ldexp(0.5 * (lo + hi), e))  # exact, also at subnormal widths
-    for p in (mid, mid + 1, mid - 1, mid + 2, mid - 2, mid + 3, mid - 3):
-        counts = tuple(sturm_count(deg, diag, p, q) for deg, diag in pencils)
-        if None not in counts:
-            return counts
-    raise NumericError("ladder verdict not certified")
+    q, p = 1 << e, round(math.ldexp(0.5 * (lo + hi), e))  # exact, also at subnormal widths
+    return tuple(sturm_count(deg, diag, p, q) for deg, diag in pencils)
 
 
 @dataclass(frozen=True)
@@ -221,6 +213,17 @@ def counterexample_spec(k: int) -> FamilySpec:
     return spec
 
 
+def check_counterexample_range(ks: range) -> None:
+    """counterexample_spec of each k, then SizeError when the range's dense work, the
+    sum of (3k)^3 over its sector solves, passes one solve's at the cap."""
+    for k in ks:  # every k >= 1366 is refused, so this stops soon
+        counterexample_spec(k)
+    work = sum((3 * k) ** 3 for k in ks)
+    if work > MAX_DENSE_ORDER ** 3:
+        raise SizeError(f"counterexample ranges are capped at a sum of (3k)^3 up to "
+                        f"{MAX_DENSE_ORDER}^3, got {work}")
+
+
 def counterexample_check(k: int) -> CounterexampleReport:
     """Verify the balanced ladder family splits spectrally along the rungs.
 
@@ -239,9 +242,9 @@ def counterexample_check(k: int) -> CounterexampleReport:
     gives lambda1(odd), its least value (the lambda2 reported), and
     lambda2(even), 2 minus its second-largest. These only place a dyadic
     separator lambda1(odd) < sigma < lambda2(even); exact counts (sturm_count)
-    show that the odd sector has no eigenvalue at or below 0 and one below
-    sigma, and the even sector one below sigma (its 0). So lambda2 of the
-    ladder is the odd block's lambda1, simple and in (0, sigma). The odd block
+    show that the odd sector has no eigenvalue at or below 0 and one at or
+    below sigma, and the even sector one at or below sigma (its 0). So lambda2
+    of the ladder is the odd block's lambda1, simple and in (0, sigma]. The odd block
     is irreducible with nonpositive off-diagonals, so by Perron-Frobenius that
     eigenvector is positive, and the ladder's is (v, -v) with v > 0: the odd
     spectral cut is exactly the row 0..3k-1, with no uncertified entry.

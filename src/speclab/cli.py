@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -37,6 +38,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern has no exponent, so it reads -1e-3 as an option
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -308,25 +314,27 @@ def _cmd_bounds(args):
     g = _load_input(args)
     from . import matrices
     iso, h, gv, mcut = cuts.expansion_constants(g)
-    lam2_norm = matrices.eig_sym(matrices.build_matrix(g, MatrixKind.NORMALIZED)).lambda2
-    lam2_diff = matrices.eig_sym(matrices.build_matrix(g, MatrixKind.DIFFERENCE)).lambda2
+    norm, diff = (matrices.eig_sym(matrices.build_matrix(g, kind))
+                  for kind in (MatrixKind.NORMALIZED, MatrixKind.DIFFERENCE))
+    (lo_norm, hi_norm), (lo_diff, hi_diff) = norm.lambda2_interval(), diff.lambda2_interval()
     max_deg = max(g.degrees)
-    iso_upper_sq = (2 * max_deg - lam2_diff) * lam2_diff
+    x = min(max(max_deg, lo_diff), hi_diff)  # maximizes (2 max_deg - x) x on [lo_diff, hi_diff]
+    # Each check is a published inequality, so it holds at the exact lambda2 in [lo, hi]: false
+    # means the whole interval refutes it, a certified contradiction, so a fault in the program.
     return {
         "mcut": _rat(mcut.value),
-        "lambda2_normalized": _fmt(lam2_norm),
-        "lambda2_difference": _fmt(lam2_diff),
+        "lambda2_normalized": _fmt(norm.lambda2),
+        "lambda2_difference": _fmt(diff.lambda2),
         "isoperimetric": _rat(iso),
         "cheeger_edge": _rat(h),
         "cheeger_vertex": _rat(gv),
         "max_degree": max_deg,
         "checks": {
-            "mcut_ge_lambda2": lam2_norm <= float(mcut.value) + 1e-9,
-            "isoperimetric_lower": lam2_diff / 2 <= float(iso) + 1e-9,
-            "isoperimetric_upper": (float(iso) ** 2 <= iso_upper_sq + 1e-9)
-                                   if g.n >= 4 else None,
-            "cheeger_lower": float(h) ** 2 / 2 < lam2_norm + 1e-9,
-            "cheeger_upper": lam2_norm <= 2 * float(h) + 1e-9,
+            "mcut_ge_lambda2": lo_norm <= mcut.value,
+            "isoperimetric_lower": lo_diff / 2 <= iso,
+            "isoperimetric_upper": iso * iso <= (2 * max_deg - x) * x if g.n >= 4 else None,
+            "cheeger_lower": h * h / 2 < hi_norm,
+            "cheeger_upper": lo_norm <= 2 * h,
         },
     }
 
@@ -334,8 +342,7 @@ def _cmd_bounds(args):
 def _cmd_counterexample(args):
     krange = _parse_range(args.k_range)
     from . import bisection
-    for k in krange:  # refuse the whole range first; every k >= 1366 is refused, so this stops soon
-        bisection.counterexample_spec(k)
+    bisection.check_counterexample_range(krange)  # refuse the whole range first
     reports = [bisection.counterexample_check(k) for k in krange]
     return {"results": [{
         "k": r.k, "mcut": _rat(r.mcut), "mcut_method": r.mcut_method,

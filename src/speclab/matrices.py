@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import chain
 
 import numpy as np
@@ -119,6 +120,11 @@ class Spectrum:
     def gap(self) -> float:
         """lambda3 - lambda2; infinite below three eigenvalues."""
         return float(self.eigenvalues[2] - self.eigenvalues[1]) if self.order > 2 else math.inf
+
+    def lambda2_interval(self) -> tuple[Fraction, Fraction]:
+        """Exact ends of [lambda2 - radius, lambda2 + radius], which holds the exact lambda2."""
+        lam, rho = Fraction(self.lambda2), Fraction(self.radius)
+        return lam - rho, lam + rho
 
     def lambda2_is_simple(self) -> bool:
         """Certified: the exact lambda2 and lambda3 lie in disjoint intervals."""

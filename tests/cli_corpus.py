@@ -155,6 +155,11 @@ def entries() -> list[dict]:
     # the bridge cut ties the path cut at 2m = n^2 - n + 4, where the bridge branch is printed
     for n, m in (("3", "5"), ("4", "8")):
         add("mcut", "--family", "lollipop", "--n", n, "--m", m, "--method", "formula")
+    # a counterexample range whose sum of (3k)^3 passes 4096^3, refused before any k is computed
+    add("counterexample", "--k-range", "3:318")
+    add("counterexample", "--k-range", "1364:1365")
+    # a negative --lam in exponent form is a number, not an option
+    add("charpoly", "--which", "pnk", "--n", "3", "--k", "3", "--lam", "-1e-3")
     return out
 
 

@@ -16,12 +16,19 @@ import pytest
 
 from speclab import DomainError, FamilySpec, Graph, chebyshev_t, chebyshev_u
 from speclab import _enumeration as en
+from speclab import bisection
 
 # one small instance of every family
 ALL_SPECS = [FamilySpec("path", n=5), FamilySpec("cycle", n=6), FamilySpec("complete", n=4),
              FamilySpec("tree", depth=3), FamilySpec("double_tree", depth=3),
              FamilySpec("cycle_cross_path", m=3, n=2), FamilySpec("roach", n=2, k=3),
              FamilySpec("weighted_path", n=3, k=2), FamilySpec("lollipop", n=4, m=2)]
+
+
+def sector_block(n: int, k: int, sector: str) -> np.ndarray:
+    """The dense block D^{-1/2} (D - W_s) D^{-1/2} of one sector of roach(n, k), as
+    the ladder verdict solves it."""
+    return bisection._block(*bisection.sector_pencil(n, k, sector))
 
 
 def lu_det(m: np.ndarray) -> float:

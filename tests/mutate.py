@@ -47,9 +47,15 @@ class Mutant(NamedTuple):
 
 BISECTION = ("tests/test_bisection.py",)
 ENUMERATION = ("tests/test_enumeration.py",)
+MATRICES = ("tests/test_matrices.py",)
 BOUNDS = ("tests/test_cli.py::test_bounds_checks_hold_on_every_family_instance_of_2_to_12_vertices",
-          "tests/test_cli.py::test_bounds_ties_absorb_an_eigenvalue_error_below_the_slack",
+          "tests/test_cli.py::test_bounds_checks_hold_on_random_weighted_graphs_with_loops",
+          "tests/test_cli.py::test_bounds_ties_hold_within_the_radius_and_fail_past_it",
+          "tests/test_cli.py::test_isoperimetric_upper_reads_the_best_point_of_the_interval",
+          "tests/test_cli.py::test_cheeger_lower_is_strict_at_the_end_of_the_interval",
           "tests/test_cli.py::test_bounds_document")
+INTERVAL = ("tests/test_matrices.py::test_lambda2_interval_is_exact_and_one_radius_each_way",
+            *BOUNDS)
 
 CATALOGUE = [
     # the spectral sign certificate and the ladder verdict's certificate
@@ -68,12 +74,25 @@ CATALOGUE = [
     Mutant("upper-end-largest-value", "bisection.py",
            "2.0 - float(vals[-2])", "2.0 - float(vals[-1])", BISECTION),
     Mutant("sturm-counts-negative-minors", "bisection.py",
-           "count += (cur < 0) != (prev < 0)", "count += cur < 0", BISECTION),
-    Mutant("sturm-ignores-a-zero-minor", "bisection.py",
-           "        if cur == 0:\n            return None\n", "", BISECTION),
+           "(cur < 0) != (prev < 0)", "cur < 0", BISECTION),
+    Mutant("sturm-counts-a-zero-minor", "bisection.py", "if cur:", "if True:", BISECTION),
+    Mutant("sturm-no-change-across-a-zero", "bisection.py",
+           "count += prev == 0 or (cur", "count += (cur", BISECTION),
+    Mutant("sturm-final-zero-uncounted", "bisection.py",
+           "return count + (cur == 0)", "return count", BISECTION),
     Mutant("simple-gap-radius-once", "matrices.py",
            "self.gap > 2 * self.radius", "self.gap > self.radius",
            ("tests/test_matrices.py", "tests/test_bisection.py")),
+    # the eigensolver's gates and its error radius
+    Mutant("residual-tol-times-10", "matrices.py",
+           "RESIDUAL_TOL = 1e-9", "RESIDUAL_TOL = 1e-8", MATRICES),
+    Mutant("ortho-tol-times-10", "matrices.py", "ORTHO_TOL = 1e-9", "ORTHO_TOL = 1e-8", MATRICES),
+    Mutant("radius-rounding-once", "matrices.py",
+           "rounding = 2 * (n + 7)", "rounding = (n + 7)", MATRICES),
+    Mutant("radius-sigma-one", "matrices.py",
+           "sigma = math.sqrt(1 - n * (ortho + (n + 2) * eps))", "sigma = 1.0", MATRICES),
+    Mutant("interval-low-without-radius", "matrices.py", "lam - rho,", "lam,", INTERVAL),
+    Mutant("interval-high-without-radius", "matrices.py", "lam + rho", "lam", INTERVAL),
     # closed forms
     Mutant("split-value-sum-of-squares", "cuts.py",
            "volume * volume - d * d)", "volume * volume + d * d)", ("tests/test_cuts.py",)),
@@ -102,13 +121,19 @@ CATALOGUE = [
                       "drops a smaller value v' only when v' lies within a float64 rounding of "
                       "v and its cut within one of the cap; no graph within the caps is known "
                       "to do that"),
-    # the bounds checks
-    Mutant("bounds-mcut-ge-lambda2-exact", "cli.py",
-           "lam2_norm <= float(mcut.value) + 1e-9", "lam2_norm <= float(mcut.value)", BOUNDS),
-    Mutant("bounds-cheeger-upper-exact", "cli.py",
-           "lam2_norm <= 2 * float(h) + 1e-9", "lam2_norm <= 2 * float(h)", BOUNDS),
-    Mutant("bounds-isoperimetric-lower-exact", "cli.py",
-           "lam2_diff / 2 <= float(iso) + 1e-9", "lam2_diff / 2 <= float(iso)", BOUNDS),
+    # the bounds checks, decided on lambda2's certified interval [lo, hi]
+    Mutant("bounds-mcut-ge-lambda2-upper-end", "cli.py",
+           "lo_norm <= mcut.value", "hi_norm <= mcut.value", BOUNDS),
+    Mutant("bounds-cheeger-upper-upper-end", "cli.py",
+           "lo_norm <= 2 * h", "hi_norm <= 2 * h", BOUNDS),
+    Mutant("bounds-isoperimetric-lower-upper-end", "cli.py",
+           "lo_diff / 2 <= iso", "hi_diff / 2 <= iso", BOUNDS),
+    Mutant("bounds-cheeger-lower-non-strict", "cli.py",
+           "h * h / 2 < hi_norm", "h * h / 2 <= hi_norm", BOUNDS),
+    Mutant("bounds-isoperimetric-upper-unclamped-below", "cli.py",
+           "min(max(max_deg, lo_diff), hi_diff)", "min(max_deg, hi_diff)", BOUNDS),
+    Mutant("bounds-isoperimetric-upper-unclamped-above", "cli.py",
+           "min(max(max_deg, lo_diff), hi_diff)", "max(max_deg, lo_diff)", BOUNDS),
 ]
 
 

@@ -4,10 +4,10 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines. Every tolerance is pinned here, straight from the contract:
 exact rational equality for cut values, 1e-9 for closed-form spectra,
 1e-5 for the published eigenvalue lists, 1e-8 for characteristic
-polynomials, 1e-9 slack for the bound suite and indicator identities.
+polynomials, 1e-9 for indicator identities, and for the bound suite the
+certified interval of lambda2, decided exactly.
 """
 
-import math
 import random
 import time
 from fractions import Fraction
@@ -17,6 +17,8 @@ import numpy as np
 import speclab as sl
 from speclab import FamilySpec, MatrixKind
 from speclab.bisection import EVEN, ODD
+
+from conftest import sector_block
 
 
 def suite_specs():
@@ -100,7 +102,7 @@ def test_criterion_4_published_ladder_spectra():
                                       MatrixKind.NORMALIZED)).eigenvalues
     expected = [0.0, 0.204666, 0.371333, 1.0, 1.0, 1.62867, 1.79533, 2.0]
     assert float(np.max(np.abs(full - expected))) < 1e-5
-    even, odd = (sl.SymmetricMatrix(sl.sector_block(2, 2, s)) for s in (EVEN, ODD))
+    even, odd = (sl.SymmetricMatrix(sector_block(2, 2, s)) for s in (EVEN, ODD))
     assert float(np.max(np.abs(sl.eig_sym(even).eigenvalues
                                - [0.0, 0.371333, 1.0, 1.79533]))) < 1e-5
     assert float(np.max(np.abs(sl.eig_sym(odd).eigenvalues
@@ -172,20 +174,20 @@ def test_criterion_8_bound_suite():
     naive_upper_violations = set()
     for spec in small:
         g = sl.generate(spec)
-        mcut = float(sl.min_ncut_brute(g).value)
-        lam2_n = norm_lambda2(g)
-        assert lam2_n <= mcut + 1e-9, f"{spec.label()}: lambda2 > mcut"
-        lam2_d = sl.eig_sym(sl.build_matrix(g, MatrixKind.DIFFERENCE)).lambda2
-        iso = float(sl.isoperimetric_number(g))
-        assert lam2_d / 2 <= iso + 1e-9, f"{spec.label()}: isoperimetric lower bound"
-        upper = math.sqrt(max(0.0, (2 * max(g.degrees) - lam2_d) * lam2_d))
-        if iso > upper + 1e-9:
+        # each exact lambda2 lies in its spectrum's certified interval [lo, hi]
+        lo_n, hi_n = sl.eig_sym(sl.build_matrix(g, MatrixKind.NORMALIZED)).lambda2_interval()
+        lo_d, hi_d = sl.eig_sym(sl.build_matrix(g, MatrixKind.DIFFERENCE)).lambda2_interval()
+        assert lo_n <= sl.min_ncut_brute(g).value, f"{spec.label()}: lambda2 > mcut"
+        iso = sl.isoperimetric_number(g)
+        assert lo_d / 2 <= iso, f"{spec.label()}: isoperimetric lower bound"
+        delta = max(g.degrees)
+        x = min(max(delta, lo_d), hi_d)  # the largest (2 delta - x) x on [lo_d, hi_d]
+        if iso * iso > (2 * delta - x) * x:
             naive_upper_violations.add(spec.label())
-        if g.n >= 4:
-            assert iso <= upper + 1e-9, f"{spec.label()}: isoperimetric upper bound"
-        h = float(sl.cheeger_edge(g))
-        assert h * h / 2 < lam2_n + 1e-9, f"{spec.label()}: Cheeger lower bound"
-        assert lam2_n <= 2 * h + 1e-9, f"{spec.label()}: Cheeger upper bound"
+            assert g.n < 4, f"{spec.label()}: isoperimetric upper bound"
+        h = sl.cheeger_edge(g)
+        assert h * h / 2 < hi_n, f"{spec.label()}: Cheeger lower bound"
+        assert lo_n <= 2 * h, f"{spec.label()}: Cheeger upper bound"
     assert naive_upper_violations == {"path(2)", "cycle(3)", "complete(2)",
                                       "complete(3)"}
     print(f"PASS criterion 8: lambda2 <= mcut, isoperimetric and Cheeger bounds "

@@ -16,7 +16,7 @@ from speclab import (DomainError, FamilySpec, MatrixKind, MultiplicityError, Num
                      SizeError, SymmetricMatrix, bisection, cli)
 from speclab.bisection import EVEN, ODD
 
-from conftest import slow_parity
+from conftest import sector_block, slow_parity
 
 
 def norm_spectrum(spec):
@@ -266,7 +266,7 @@ def test_uncertified_lambda2_minus_lambda1_exits_70(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_blocks_2_2_match_published_matrices():
-    even, odd = (sl.sector_block(2, 2, s) for s in (EVEN, ODD))
+    even, odd = (sector_block(2, 2, s) for s in (EVEN, ODD))
     s2, s6 = 1 / math.sqrt(2), 1 / math.sqrt(6)
     p_expected = np.array([
         [1, -s2, 0, 0],
@@ -283,7 +283,7 @@ def test_blocks_2_2_match_published_matrices():
 
 
 def test_block_eigenvalues_2_2():
-    even, odd = (SymmetricMatrix(sl.sector_block(2, 2, s)) for s in (EVEN, ODD))
+    even, odd = (SymmetricMatrix(sector_block(2, 2, s)) for s in (EVEN, ODD))
     assert np.max(np.abs(sl.eig_sym(even).eigenvalues
                          - [0.0, 0.371333, 1.0, 1.79533])) < 1e-5
     assert np.max(np.abs(sl.eig_sym(odd).eigenvalues
@@ -293,7 +293,7 @@ def test_block_eigenvalues_2_2():
 @pytest.mark.parametrize("nk", [(2, 2), (3, 3), (5, 4)])
 def test_block_spectra_union_is_ladder_spectrum(nk):
     n, k = nk
-    even, odd = (SymmetricMatrix(sl.sector_block(n, k, s)) for s in (EVEN, ODD))
+    even, odd = (SymmetricMatrix(sector_block(n, k, s)) for s in (EVEN, ODD))
     union = np.sort(np.concatenate([sl.eig_sym(even).eigenvalues,
                                     sl.eig_sym(odd).eigenvalues]))
     full = norm_spectrum(FamilySpec("roach", n=n, k=k)).eigenvalues
@@ -303,13 +303,13 @@ def test_block_spectra_union_is_ladder_spectrum(nk):
 def test_block_reflection_relation():
     # odd block = F^{-1} (2I - even block) F with F the alternating-sign diagonal
     for (n, k) in ((2, 2), (4, 3)):
-        even, odd = (sl.sector_block(n, k, s) for s in (EVEN, ODD))
+        even, odd = (sector_block(n, k, s) for s in (EVEN, ODD))
         f = np.diag([(-1.0) ** i for i in range(n + k)])
         assert np.max(np.abs(odd - f @ (2 * np.eye(n + k) - even) @ f)) <= 1e-12
 
 
 def test_even_block_is_weighted_path_laplacian():
-    even = sl.sector_block(4, 3, EVEN)
+    even = sector_block(4, 3, EVEN)
     wp = sl.build_matrix(sl.generate(FamilySpec("weighted_path", n=4, k=3)),
                          MatrixKind.NORMALIZED)
     assert np.array_equal(even, wp.values)
@@ -318,13 +318,13 @@ def test_even_block_is_weighted_path_laplacian():
 def test_blocks_domain():
     for sector in (EVEN, ODD):
         with pytest.raises(DomainError):
-            sl.sector_block(0, 2, sector)
+            sector_block(0, 2, sector)
         with pytest.raises(DomainError):
-            sl.sector_block(1, 1, sector)
+            sector_block(1, 1, sector)
 
 
 def test_sector_routines_refuse_bad_parameters_and_unknown_sectors():
-    for fn in (bisection.sector_pencil, sl.sector_block, sl.sector_eigenvalues):
+    for fn in (bisection.sector_pencil, sl.sector_eigenvalues):
         for args in ((0, 2, EVEN), (1, 1, ODD), (3, 3, "mixed"), (3, 3, 1)):
             with pytest.raises(DomainError):
                 fn(*args)
@@ -333,7 +333,7 @@ def test_sector_routines_refuse_bad_parameters_and_unknown_sectors():
 def test_sector_routines_refuse_a_block_above_the_dense_cap():
     cap = sl.matrices.MAX_DENSE_ORDER
     message = f"^dense matrices are capped at order {cap}, got {cap + 1}$"
-    for fn in (bisection.sector_pencil, sl.sector_block, sl.sector_eigenvalues):
+    for fn in (bisection.sector_pencil, sl.sector_eigenvalues):
         with pytest.raises(SizeError, match=message):
             fn(cap - 1, 2, ODD)
 
@@ -356,15 +356,15 @@ def test_blocks_are_bitwise_the_dense_weighted_path_and_its_loop_tail_rule():
             odd = even.copy()
             for v, w in wp.loops:
                 odd[v, v] = 1.0 + w / wp.degrees[v]
-            assert sl.sector_block(n, k, EVEN).tobytes() == even.tobytes(), (n, k)
-            assert sl.sector_block(n, k, ODD).tobytes() == odd.tobytes(), (n, k)
+            assert sector_block(n, k, EVEN).tobytes() == even.tobytes(), (n, k)
+            assert sector_block(n, k, ODD).tobytes() == odd.tobytes(), (n, k)
 
 
 def test_sector_block_holds_no_dense_temporary():
     # order 1,024: the block itself is one 8 MiB array
     tracemalloc.start()
     try:
-        block = sl.sector_block(683, 341, ODD)
+        block = sector_block(683, 341, ODD)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -374,7 +374,7 @@ def test_sector_block_holds_no_dense_temporary():
 
 def _block_counts(n, k, sigma):
     """Dense eigenvalues below sigma of the even and odd blocks of roach(n, k)."""
-    return tuple(int(np.count_nonzero(np.linalg.eigvalsh(sl.sector_block(n, k, s)) < sigma))
+    return tuple(int(np.count_nonzero(np.linalg.eigvalsh(sector_block(n, k, s)) < sigma))
                  for s in (EVEN, ODD))
 
 
@@ -384,7 +384,7 @@ def test_sturm_counts_equal_dense_counts_within_the_cap():
     for spec in _roach_specs_within_cap():
         deg = bisection.sector_pencil(spec.n, spec.k, EVEN)[0]
         diags = [bisection.sector_pencil(spec.n, spec.k, s)[1] for s in (EVEN, ODD)]
-        vals = np.concatenate([np.linalg.eigvalsh(sl.sector_block(spec.n, spec.k, s))
+        vals = np.concatenate([np.linalg.eigvalsh(sector_block(spec.n, spec.k, s))
                                for s in (EVEN, ODD)])
         for _ in range(3):
             p, q = rng.randrange(-(1 << 16), 9 << 16), 1 << 22  # sigma in (-1/64, 9/4)
@@ -396,34 +396,78 @@ def test_sturm_counts_equal_dense_counts_within_the_cap():
     assert checked >= 1300
 
 
-def test_a_zero_leading_minor_moves_the_separator():
-    # sigma = 1/2 is an eigenvalue of a leading block: of the odd block of
-    # roach(10, 5) and of the even block of roach(6, 3)
-    for (n, k), sector in (((10, 5), ODD), ((6, 3), EVEN)):
+def _leading_minors(deg, diag, p, q):
+    """M_1, ..., M_n of q (D - W_s) - p D, by the three-term recurrence."""
+    minors, prev, cur = [], 0, 1
+    for t, d in zip(diag, deg):
+        prev, cur = cur, (q * t - p * d) * cur - q * q * prev
+        minors.append(cur)
+    return minors
+
+
+def test_sturm_counts_at_or_below_every_dyadic_point_equal_dense_counts():
+    # every p/q in [0, 2] with q = 1, 2, 4, ..., 32, on both sectors of roach(n, k) for
+    # n <= 13 and 2 <= k <= 13. The dense count is taken at p/q + 1e-9: each float
+    # eigenvalue lies within 1e-12 of p/q or more than 2e-9 from it, so no eigenvalue
+    # falls in between, and one at p/q is counted.
+    grid = [(p, q) for q in (1, 2, 4, 8, 16, 32) for p in range(2 * q + 1)]
+    x = np.array([p / q for p, q in grid])
+    points = zero_inner = zero_last = 0
+    for n in range(1, 14):
+        for k in range(2, 14):
+            for sector in (EVEN, ODD):
+                deg, diag = bisection.sector_pencil(n, k, sector)
+                vals = np.linalg.eigvalsh(sector_block(n, k, sector))[:, None]
+                distance = np.abs(vals - x)
+                assert not np.any((distance > 1e-12) & (distance < 2e-9)), (n, k, sector)
+                dense = np.count_nonzero(vals < x + 1e-9, axis=0)
+                for (p, q), expected in zip(grid, dense.tolist()):
+                    assert bisection.sturm_count(deg, diag, p, q) == expected, (n, k, sector, p, q)
+                    minors = _leading_minors(deg, diag, p, q)
+                    zero_inner += 0 in minors[:-1]
+                    zero_last += minors[-1] == 0
+                    points += 1
+    assert (points, zero_inner, zero_last) == (41184, 2352, 3136)  # 4,824 points with a zero
+
+
+def test_a_zero_leading_minor_is_skipped_and_a_zero_determinant_counts():
+    # the minors that vanish at sigma: M_1 and M_4 of both sectors of roach(1, 5) at 1;
+    # M_7 and the determinant M_9 of the even sector of roach(6, 3) at 1/2; the
+    # determinant M_15 of the odd sector of roach(10, 5) at 1/2
+    for (n, k), sector, (p, q), zeros in (((1, 5), EVEN, (1, 1), [1, 4]),
+                                          ((1, 5), ODD, (1, 1), [1, 4]),
+                                          ((6, 3), EVEN, (1, 2), [7, 9]),
+                                          ((10, 5), ODD, (1, 2), [15])):
         deg, diag = bisection.sector_pencil(n, k, sector)
-        assert bisection.sturm_count(deg, diag, 1, 2) is None
-        # the grid of (0.45, 0.55) has spacing 1/128 and starts at 64/128 = 1/2
-        (count,) = bisection._separate(0.45, 0.55, [(deg, diag)])
-        assert count == bisection.sturm_count(deg, diag, 65, 128)
-        assert count == _block_counts(n, k, 65 / 128)[(EVEN, ODD).index(sector)]
-    for k in range(3, 11):  # sigma = 1 hits both blocks of every R(2k, k)
-        (deg, even), (_, odd) = (bisection.sector_pencil(2 * k, k, s) for s in (EVEN, ODD))
-        assert bisection.sturm_count(deg, even, 1, 1) is None
-        assert bisection.sturm_count(deg, odd, 1, 1) is None
+        minors = _leading_minors(deg, diag, p, q)
+        assert [i for i, m in enumerate(minors, 1) if m == 0] == zeros
+        vals, sigma = sl.sector_eigenvalues(n, k, sector), p / q
+        at_or_below = int(np.count_nonzero(vals < sigma + 1e-9))
+        assert at_or_below == np.count_nonzero(vals < sigma - 1e-9) + (minors[-1] == 0)
+        assert bisection.sturm_count(deg, diag, p, q) == at_or_below, (n, k, sector)
+    for k in range(3, 11):  # sigma = 1 zeroes M_1, M_3, ... of both sectors of every R(2k, k)
+        for sector in (EVEN, ODD):
+            deg, diag = bisection.sector_pencil(2 * k, k, sector)
+            minors = _leading_minors(deg, diag, 1, 1)
+            assert minors[:5:2] == [0, 0, 0] and (minors[-1] == 0) == (k in (5, 8)), (k, sector)
+            vals = sl.sector_eigenvalues(2 * k, k, sector)
+            assert bisection.sturm_count(deg, diag, 1, 1) == np.count_nonzero(vals < 1 + 1e-9) \
+                == np.count_nonzero(vals < 1 - 1e-9) + (minors[-1] == 0), (k, sector)
 
 
-def _first_grid_point(monkeypatch, lo, hi):
-    """(p, q) of the first separator _separate tries in (lo, hi)."""
+def _grid_point(monkeypatch, lo, hi):
+    """(p, q) of the one separator _separate counts at in (lo, hi)."""
     points = []
-    monkeypatch.setattr(bisection, "sturm_count", lambda deg, diag, p, q: points.append((p, q)))
-    with pytest.raises(NumericError):
-        bisection._separate(lo, hi, [([1], [1])])
-    return points[0]
+    monkeypatch.setattr(bisection, "sturm_count",
+                        lambda deg, diag, p, q: points.append((p, q)) or 0)
+    assert bisection._separate(lo, hi, [([1], [1])]) == (0,)
+    (point,) = points
+    return point
 
 
 def test_separator_midpoint_is_the_exact_rounding_of_the_float_midpoint(monkeypatch):
     def check(lo, hi):
-        p, q = _first_grid_point(monkeypatch, lo, hi)
+        p, q = _grid_point(monkeypatch, lo, hi)
         assert p == round(Fraction(0.5 * (lo + hi)) * q), (lo, hi)
         return p, q
 
@@ -676,8 +720,10 @@ def test_float_estimates_out_of_order_are_refused_before_the_separator(monkeypat
 def test_the_count_at_zero_refuses_an_odd_eigenvalue_at_or_below_zero(monkeypatch):
     count = bisection.sturm_count
     for k in range(3, 12):
-        assert count(*bisection.sector_pencil(2 * k, k, ODD), 0, 1) == 0
-    for at_zero in (None, 1):  # 0 is an eigenvalue of a leading block, or one lies below 0
+        (deg, even), (_, odd) = (bisection.sector_pencil(2 * k, k, s) for s in (EVEN, ODD))
+        assert count(deg, odd, 0, 1) == 0
+        assert count(deg, even, 0, 1) == 1  # the even sector's eigenvalue 0 is counted
+    for at_zero in (1, 2):  # an odd eigenvalue at or below 0, as the even sector has, or two
         monkeypatch.setattr(bisection, "sturm_count", lambda deg, diag, p, q: (
             at_zero if p == 0 else count(deg, diag, p, q)))
         for k in (3, 5, 11):

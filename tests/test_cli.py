@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import os
+import random
 import runpy
 import subprocess
 import sys
@@ -180,21 +181,90 @@ def test_bounds_checks_hold_on_every_family_instance_of_2_to_12_vertices():
                 "isoperimetric_upper", None, True), (spec.label(), name)
 
 
-def test_bounds_ties_absorb_an_eigenvalue_error_below_the_slack(monkeypatch):
-    # at the exact ties (lambda2 / 2 = isoperimetric on complete(4), complete(6),
-    # cycle(4) and path(2); lambda2 = mcut on complete graphs) every check still
-    # holds when the solver returns its eigenvalues 1e-12 high
+def test_bounds_checks_hold_on_random_weighted_graphs_with_loops(tmp_path):
+    rng = random.Random(32)
+
+    def weight():
+        return rng.choice((1, rng.randint(1, 9), rng.randint(1, 1000)))
+
+    for i in range(200):
+        n = rng.randint(2, 10)
+        pairs = {(rng.randrange(v), v) for v in range(1, n)}  # a spanning tree
+        pairs |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, 4))}
+        doc = {"name": f"random{i}", "n": n,
+               "edges": [[u + 1, v + 1, weight()] for u, v in sorted(pairs)],
+               "loops": [[v + 1, weight()] for v in sorted(rng.sample(range(n), rng.randint(0, 2)))]}
+        path = tmp_path / f"g{i}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        checks = invoke_json(["bounds", "--graph", str(path)])["checks"]
+        assert all(holds is True or (name, holds) == ("isoperimetric_upper", None) and n < 4
+                   for name, holds in checks.items()), doc
+
+
+# the checks that hold with equality, exactly: lambda2 = mcut on each graph below, and
+# lambda2 / 2 = isoperimetric and lambda2 = 2h on K_4, K_6, C_4 and path(2)
+_BOUNDS_TIES = {
+    ("complete", 3): {"mcut_ge_lambda2"},
+    ("complete", 4): {"mcut_ge_lambda2", "isoperimetric_lower", "cheeger_upper"},
+    ("complete", 5): {"mcut_ge_lambda2"},
+    ("complete", 6): {"mcut_ge_lambda2", "isoperimetric_lower", "cheeger_upper"},
+    ("cycle", 3): {"mcut_ge_lambda2"},
+    ("cycle", 4): {"mcut_ge_lambda2", "isoperimetric_lower", "cheeger_upper"},
+    ("path", 2): {"mcut_ge_lambda2", "isoperimetric_lower", "cheeger_upper"},
+}
+
+
+def test_bounds_ties_hold_within_the_radius_and_fail_past_it(monkeypatch):
+    # each exact eigenvalue lies within the radius of its estimate, so with every
+    # eigenvalue returned half a radius high the ties still hold; two radii high, with
+    # the radius unchanged, the interval lies past each tie, and exactly the tied checks
+    # read false
+    eig_sym = sl.matrices.eig_sym
+    for radii in (0.5, 2.0):
+        def shifted(m, radii=radii):
+            spectrum = eig_sym(m)
+            return dataclasses.replace(spectrum,
+                                       eigenvalues=spectrum.eigenvalues + radii * spectrum.radius)
+
+        monkeypatch.setattr(sl.matrices, "eig_sym", shifted)
+        for (family, n), tied in _BOUNDS_TIES.items():
+            checks = invoke_json(["bounds", "--family", family, "--n", str(n)])["checks"]
+            failed = {name for name, holds in checks.items() if holds is False}
+            assert failed == (tied if radii > 1 else set()), (family, n, radii)
+
+
+def _checks_with_lambda2(monkeypatch, family, n, diagonal, lam2, radius):
+    """The bounds checks of the family instance when the matrix whose entry (1, 1) is
+    ``diagonal`` has its lambda2 and its radius replaced."""
     eig_sym = sl.matrices.eig_sym
 
-    def high(m):
+    def patched(m):
         spectrum = eig_sym(m)
-        return dataclasses.replace(spectrum, eigenvalues=spectrum.eigenvalues + 1e-12)
+        if m.values[1, 1] != diagonal:
+            return spectrum
+        values = spectrum.eigenvalues.copy()
+        values[1] = lam2
+        return dataclasses.replace(spectrum, eigenvalues=values, radius=radius)
 
-    monkeypatch.setattr(sl.matrices, "eig_sym", high)
-    for family, n in (("complete", 3), ("complete", 4), ("complete", 5), ("complete", 6),
-                      ("cycle", 3), ("cycle", 4), ("path", 2)):
-        checks = invoke_json(["bounds", "--family", family, "--n", str(n)])["checks"]
-        assert all(holds in (True, None) for holds in checks.values()), (family, n, checks)
+    monkeypatch.setattr(sl.matrices, "eig_sym", patched)
+    return invoke_json(["bounds", "--family", family, "--n", str(n)])["checks"]
+
+
+@pytest.mark.parametrize("lam2, holds", [(0.625, False), (0.8125, True), (5.375, False),
+                                         (5.1875, True)])
+def test_isoperimetric_upper_reads_the_best_point_of_the_interval(monkeypatch, lam2, holds):
+    # complete(4): isoperimetric 2 and max degree 3, so the bound holds exactly when
+    # (6 - x) x >= 4 somewhere within 1/16 of lambda2; (6 - x) x peaks at x = 3, so the
+    # best point is the interval's end nearest 3
+    checks = _checks_with_lambda2(monkeypatch, "complete", 4, 3.0, lam2, 0.0625)
+    assert checks["isoperimetric_upper"] is holds
+
+
+def test_cheeger_lower_is_strict_at_the_end_of_the_interval(monkeypatch):
+    # path(3): h = 1, so h^2 / 2 = 1/2; lambda2 = 1/4 within 1/4 reaches it and no further
+    for radius, holds in ((0.25, False), (0.375, True)):
+        checks = _checks_with_lambda2(monkeypatch, "path", 3, 1.0, 0.25, radius)
+        assert checks["cheeger_lower"] is holds, radius
 
 
 def test_counterexample_command():
@@ -226,6 +296,21 @@ def test_counterexample_range_is_refused_before_any_k_is_computed(monkeypatch):
                                    "message": "counterexample family needs k >= 3"})):
         code, out, err = invoke(["counterexample", "--k-range", k_range])
         assert (code, out) == (2, "") and _one_json_line(err) == doc
+
+
+def test_a_counterexample_range_is_bounded_by_the_work_of_one_verdict_at_the_cap(monkeypatch):
+    # the sum of (3k)^3 is 68,592,484,800 over 3..317, below 4096^3, and passes it by k = 318
+    def computed(*_args):
+        raise AssertionError("a k was computed")
+
+    monkeypatch.setattr(sl.bisection, "min_ncut_brute", computed)
+    monkeypatch.setattr(sl.bisection, "_eigenvalues", computed)
+    assert sl.bisection.check_counterexample_range(range(3, 318)) is None
+    for k_range, work in (("3:318", 69460735464), ("1364:1365", 137187504063)):
+        code, out, err = invoke(["counterexample", "--k-range", k_range])
+        assert (code, out) == (2, "") and _one_json_line(err) == {
+            "error": "SizeError", "message": "counterexample ranges are capped at a sum of "
+                                             f"(3k)^3 up to 4096^3, got {work}"}
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +356,13 @@ def test_out_of_range_pruned_seed_names_the_typed_vertex(vertex):
     assert code == 2 and out == ""
     assert _one_json_line(err) == {"error": "DomainError",
                                    "message": f"--seed vertex {vertex} is not in 1..4"}
+
+
+@pytest.mark.parametrize("lam", ["-1e-3", "-5e-1", "-0.5"])
+def test_negative_lambda_parses_as_a_number_in_exponent_form_too(lam):
+    args = cli.build_parser().parse_args(["charpoly", "--which", "pnk", "--n", "3", "--k", "3",
+                                          "--lam", lam])
+    assert args.lam == float(lam)
 
 
 @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])

@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -291,6 +292,51 @@ def test_eig_sym_refuses_a_failed_or_inaccurate_solve(monkeypatch, fault, messag
     monkeypatch.setattr(np.linalg, "eigh", lambda values: fault(solve, values))
     with pytest.raises(sl.NumericError, match=message):
         sl.eig_sym(m)
+
+
+def _roach_with_eigh(monkeypatch, shift=0.0, stretch=1.0):
+    """eig_sym of roach(4, 3)'s normalized Laplacian (order 14, largest entry 1) with
+    every eigenvalue moved by ``shift`` and every eigenvector scaled by ``stretch``."""
+    m = sl.build_matrix(sl.generate(FamilySpec("roach", n=4, k=3)), MatrixKind.NORMALIZED)
+    solve = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda values: (
+        solve(values)[0] + shift, stretch * solve(values)[1]))
+    return sl.eig_sym(m)
+
+
+def test_the_residual_gate_is_1e9_times_n_times_the_largest_entry(monkeypatch):
+    # moving an eigenvalue by s leaves a residual of |s| in its unit column
+    gate = 1e-9 * 14
+    assert _roach_with_eigh(monkeypatch, shift=0.7 * gate).residual > 0.69 * gate
+    with pytest.raises(sl.NumericError, match="^eigendecomposition residual above tolerance$"):
+        _roach_with_eigh(monkeypatch, shift=1.3 * gate)
+
+
+def test_the_orthonormality_gate_is_1e9(monkeypatch):
+    # scaling unit vectors by 1 + t puts 2t + t^2 on the diagonal of V'V - I
+    _roach_with_eigh(monkeypatch, stretch=1 + 0.35e-9)
+    with pytest.raises(sl.NumericError, match="^eigenvectors are not orthonormal$"):
+        _roach_with_eigh(monkeypatch, stretch=1 + 0.65e-9)
+
+
+def test_the_radius_is_the_residual_bound_term_by_term(monkeypatch):
+    # (||R||_F + 2 (n + 7) sqrt(n) eps scale) / sigma for sigma^2 = 1 - n (ortho + (n + 2) eps),
+    # with vectors stretched so that sigma is visibly below 1
+    spectrum = _roach_with_eigh(monkeypatch, stretch=1 + 3e-10)
+    m = sl.build_matrix(sl.generate(FamilySpec("roach", n=4, k=3)), MatrixKind.NORMALIZED).values
+    vals, vecs, n, eps = spectrum.eigenvalues, spectrum.eigenvectors, 14, np.finfo(float).eps
+    ortho = np.max(np.abs(vecs.T @ vecs - np.eye(n)))
+    sigma = math.sqrt(1 - n * (ortho + (n + 2) * eps))
+    assert 1 - sigma > 4e-9
+    rounding = 2 * (n + 7) * math.sqrt(n) * eps * n  # scale = n max(1, |m|) = n
+    expected = (np.linalg.norm(m @ vecs - vecs * vals) + rounding) / sigma
+    assert spectrum.radius == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_lambda2_interval_is_exact_and_one_radius_each_way():
+    spectrum = sl.matrices.Spectrum(np.array([0.0, 0.1, 0.5]), np.eye(3), 0.0, 2.0 ** -60)
+    assert spectrum.lambda2_interval() == (Fraction(0.1) - Fraction(1, 1 << 60),
+                                           Fraction(0.1) + Fraction(1, 1 << 60))
 
 
 def test_lambda2_simplicity_gap():
